@@ -20,7 +20,7 @@ from .polygon import (
     opposite_reflex_pairs,
     point_in_polygon,
 )
-from .visibility import sees, visibility_polygon
+from .visibility import overlay_segments, sees, visibility_polygon
 
 
 class NoGridPointNearby(Exception):
@@ -274,13 +274,7 @@ CoverageResult = Union[Covered, Uncovered]
 def coverage_segments(m: PolygonModel,
                       guards: Sequence[Point]) -> List[Tuple[Point, Point]]:
     """Polygon edges plus every window chord of every guard's visibility."""
-    segs = list(m.edges())
-    for g in guards:
-        vp = visibility_polygon(m, g)
-        es = vp.edges()
-        for i in vp.window_edges:
-            segs.append(es[i])
-    return segs
+    return overlay_segments(m, [visibility_polygon(m, g) for g in guards])
 
 
 def verify_coverage(m: PolygonModel, g: GuardSet) -> CoverageResult:

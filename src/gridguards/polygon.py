@@ -130,15 +130,23 @@ def point_on_boundary(m: PolygonModel, p: Point) -> bool:
 
 
 def point_in_polygon(m: PolygonModel, p: Point) -> bool:
-    """Closed-polygon membership: boundary points count as inside.
+    """Closed-polygon membership: boundary points count as inside."""
+    return point_in_cycle(m.vertices, p)
 
-    Interior test is exact even-odd ray casting with the half-open vertex
-    rule (no epsilon, no perturbation of inputs).
+
+def point_in_cycle(vertices: Sequence[Point], p: Point) -> bool:
+    """Membership of p in the closed simple polygon with these vertices.
+
+    Boundary points count as inside.  The interior test is exact even-odd
+    ray casting with the half-open vertex rule (no epsilon, no perturbation
+    of inputs).
     """
-    if point_on_boundary(m, p):
+    n = len(vertices)
+    edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    if any(point_on_segment(p, a, b) for a, b in edges):
         return True
     inside = False
-    for a, b in m.edges():
+    for a, b in edges:
         if (a.y > p.y) != (b.y > p.y):
             # x coordinate of the crossing of edge ab with the horizontal at p.y
             x_cross = a.x + (b.x - a.x) * (p.y - a.y) / (b.y - a.y)

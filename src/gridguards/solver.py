@@ -3,30 +3,40 @@
 Covering a finite witness set (one point per face of the overlay of the
 polygon with all candidate visibility boundaries) is equivalent to covering
 the whole polygon with those candidates, so every solver below reduces to
-finite set cover and is certified afterwards by an independent
-verify_coverage run.
+finite set cover over bitmasks.  Each candidate's visibility polygon is
+computed once and gives both its window chords for the overlay and, by
+exact membership, its bitmask of seen witnesses.  Every returned cover is
+certified afterwards by an independent verify_coverage run, which decides
+visibility with ``sees``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, combinations
+from typing import List, Optional, Sequence, Tuple
 
 from .arrangement import build_arrangement
-from .geometry import Point, pt
+from .geometry import Point
 from .grid import (
     Covered,
-    GridSpec,
     GuardSet,
     PROV_SOLVER_GREEDY,
-    coverage_segments,
+    guard_set,
     verify_coverage,
 )
 from .polygon import PolygonModel, point_in_polygon
-from .visibility import sees
+from .visibility import (
+    VisibilityPolygon,
+    overlay_segments,
+    sees,  # noqa: F401  kept bound: perfbench's --selfcheck wraps solver.sees
+    sees_from_polygon,
+    visibility_polygon,
+)
 
 
 class InfeasibleWitness(Exception):
@@ -59,7 +69,6 @@ STRATEGY_ADAPTIVE = "AdaptiveRefine"
 @dataclass(frozen=True)
 class WitnessSet:
     points: Tuple[Point, ...]
-    provenance: str = "ArrangementFace"
 
     def __len__(self) -> int:
         return len(self.points)
@@ -80,35 +89,32 @@ class SolveResult:
     witness_count: int
     rounds: int
     certified: bool
-    size_bound_log: float
 
 
 def build_witnesses(m: PolygonModel,
-                    candidates: Sequence[Point]) -> WitnessSet:
-    """One representative per face of the candidate visibility overlay."""
-    arr = build_arrangement(coverage_segments(m, list(candidates)))
+                    polygons: Sequence[VisibilityPolygon]) -> WitnessSet:
+    """One representative per face of the overlay of the polygon with the
+    window chords of the candidates' visibility polygons."""
+    arr = build_arrangement(overlay_segments(m, polygons))
     points = tuple(p for p in arr.representatives if point_in_polygon(m, p))
     return WitnessSet(points=points)
 
 
-def _vision_masks(m: PolygonModel, candidates: Sequence[Point],
-                  witnesses: WitnessSet) -> List[int]:
+def _masks(m: PolygonModel, polygons: Sequence[VisibilityPolygon],
+           witnesses: WitnessSet) -> List[int]:
     """Per-candidate bitmask of the witnesses it sees."""
     masks = []
-    for c in candidates:
+    for vp in polygons:
         mask = 0
         for i, w in enumerate(witnesses.points):
-            if sees(m, c, w):
+            if sees_from_polygon(m, vp, w):
                 mask |= 1 << i
         masks.append(mask)
     return masks
 
 
-def greedy_cover(m: PolygonModel, candidates: Sequence[Point],
-                 witnesses: WitnessSet) -> SolveResult:
-    """Classic greedy set cover; ties broken by lexicographic point order."""
-    cands = sorted(set(candidates), key=Point.key)
-    masks = _vision_masks(m, cands, witnesses)
+def _full_mask(masks: List[int], witnesses: WitnessSet) -> int:
+    """The mask of all witnesses; raises if some witness is seen by none."""
     full = (1 << len(witnesses)) - 1
     seen_any = 0
     for mk in masks:
@@ -118,41 +124,47 @@ def greedy_cover(m: PolygonModel, candidates: Sequence[Point],
                        if not (seen_any >> i) & 1)
         raise InfeasibleWitness(
             f"witness {witnesses.points[missing]} seen by no candidate")
-    chosen: List[Point] = []
+    return full
+
+
+def _greedy(masks: List[int], full: int) -> List[int]:
+    """Indices picked by greedy set cover, in the order picked."""
+    chosen: List[int] = []
     covered = 0
-    rounds = 0
     while covered != full:
-        rounds += 1
-        best_i = max(range(len(cands)),
-                     key=lambda i: (bin(masks[i] & ~covered).count("1"),),
-                     default=None)
-        # max() keeps the first of equal keys; cands are pre-sorted, so the
-        # tie goes to the lexicographically smallest candidate
-        gain = masks[best_i] & ~covered
-        if gain == 0:
+        best_i = max(range(len(masks)),
+                     key=lambda i: (masks[i] & ~covered).bit_count())
+        # max() keeps the first of equal keys; candidates are pre-sorted, so
+        # the tie goes to the lexicographically smallest candidate
+        if masks[best_i] & ~covered == 0:
             raise InfeasibleWitness("greedy stalled with uncovered witnesses")
-        chosen.append(cands[best_i])
+        chosen.append(best_i)
         covered |= masks[best_i]
-    gs = GuardSet(guards=tuple(chosen),
-                  provenance=(PROV_SOLVER_GREEDY,) * len(chosen))
-    certified = isinstance(verify_coverage(m, gs), Covered)
-    w = max(1, len(witnesses))
+    return chosen
+
+
+def greedy_cover(m: PolygonModel, candidates: Sequence[Point],
+                 witnesses: WitnessSet) -> SolveResult:
+    """Classic greedy set cover; ties broken by lexicographic point order."""
+    cands = sorted(set(candidates), key=Point.key)
+    masks = _masks(m, [visibility_polygon(m, c) for c in cands], witnesses)
+    chosen = _greedy(masks, _full_mask(masks, witnesses))
+    gs = guard_set([cands[i] for i in chosen], PROV_SOLVER_GREEDY)
     return SolveResult(guards=gs, witness_count=len(witnesses),
-                       rounds=rounds, certified=certified,
-                       size_bound_log=1.0 + math.log(w))
+                       rounds=len(chosen),
+                       certified=isinstance(verify_coverage(m, gs), Covered))
 
 
 def brute_force_optimum(m: PolygonModel, candidates: Sequence[Point],
                         witnesses: WitnessSet, k_max: int):
     """Smallest covering subset of the candidates, or NoneWithin."""
-    from itertools import combinations
     cands = sorted(set(candidates), key=Point.key)
     n = len(cands)
     total = sum(math.comb(n, k) for k in range(1, k_max + 1))
     if total > 10 ** 7:
         raise CombinatoricsBudgetExceeded(
             f"{total} subsets exceed the 1e7 budget")
-    masks = _vision_masks(m, cands, witnesses)
+    masks = _masks(m, [visibility_polygon(m, c) for c in cands], witnesses)
     full = (1 << len(witnesses)) - 1
     for k in range(1, k_max + 1):
         for combo in combinations(range(n), k):
@@ -160,9 +172,7 @@ def brute_force_optimum(m: PolygonModel, candidates: Sequence[Point],
             for i in combo:
                 acc |= masks[i]
             if acc == full:
-                points = tuple(cands[i] for i in combo)
-                return GuardSet(guards=points,
-                                provenance=(PROV_SOLVER_GREEDY,) * k)
+                return guard_set([cands[i] for i in combo], PROV_SOLVER_GREEDY)
     return NONE_WITHIN
 
 
@@ -207,8 +217,8 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig,
 
     Guess-and-double on the cover size k; each round samples a weighted net
     of O(k log k) candidates and doubles the weights of every candidate
-    seeing the first uncovered witness.  The certified result is the smaller
-    of the pruned net cover and the greedy baseline.
+    seeing the first uncovered witness.  The result is the smaller of the
+    pruned net cover and the greedy cover of the same masks, certified once.
     """
     if candidates is None:
         if cfg.candidate_strategy == STRATEGY_FULL:
@@ -217,15 +227,11 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig,
             cands = sorted(set(m.vertices), key=Point.key)
     else:
         cands = sorted(set(candidates), key=Point.key)
-    witnesses = build_witnesses(m, cands)
-    masks = _vision_masks(m, cands, witnesses)
-    full = (1 << len(witnesses)) - 1
+    polygons = [visibility_polygon(m, c) for c in cands]
+    witnesses = build_witnesses(m, polygons)
+    masks = _masks(m, polygons, witnesses)
+    full = _full_mask(masks, witnesses)
     n = len(cands)
-    seen_any = 0
-    for mk in masks:
-        seen_any |= mk
-    if seen_any != full:
-        raise InfeasibleWitness("candidate set cannot cover the polygon")
 
     rng = random.Random(cfg.rng_seed)
     rounds = 0
@@ -264,32 +270,19 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig,
         raise RoundLimitExceeded("no covering net found", best=None)
 
     solution = _prune(solution, masks, full)
-    # greedy polish: keep whichever certified cover is smaller
-    greedy = greedy_cover(m, cands, witnesses)
-    if len(greedy.guards) < len(solution):
-        chosen_points = list(greedy.guards.guards)
-    else:
-        chosen_points = [cands[i] for i in solution]
-    gs = GuardSet(guards=tuple(chosen_points),
-                  provenance=(PROV_SOLVER_GREEDY,) * len(chosen_points))
-    certified = isinstance(verify_coverage(m, gs), Covered)
-    w = max(1, len(witnesses))
+    greedy = _greedy(masks, full)
+    chosen = greedy if len(greedy) < len(solution) else solution
+    gs = guard_set([cands[i] for i in chosen], PROV_SOLVER_GREEDY)
     return SolveResult(guards=gs, witness_count=len(witnesses),
-                       rounds=rounds, certified=certified,
-                       size_bound_log=1.0 + math.log(w))
+                       rounds=rounds,
+                       certified=isinstance(verify_coverage(m, gs), Covered))
 
 
 def _weighted_sample(rng: random.Random, weights: List[int],
                      size: int) -> List[int]:
     """Sample candidate indices with probability proportional to weight."""
-    total = sum(weights)
-    out = []
-    for _ in range(size):
-        r = rng.randrange(total)
-        acc = 0
-        for i, wgt in enumerate(weights):
-            acc += wgt
-            if r < acc:
-                out.append(i)
-                break
-    return out
+    prefix = list(accumulate(weights))
+    total = prefix[-1]
+    # weights are positive, so bisect_right finds the first i with
+    # r < prefix[i], the index a linear scan of the weights would stop at
+    return [bisect_right(prefix, rng.randrange(total)) for _ in range(size)]

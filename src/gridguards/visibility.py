@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
     Cone,
@@ -35,6 +35,7 @@ from .geometry import (
 from .polygon import (
     PointOutsidePolygon,
     PolygonModel,
+    point_in_cycle,
     point_in_polygon,
     point_on_boundary,
     segment_in_polygon,
@@ -107,6 +108,38 @@ def sees(m: PolygonModel, x: Point, y: Point) -> bool:
     if not point_in_polygon(m, y):
         raise PointOutsidePolygon(f"{y} outside polygon")
     return segment_in_polygon(m, x, y)
+
+
+def overlay_segments(m: PolygonModel, polygons: Sequence[VisibilityPolygon]
+                     ) -> List[Tuple[Point, Point]]:
+    """Polygon edges plus every window chord of every visibility polygon."""
+    segs = list(m.edges())
+    for vp in polygons:
+        es = vp.edges()
+        segs.extend(es[i] for i in vp.window_edges)
+    return segs
+
+
+def sees_from_polygon(m: PolygonModel, vp: VisibilityPolygon,
+                      y: Point) -> bool:
+    """``sees(m, vp.viewpoint, y)`` for y in P, decided from ``vp``.
+
+    A point of the closed visibility polygon is seen.  A point outside it
+    can still be seen along a ray from the viewpoint through a polygon
+    vertex: beyond a pinhole between two reflex vertices the visible set
+    goes on as a segment of zero width, which the polygon leaves out.  Only
+    points on such rays are handed to ``sees``; every other point outside
+    the polygon is not seen.
+    """
+    if point_in_cycle(vp.boundary, y):
+        return True
+    x = vp.viewpoint
+    d = y - x
+    for v in m.vertices:
+        w = v - x
+        if cross(w, d) == 0 and dot(w, d) > 0:
+            return sees(m, x, y)
+    return False
 
 
 def _ray_line_param(x: Point, d: Point, a: Point, b: Point) -> Scalar:

@@ -124,7 +124,8 @@ def test_criterion_2_grid_replacement_bound_and_coverage():
             cands = _offgrid_candidates(m)
             if not cands:
                 continue
-            witnesses = build_witnesses(m, cands)
+            witnesses = build_witnesses(
+                m, [visibility_polygon(m, c) for c in cands])
             opt = brute_force_optimum(m, cands, witnesses, k_max=3)
             if isinstance(opt, NoneWithin):
                 continue
@@ -220,7 +221,8 @@ def test_criterion_6_solver_soundness_and_quality():
             assert result.certified
 
         cands = default_candidates(m3)
-        witnesses = build_witnesses(m3, cands)
+        witnesses = build_witnesses(
+            m3, [visibility_polygon(m3, c) for c in cands])
         greedy = greedy_cover(m3, cands, witnesses)
         assert greedy.certified
 

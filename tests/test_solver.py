@@ -1,12 +1,13 @@
 """Set-cover solvers over arrangement witnesses: greedy, brute force, nets."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from gridguards.generate import channel, comb
-from gridguards.geometry import Point, pt
+from gridguards.geometry import Point, cross, dot, pt
 from gridguards.grid import Covered, guard_set, verify_coverage
-from gridguards.polygon import load_polygon
+from gridguards.polygon import load_polygon, point_in_cycle
 from gridguards.solver import (
     NONE_WITHIN,
     STRATEGY_ADAPTIVE,
@@ -22,10 +23,15 @@ from gridguards.solver import (
     eh_solve,
     greedy_cover,
 )
+from gridguards.visibility import visibility_polygon
 
 
 def square():
     return load_polygon([(1, 1), (9, 1), (9, 9), (1, 9)])
+
+
+def witnesses_of(m, cands):
+    return build_witnesses(m, [visibility_polygon(m, c) for c in cands])
 
 
 def test_default_candidates_square():
@@ -40,7 +46,7 @@ def test_default_candidates_square():
 def test_greedy_square_one_guard():
     m = square()
     cands = default_candidates(m)
-    witnesses = build_witnesses(m, cands)
+    witnesses = witnesses_of(m, cands)
     result = greedy_cover(m, cands, witnesses)
     assert len(result.guards) == 1
     assert result.certified
@@ -49,7 +55,7 @@ def test_greedy_square_one_guard():
 def test_greedy_comb3_three_guards():
     m = comb(3)
     cands = default_candidates(m)
-    witnesses = build_witnesses(m, cands)
+    witnesses = witnesses_of(m, cands)
     result = greedy_cover(m, cands, witnesses)
     assert len(result.guards) == 3
     assert result.certified
@@ -60,7 +66,7 @@ def test_brute_force_comb3_optimum_is_three():
     # keep the subset lattice small: only base-strip cell centers
     cands = [c for c in default_candidates(m) if c.y == Fraction(3, 2)]
     assert len(cands) == 5
-    witnesses = build_witnesses(m, default_candidates(m))
+    witnesses = witnesses_of(m, default_candidates(m))
     best = brute_force_optimum(m, cands, witnesses, k_max=3)
     assert not isinstance(best, NoneWithin)
     assert len(best.guards) == 3
@@ -72,7 +78,7 @@ def test_brute_force_comb3_optimum_is_three():
 def test_brute_force_budget_guard():
     m = square()
     cands = default_candidates(m)
-    witnesses = build_witnesses(m, cands)
+    witnesses = witnesses_of(m, cands)
     with pytest.raises(CombinatoricsBudgetExceeded):
         brute_force_optimum(m, cands, witnesses, k_max=len(cands))
 
@@ -80,7 +86,7 @@ def test_brute_force_budget_guard():
 def test_infeasible_witness_raised():
     m = comb(3)
     # a single base corner cannot see into every prong
-    witnesses = build_witnesses(m, default_candidates(m))
+    witnesses = witnesses_of(m, default_candidates(m))
     with pytest.raises(InfeasibleWitness):
         greedy_cover(m, [m.vertices[0]], witnesses)
 
@@ -132,7 +138,50 @@ def test_eh_solve_infeasible_candidates():
 
 def test_witnesses_are_inside_polygon():
     m = channel()
-    ws = build_witnesses(m, default_candidates(m))
+    ws = witnesses_of(m, default_candidates(m))
     from gridguards.polygon import point_in_polygon
     assert len(ws) > 0
     assert all(point_in_polygon(m, p) for p in ws.points)
+
+
+def test_eh_solve_call_counts(monkeypatch):
+    """One solve computes each candidate's visibility polygon once, builds
+    two arrangements (witnesses, certification) and calls sees() from the
+    mask pass only for witnesses outside a candidate's visibility polygon on
+    a ray from the candidate through a polygon vertex."""
+    from gridguards import arrangement, grid, solver, visibility
+
+    m = comb(3)
+    cands = default_candidates(m)
+    polygons = [visibility_polygon(m, c) for c in cands]
+    witnesses = build_witnesses(m, polygons).points
+    fallbacks = sum(
+        1 for vp in polygons for w in witnesses
+        if not point_in_cycle(vp.boundary, w)
+        and any(cross(v - vp.viewpoint, w - vp.viewpoint) == 0
+                and dot(v - vp.viewpoint, w - vp.viewpoint) > 0
+                for v in m.vertices))
+    assert fallbacks > 0
+
+    calls = Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    count(solver, "visibility_polygon")
+    count(grid, "visibility_polygon")
+    count(solver, "build_arrangement")
+    count(arrangement, "build_arrangement")  # imported by verify_coverage
+    # sees_from_polygon calls visibility's own binding; verify_coverage
+    # calls grid's, which stays uncounted
+    count(visibility, "sees")
+    result = eh_solve(m, SolveConfig(rng_seed=0))
+    assert result.certified and len(result.guards) == 3
+    assert calls["visibility_polygon"] == len(cands) + len(result.guards)
+    assert calls["build_arrangement"] == 2
+    assert calls["sees"] == fallbacks

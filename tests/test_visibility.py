@@ -6,12 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridguards.generate import channel, counterexample_polygon
+from gridguards.generate import (
+    blocking_fixture,
+    channel,
+    counterexample_polygon,
+    random_polygon,
+)
 from gridguards.geometry import Point, dist_sq, polygon_area, pt
-from gridguards.polygon import PointOutsidePolygon, load_polygon
+from gridguards.polygon import (
+    PointOutsidePolygon,
+    load_polygon,
+    opposite_reflex_pairs,
+    point_in_cycle,
+    point_in_polygon,
+)
+from gridguards.solver import default_candidates
 from gridguards.visibility import (
     grid_cone,
     sees,
+    sees_from_polygon,
     star_triangles,
     visibility_polygon,
     visible_subsegments,
@@ -105,6 +118,51 @@ def test_visibility_area_matches_oracle(x):
         return
     vp = visibility_polygon(m, x)
     assert vp.area() == visibility_area_oracle(list(m.vertices), x)
+
+
+@given(st.integers(5, 8), st.integers(0, 10 ** 6), st.data())
+@settings(max_examples=30, deadline=None)
+def test_sees_from_polygon_matches_sees(n, seed, data):
+    """Differential: membership with the critical-ray fallback equals sees
+    on grid points, the polygon's own boundary and points along the rays
+    from the viewpoint through every vertex, short of and beyond it."""
+    m = random_polygon(n, 8, seed=seed)
+    points = default_candidates(m)
+    x = data.draw(st.sampled_from(points))
+    vp = visibility_polygon(m, x)
+    ys = points + list(vp.boundary) + [
+        x + (v - x).scaled(Fraction(k, 2))
+        for v in m.vertices if v != x for k in (1, 3, 4, 5, 6)]
+    for y in ys:
+        if point_in_polygon(m, y):
+            assert sees_from_polygon(m, vp, y) == sees(m, x, y), (x, y)
+
+
+@pytest.mark.parametrize("fixture", [
+    counterexample_polygon, channel, lambda: blocking_fixture()[0]],
+    ids=["deshpande", "channel", "blocking"])
+def test_sees_from_polygon_beyond_pinhole(fixture):
+    """On the line of an opposite reflex pair, viewed from just before r1,
+    points beyond r2 can be seen through the pinhole although the
+    visibility polygon leaves them out: the fallback must decide them."""
+    m = fixture()
+    seen_outside = 0
+    for pair in opposite_reflex_pairs(m):
+        r1, r2 = m.vertices[pair.r1], m.vertices[pair.r2]
+        d = r2 - r1
+        for t in (Fraction(1, 8), Fraction(1, 3)):
+            x = r1 - d.scaled(t)
+            if not point_in_polygon(m, x):
+                continue
+            vp = visibility_polygon(m, x)
+            for k in range(1, 25):
+                y = r2 + d.scaled(Fraction(k, 8))
+                if not point_in_polygon(m, y):
+                    continue
+                seen = sees(m, x, y)
+                assert sees_from_polygon(m, vp, y) == seen, (x, y)
+                seen_outside += seen and not point_in_cycle(vp.boundary, y)
+    assert seen_outside > 0
 
 
 def test_visible_subsegments_full_edge():
