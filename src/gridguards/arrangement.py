@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .geometry import (
+    GeometryError,
     Point,
     Scalar,
     cross,
@@ -139,7 +140,8 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
             cycle_keys.append(h)
             h = next_half_edge(*h)
         if h != start:
-            continue  # tail merged into an earlier cycle; should not happen
+            raise GeometryError(
+                "face walk ran into an earlier cycle instead of closing")
         cycle = [nodes[u] for u, _ in cycle_keys]
         if polygon_signed_area2(cycle) <= 0:
             continue  # outer face or hole boundary

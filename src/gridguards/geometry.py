@@ -1,17 +1,23 @@
 """Exact rational planar primitives and predicates.
 
-Every predicate in this module is decided exactly over arbitrary-precision
-rationals (``fractions.Fraction``).  Distances are kept squared so that no
-square root is ever taken; angle comparisons use cross/dot ratios for the
-same reason.
+Kernel invariant: coordinates are ``fractions.Fraction`` at every API
+boundary, the hot predicates (``orient``, ``point_on_segment``,
+``ray_segment_params``, ``segment_intersection_point`` and
+``polygon.point_in_cycle``) decide on integers obtained by clearing the
+denominators of the few coordinates involved, and no float is ever used.
+Scaling every coordinate by the same positive integer keeps every sign,
+order and parameter ratio, so the integer decisions are exact; only a
+returned parameter or point is built as a Fraction again.  Distances are
+kept squared so that no square root is ever taken; angle comparisons use
+cross/dot ratios for the same reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Scalar = Fraction
 CoordLike = Union[int, str, Fraction]
@@ -29,14 +35,35 @@ class DegenerateConeError(GeometryError):
     """Cone construction from collinear apex and boundary points."""
 
 
-@dataclass(frozen=True)
 class Point:
-    x: Fraction
-    y: Fraction
+    """Immutable point with exact Fraction coordinates.
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+    Only arguments that are not already Fractions are coerced, so the
+    results of Fraction arithmetic are stored as they are.
+    """
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: CoordLike, y: CoordLike):
+        _set_x(self, x if type(x) is Fraction else Fraction(x))
+        _set_y(self, y if type(y) is Fraction else Fraction(y))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Point, (self.x, self.y))
+
+    def __eq__(self, other):
+        if other.__class__ is not Point:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
@@ -55,9 +82,28 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
+# slot setters that bypass the immutability guard in __setattr__
+_set_x = Point.x.__set__
+_set_y = Point.y.__set__
+
+
 def pt(x: CoordLike, y: CoordLike) -> Point:
     """Build a Point, coercing ints, strings like '1/3', or Fractions."""
-    return Point(Fraction(x), Fraction(y))
+    return Point(x, y)
+
+
+def cleared(*cs: Fraction) -> Tuple[int, List[int]]:
+    """A common denominator D > 0 of the Fractions, and each of them times D.
+
+    Every coordinate of a configuration scaled by the same D keeps its
+    signs, orders and parameter ratios, so predicates decide on the
+    integers.
+    """
+    ratios = [c.as_integer_ratio() for c in cs]
+    d = lcm(*[q for _, q in ratios])
+    if d == 1:
+        return 1, [n for n, _ in ratios]
+    return d, [n * (d // q) for n, q in ratios]
 
 
 ORIGIN = pt(0, 0)
@@ -73,7 +119,8 @@ def dot(u: Point, v: Point) -> Scalar:
 
 def orient(p: Point, q: Point, r: Point) -> int:
     """Sign of the cross product (q-p) x (r-p): +1 left turn, -1 right, 0 collinear."""
-    c = cross(q - p, r - p)
+    _, (px, py, qx, qy, rx, ry) = cleared(p.x, p.y, q.x, q.y, r.x, r.y)
+    c = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     return (c > 0) - (c < 0)
 
 
@@ -242,10 +289,11 @@ def point_in_cone(p: Point, c: Cone) -> bool:
 
 def point_on_segment(p: Point, a: Point, b: Point) -> bool:
     """True iff p lies on the closed segment ab."""
-    if orient(a, b, p) != 0:
+    _, (px, py, ax, ay, bx, by) = cleared(p.x, p.y, a.x, a.y, b.x, b.y)
+    if not (min(ax, bx) <= px <= max(ax, bx)
+            and min(ay, by) <= py <= max(ay, by)):
         return False
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+    return (bx - ax) * (py - ay) == (by - ay) * (px - ax)
 
 
 def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -273,15 +321,23 @@ def segment_intersection_point(a: Point, b: Point, c: Point,
 
     Collinear overlaps (non-unique intersection) return None.
     """
-    d1 = b - a
-    d2 = d - c
-    denom = cross(d1, d2)
+    s, (ax, ay, bx, by, cx, cy, dx, dy) = cleared(
+        a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
+    ux, uy = bx - ax, by - ay
+    vx, vy = dx - cx, dy - cy
+    denom = ux * vy - uy * vx
     if denom == 0:
         return None
-    t = cross(c - a, d2) / denom
-    u = cross(c - a, d1) / denom
-    if 0 <= t <= 1 and 0 <= u <= 1:
-        return a + d1.scaled(t)
+    fx, fy = cx - ax, cy - ay
+    tn = fx * vy - fy * vx
+    un = fx * uy - fy * ux
+    if denom < 0:
+        denom, tn, un = -denom, -tn, -un
+    if 0 <= tn <= denom and 0 <= un <= denom:
+        # a + t (b - a) with t = tn / denom, one Fraction per coordinate
+        w = s * denom
+        return Point(Fraction(ax * denom + ux * tn, w),
+                     Fraction(ay * denom + uy * tn, w))
     return None
 
 
@@ -292,19 +348,24 @@ def ray_segment_params(apex: Point, direction: Point, a: Point,
     Returns at most two values; collinear overlap contributes both overlap
     endpoints' parameters.
     """
-    d2 = b - a
-    denom = cross(direction, d2)
+    _, (ox, oy, dx, dy, ax, ay, bx, by) = cleared(
+        apex.x, apex.y, direction.x, direction.y, a.x, a.y, b.x, b.y)
+    ex, ey = bx - ax, by - ay
+    fx, fy = ax - ox, ay - oy
+    denom = dx * ey - dy * ex
     if denom == 0:
-        if cross(direction, a - apex) != 0:
+        if dx * fy - dy * fx != 0:
             return []
         # collinear: project endpoints onto the ray
-        dd = dot(direction, direction)
-        ts = [dot(a - apex, direction) / dd, dot(b - apex, direction) / dd]
-        return sorted(t for t in ts if t >= 0)
-    t = cross(a - apex, d2) / denom
-    u = cross(a - apex, direction) / denom
-    if t >= 0 and 0 <= u <= 1:
-        return [t]
+        dd = dx * dx + dy * dy
+        ns = (fx * dx + fy * dy, (bx - ox) * dx + (by - oy) * dy)
+        return sorted(Fraction(n, dd) for n in ns if n >= 0)
+    tn = fx * ey - fy * ex
+    un = fx * dy - fy * dx
+    if denom < 0:
+        denom, tn, un = -denom, -tn, -un
+    if tn >= 0 and 0 <= un <= denom:
+        return [Fraction(tn, denom)]
     return []
 
 

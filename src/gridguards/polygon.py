@@ -16,12 +16,14 @@ from .geometry import (
     DirectedLine,
     Point,
     Scalar,
+    cleared,
     dist_sq,
     line_intersection,
     orient,
     point_on_segment,
     polygon_signed_area2,
     pt,
+    ray_segment_params,
     segments_intersect,
 )
 
@@ -139,19 +141,23 @@ def point_in_cycle(vertices: Sequence[Point], p: Point) -> bool:
 
     Boundary points count as inside.  The interior test is exact even-odd
     ray casting with the half-open vertex rule (no epsilon, no perturbation
-    of inputs).
+    of inputs), on the cycle and p scaled once to integers.
     """
-    n = len(vertices)
-    edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
-    if any(point_on_segment(p, a, b) for a, b in edges):
-        return True
+    _, cs = cleared(p.x, p.y, *[c for v in vertices for c in (v.x, v.y)])
+    px, py = cs[0], cs[1]
+    xs, ys = cs[2::2], cs[3::2]
     inside = False
-    for a, b in edges:
-        if (a.y > p.y) != (b.y > p.y):
-            # x coordinate of the crossing of edge ab with the horizontal at p.y
-            x_cross = a.x + (b.x - a.x) * (p.y - a.y) / (b.y - a.y)
-            if x_cross > p.x:
-                inside = not inside
+    ax, ay = xs[-1], ys[-1]
+    for bx, by in zip(xs, ys):
+        # c = (a - p) x (b - a): zero iff p is on the line of edge ab
+        c = (ax - px) * (by - ay) - (ay - py) * (bx - ax)
+        if (c == 0 and min(ax, bx) <= px <= max(ax, bx)
+                and min(ay, by) <= py <= max(ay, by)):
+            return True
+        if (ay > py) != (by > py) and (c > 0) == (by > ay):
+            # the edge crosses the horizontal through p right of p
+            inside = not inside
+        ax, ay = bx, by
     return inside
 
 
@@ -159,10 +165,14 @@ def segment_in_polygon(m: PolygonModel, a: Point, b: Point) -> bool:
     """True iff the closed segment ab lies entirely in the closed polygon."""
     if not point_in_polygon(m, a) or not point_in_polygon(m, b):
         return False
+    return _segment_inside(m, a, b)
+
+
+def _segment_inside(m: PolygonModel, a: Point, b: Point) -> bool:
+    """``segment_in_polygon`` for endpoints already known to be in P."""
     if a == b:
         return True
     d = b - a
-    from .geometry import ray_segment_params
     ts = {Fraction(0), Fraction(1)}
     for c, e in m.edges():
         for t in ray_segment_params(a, d, c, e):

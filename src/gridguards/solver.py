@@ -44,9 +44,7 @@ class InfeasibleWitness(Exception):
 
 
 class RoundLimitExceeded(Exception):
-    def __init__(self, message: str, best: Optional["SolveResult"] = None):
-        super().__init__(message)
-        self.best = best
+    """The round budget ran out before a covering net was found."""
 
 
 class CombinatoricsBudgetExceeded(Exception):
@@ -244,8 +242,7 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig,
         for _ in range(attempts):
             if rounds >= cfg.max_rounds:
                 raise RoundLimitExceeded(
-                    f"round budget {cfg.max_rounds} exhausted at k={k}",
-                    best=None)
+                    f"round budget {cfg.max_rounds} exhausted at k={k}")
             rounds += 1
             if net_size >= n:
                 net = list(range(n))
@@ -267,7 +264,7 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig,
             k *= 2
 
     if solution is None:
-        raise RoundLimitExceeded("no covering net found", best=None)
+        raise RoundLimitExceeded("no covering net found")
 
     solution = _prune(solution, masks, full)
     greedy = _greedy(masks, full)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
@@ -22,12 +23,12 @@ from .geometry import (
     Ray,
     Scalar,
     Segment,
+    cleared,
     cross,
     dist_sq,
     dot,
     orient,
     point_on_segment,
-    primitive_direction,
     pt,
     ray_segment_params,
     sort_directions_ccw,
@@ -35,6 +36,7 @@ from .geometry import (
 from .polygon import (
     PointOutsidePolygon,
     PolygonModel,
+    _segment_inside,
     point_in_cycle,
     point_in_polygon,
     point_on_boundary,
@@ -107,7 +109,7 @@ def sees(m: PolygonModel, x: Point, y: Point) -> bool:
         raise PointOutsidePolygon(f"{x} outside polygon")
     if not point_in_polygon(m, y):
         raise PointOutsidePolygon(f"{y} outside polygon")
-    return segment_in_polygon(m, x, y)
+    return _segment_inside(m, x, y)
 
 
 def overlay_segments(m: PolygonModel, polygons: Sequence[VisibilityPolygon]
@@ -134,51 +136,86 @@ def sees_from_polygon(m: PolygonModel, vp: VisibilityPolygon,
     if point_in_cycle(vp.boundary, y):
         return True
     x = vp.viewpoint
-    d = y - x
-    for v in m.vertices:
-        w = v - x
-        if cross(w, d) == 0 and dot(w, d) > 0:
+    _, cs = cleared(x.x, x.y, y.x, y.y,
+                    *[c for v in m.vertices for c in (v.x, v.y)])
+    xx, xy = cs[0], cs[1]
+    dx, dy = cs[2] - xx, cs[3] - xy
+    for vx, vy in zip(cs[4::2], cs[5::2]):
+        wx, wy = vx - xx, vy - xy
+        if wx * dy == wy * dx and wx * dx + wy * dy > 0:
             return sees(m, x, y)
     return False
 
 
-def _ray_line_param(x: Point, d: Point, a: Point, b: Point) -> Scalar:
-    """t with x + t*d on line(a, b); caller guarantees non-parallel."""
-    e = b - a
-    denom = cross(d, e)
-    return cross(a - x, e) / denom
+def _blocking_edge(m: PolygonModel, X: int, Y: int, w: int,
+                   rel: List[Tuple[int, int]], mx: int,
+                   my: int) -> Optional[int]:
+    """Index of the edge through which the ray from x in direction (mx, my)
+    leaves P, or None when it leaves P at x itself.
 
-
-def _visible_extent(m: PolygonModel, x: Point,
-                    d: Point) -> Tuple[Scalar, Optional[Tuple[Point, Point]]]:
-    """Furthest t with seg(x, x + t*d) inside P, plus the blocking edge."""
-    ts = {Fraction(0)}
-    for a, b in m.edges():
-        for t in ray_segment_params(x, d, a, b):
-            if t >= 0:
-                ts.add(t)
-    ordered = sorted(ts)
-    t_exit = ordered[-1]
-    for t0, t1 in zip(ordered, ordered[1:]):
-        probe = x + d.scaled((t0 + t1) / 2)
+    x is (X / w, Y / w), ``rel[i]`` is w * (vertex i - x), and edge i runs
+    from vertex i - 1 to vertex i.  The ray passes through no vertex, so it
+    meets edges only transversally at interior points: the smallest
+    positive hit is where it leaves P, and its edge is the blocking edge.
+    """
+    best = None          # (s_num, s_den, edge) of the smallest positive hit
+    tie = False
+    at_x = False         # some edge contains x: x is on the boundary
+    ax, ay = rel[-1]
+    for i, (bx, by) in enumerate(rel):
+        ex, ey = bx - ax, by - ay
+        den = mx * ey - my * ex
+        un = ax * my - ay * mx
+        if den == 0:
+            if un == 0:
+                # collinear: an edge ending at x behind it only touches x
+                reach = max(ax * mx + ay * my, bx * mx + by * my)
+                if reach > 0:
+                    raise GeometryError(
+                        "exit point not on any transversal edge")
+                at_x = at_x or reach == 0
+        else:
+            sn = ax * ey - ay * ex
+            if den < 0:
+                den, sn, un = -den, -sn, -un
+            if sn >= 0 and 0 <= un <= den:
+                if sn == 0:
+                    at_x = True
+                elif best is None or sn * best[1] < best[0] * den:
+                    best, tie = (sn, den, i), False
+                elif sn * best[1] == best[0] * den:
+                    tie = True
+        ax, ay = bx, by
+    if best is None:
+        return None
+    if at_x:
+        # no edge crosses the open stretch from x to the first hit, so one
+        # probe at its middle tells whether the ray leaves P at x already
+        sn, sd, _ = best
+        q = 2 * sd * w
+        probe = Point(Fraction(2 * sd * X + sn * mx, q),
+                      Fraction(2 * sd * Y + sn * my, q))
         if not point_in_polygon(m, probe):
-            t_exit = t0
-            break
-    if t_exit == 0:
-        return Fraction(0), None
-    q = x + d.scaled(t_exit)
-    blocking = None
-    for a, b in m.edges():
-        if cross(d, b - a) == 0:
-            continue
-        if point_on_segment(q, a, b):
-            if blocking is not None:
-                raise GeometryError(
-                    "ambiguous blocking edge; mid-ray hit a vertex")
-            blocking = (a, b)
-    if blocking is None:
-        raise GeometryError("exit point not on any transversal edge")
-    return t_exit, blocking
+            return None
+    if tie:
+        raise GeometryError("ambiguous blocking edge; mid-ray hit a vertex")
+    return best[2]
+
+
+def _ray_meets_line(X: int, Y: int, w: int, d: Tuple[int, int],
+                    a: Tuple[int, int], b: Tuple[int, int]) -> Point:
+    """The point where the ray from x in direction d meets line(a, b).
+
+    x is (X / w, Y / w), a and b are w * (vertex - x), and the ray is not
+    parallel to the line.
+    """
+    dx, dy = d
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    den = dx * ey - dy * ex
+    sn = a[0] * ey - a[1] * ex
+    q = w * den
+    return Point(Fraction(X * den + dx * sn, q),
+                 Fraction(Y * den + dy * sn, q))
 
 
 def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
@@ -186,10 +223,16 @@ def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
     if not point_in_polygon(m, x):
         raise PointOutsidePolygon(f"{x} outside polygon")
 
+    # x and the vertices scaled to integers; rel[i] = w * (vertex i - x)
+    w, cs = cleared(x.x, x.y, *[c for v in m.vertices for c in (v.x, v.y)])
+    X, Y = cs[0], cs[1]
+    rel = [(vx - X, vy - Y) for vx, vy in zip(cs[2::2], cs[3::2])]
+
     dirs = {(1, 0), (0, 1), (-1, 0), (0, -1)}
-    for v in m.vertices:
-        if v != x:
-            dirs.add(primitive_direction(v - x))
+    for rx, ry in rel:
+        if rx or ry:
+            g = gcd(rx, ry)
+            dirs.add((rx // g, ry // g))
     order = sort_directions_ccw(dirs)
     k = len(order)
 
@@ -202,16 +245,13 @@ def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
     for i in range(k):
         d1 = order[i]
         d2 = order[(i + 1) % k]
-        mid = pt(d1[0] + d2[0], d1[1] + d2[1])
-        t_star, edge = _visible_extent(m, x, mid)
+        edge = _blocking_edge(m, X, Y, w, rel, d1[0] + d2[0], d1[1] + d2[1])
         if edge is None:
             push(x)
             continue
-        a, b = edge
-        v1 = x + pt(*d1).scaled(_ray_line_param(x, pt(*d1), a, b))
-        v2 = x + pt(*d2).scaled(_ray_line_param(x, pt(*d2), a, b))
-        push(v1)
-        push(v2)
+        a, b = rel[edge - 1], rel[edge]
+        push(_ray_meets_line(X, Y, w, d1, a, b))
+        push(_ray_meets_line(X, Y, w, d2, a, b))
 
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()

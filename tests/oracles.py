@@ -105,3 +105,43 @@ def visibility_area_oracle(verts, x: Point) -> Fraction:
             p1 = a + e.scaled(u1)
             area += abs(cross(p0 - x, p1 - x)) / 2
     return area
+
+
+# Fraction-arithmetic references for the integer kernel of
+# gridguards.geometry: the same formulas computed directly on the Fraction
+# coordinates, with no denominator clearing.
+
+
+def orient_ref(p: Point, q: Point, r: Point) -> int:
+    c = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    return (c > 0) - (c < 0)
+
+
+def ray_segment_params_ref(apex: Point, d: Point, a: Point, b: Point) -> list:
+    ex, ey = b.x - a.x, b.y - a.y
+    fx, fy = a.x - apex.x, a.y - apex.y
+    denom = d.x * ey - d.y * ex
+    if denom == 0:
+        if d.x * fy - d.y * fx != 0:
+            return []
+        dd = d.x * d.x + d.y * d.y
+        ts = [(fx * d.x + fy * d.y) / dd,
+              ((b.x - apex.x) * d.x + (b.y - apex.y) * d.y) / dd]
+        return sorted(t for t in ts if t >= 0)
+    t = (fx * ey - fy * ex) / denom
+    u = (fx * d.y - fy * d.x) / denom
+    return [t] if t >= 0 and 0 <= u <= 1 else []
+
+
+def segment_intersection_ref(a: Point, b: Point, c: Point, d: Point):
+    ux, uy = b.x - a.x, b.y - a.y
+    vx, vy = d.x - c.x, d.y - c.y
+    denom = ux * vy - uy * vx
+    if denom == 0:
+        return None
+    fx, fy = c.x - a.x, c.y - a.y
+    t = (fx * vy - fy * vx) / denom
+    u = (fx * uy - fy * ux) / denom
+    if 0 <= t <= 1 and 0 <= u <= 1:
+        return (a.x + ux * t, a.y + uy * t)
+    return None
