@@ -2,17 +2,16 @@
 
 Exit codes: 0 success, 2 input or validation error, 3 budget exhausted,
 4 lemma violation detected.  All outputs are deterministic under a fixed
-seed.  Theory mode forces the full-precision exponents (E = 11, alpha =
-L^-11, s just below L^-9) and refuses the FullCellSample candidate
-strategy, whose grid is not enumerable at that width; humane mode requires
-explicit exponents.
+seed.  In ``solve``, theory mode selects the vertex candidate strategy
+(AdaptiveRefine) and refuses FullCellSample, whose grid is not enumerable
+at the theorem's width; humane mode (the default) uses FullCellSample
+unless ``--strategy`` says otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -82,14 +81,6 @@ _FIXTURES = {
 }
 
 
-def _threads() -> int:
-    """Worker cap from GG_THREADS; the orchestration is single-process."""
-    try:
-        return max(1, int(os.environ.get("GG_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _scalar_str(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else (
@@ -121,8 +112,6 @@ def cmd_solve(args) -> int:
     elif strategy is None:
         strategy = STRATEGY_FULL
     cfg = SolveConfig(
-        grid_exponent=(11 if args.mode == MODE_THEORY
-                       else (args.grid_exponent or 2)),
         candidate_strategy=strategy,
         max_rounds=args.max_rounds,
         rng_seed=args.seed)
@@ -281,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=[MODE_THEORY, MODE_HUMANE],
                        default=MODE_HUMANE)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("-E", "--grid-exponent", type=int, default=None)
-        p.add_argument("--alpha-exponent", type=int, default=None)
-        p.add_argument("--s-exponent", type=int, default=None)
         p.add_argument("-o", "--output", default=None)
         p.add_argument("--svg", default=None,
                        help="also write an SVG rendering to this path")
@@ -312,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="report structure of a polygon")
     common(pa)
     pa.add_argument("input")
+    pa.add_argument("--s-exponent", type=int, default=None)
     pa.set_defaults(func=cmd_analyze)
 
     pg = sub.add_parser("generate", help="emit a fixture polygon")
@@ -328,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    _threads()  # validated; orchestration is single-process
     return args.func(args)
 
 

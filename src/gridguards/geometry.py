@@ -456,20 +456,3 @@ def sort_directions_ccw(dirs: Iterable[Tuple[int, int]]) -> list:
     """Sort primitive integer direction vectors counterclockwise from (1, 0)."""
     from functools import cmp_to_key
     return sorted(set(dirs), key=cmp_to_key(angle_cmp_key()))
-
-
-def sqrt_lower_bound(q: Scalar) -> Scalar:
-    """A rational lower bound on sqrt(q) for q >= 0, positive whenever q > 0."""
-    from math import isqrt
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative input")
-    if q == 0:
-        return Fraction(0)
-    scale = 1
-    while True:
-        n = q.numerator * q.denominator * scale * scale
-        s = isqrt(n)
-        if s > 0:
-            return Fraction(s, q.denominator * scale)
-        scale *= 2 ** 16

@@ -74,7 +74,6 @@ class WitnessSet:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    grid_exponent: int = 2
     candidate_strategy: str = STRATEGY_FULL
     max_rounds: int = 200
     rng_seed: int = 0

@@ -145,3 +145,72 @@ def segment_intersection_ref(a: Point, b: Point, c: Point, d: Point):
     if 0 <= t <= 1 and 0 <= u <= 1:
         return (a.x + ux * t, a.y + uy * t)
     return None
+
+
+# Brute-force reference for gridguards.arrangement: every pairwise
+# crossing becomes a node, every segment is split at every node on it, and
+# faces are walked by an exact pseudo-angle instead of sorted fans.
+
+
+def _pseudo_angle(v: Point) -> Fraction:
+    """A value in [0, 4) that increases with the counterclockwise angle of
+    v from (1, 0): the position along the unit diamond |x| + |y| = 1."""
+    r = abs(v.x) + abs(v.y)
+    if v.y >= 0 and v.x > 0:
+        return v.y / r
+    if v.y > 0:
+        return 1 + -v.x / r
+    if v.x < 0:
+        return 2 + -v.y / r
+    return 3 + v.x / r
+
+
+def arrangement_ref(segments):
+    """(nodes, edges, face_cycles) of the segments' planar subdivision.
+
+    Nodes sorted by key; edges as sorted key pairs, sorted; bounded faces as
+    counterclockwise vertex lists, walked from each unvisited half-edge in
+    sorted order with the face on the left.
+    """
+    segs = [(a, b) for a, b in segments if a != b]
+    nodes = {p for s in segs for p in s}
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            q = segment_intersection_ref(*segs[i], *segs[j])
+            if q is not None:
+                nodes.add(pt(*q))
+    edges = set()
+    for a, b in segs:
+        on = sorted((p for p in nodes if on_segment(p, a, b)),
+                    key=lambda p: dot(p - a, b - a))
+        edges.update(tuple(sorted((u.key(), v.key())))
+                     for u, v in zip(on, on[1:]))
+    edges = sorted(edges)
+    point = {p.key(): p for p in nodes}
+    adj = {k: [] for k in point}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def turn(u, v):
+        # the neighbour w of v first clockwise from the direction v -> u
+        back = _pseudo_angle(point[u] - point[v])
+
+        def cw(w):
+            a = (back - _pseudo_angle(point[w] - point[v])) % 4
+            return a if a > 0 else 4
+        return (v, min(adj[v], key=cw))
+
+    cycles, seen = [], set()
+    for start in sorted(edges + [(v, u) for u, v in edges]):
+        if start in seen:
+            continue
+        h, walk = start, []
+        while h not in seen:
+            seen.add(h)
+            walk.append(point[h[0]])
+            h = turn(*h)
+        area2 = sum(cross(p, q) for p, q in zip(walk, walk[1:] + walk[:1]))
+        if area2 > 0:
+            cycles.append(walk)
+    return sorted(nodes, key=Point.key), edges, cycles

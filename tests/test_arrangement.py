@@ -2,13 +2,17 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridguards.arrangement import build_arrangement
+from gridguards.generate import channel, comb
 from gridguards.geometry import Point, polygon_area, pt
+from gridguards.solver import default_candidates
+from gridguards.visibility import overlay_segments, visibility_polygon
 
-from oracles import winding_inside
+from oracles import arrangement_ref, on_segment, winding_inside
 
 
 def square_segments():
@@ -44,7 +48,6 @@ def test_representatives_strictly_inside_their_face():
                                 (pt(2, 0), pt(2, 4))]
     arr = build_arrangement(segs)
     assert len(arr.representatives) == len(arr.face_cycles)
-    assert arr.clearance > 0
     for cycle, rep in zip(arr.face_cycles, arr.representatives):
         assert winding_inside(cycle, rep)
         # strictly inside: not on any input segment
@@ -85,3 +88,83 @@ def test_random_chords_partition_area(chords):
     assert total >= 16
     for cycle, rep in zip(arr.face_cycles, arr.representatives):
         assert winding_inside(cycle, rep)
+
+
+# Differential tests against the brute-force reference in oracles.py.
+
+def box(x0, y0, x1, y1):
+    c = [pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)]
+    return [(c[i], c[(i + 1) % 4]) for i in range(4)]
+
+
+def assert_matches_reference(segs):
+    arr = build_arrangement(segs)
+    nodes, edges, cycles = arrangement_ref(segs)
+    assert arr.nodes == nodes
+    assert arr.edges == edges
+    assert arr.face_cycles == cycles
+    assert len(arr.representatives) == len(cycles)
+    for f, (cycle, rep) in enumerate(zip(cycles, arr.representatives)):
+        assert winding_inside(cycle, rep)
+        assert not any(on_segment(rep, a, b) for a, b in segs)
+        # a cycle around rep other than its own must enclose its own face
+        for g, other in enumerate(cycles):
+            if g != f and winding_inside(other, rep):
+                assert polygon_area(other) > polygon_area(cycle)
+    return arr
+
+
+fracs = st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 4),
+                         Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+                         Fraction(1), Fraction(3, 2)])
+lattice = st.builds(pt, st.integers(0, 12), st.integers(0, 12))
+
+
+@st.composite
+def segment_scenes(draw):
+    segs = box(0, 0, 12, 12)
+    for _ in range(draw(st.integers(0, 3))):       # chords, floating or not
+        segs.append((draw(lattice), draw(lattice)))
+    for _ in range(draw(st.integers(0, 2))):       # holes: floating boxes
+        x, y = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        w, h = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        segs += box(x, y, x + w, y + h)
+    for _ in range(draw(st.integers(0, 2))):       # collinear overlaps
+        a, b = draw(st.sampled_from(segs))
+        s, t = draw(fracs), draw(fracs)
+        segs.append((a + (b - a).scaled(s), a + (b - a).scaled(t)))
+    for _ in range(draw(st.integers(0, 3))):       # T-junctions and spikes
+        a, b = draw(st.sampled_from(segs))
+        segs.append((a + (b - a).scaled(draw(fracs)), draw(lattice)))
+    return segs
+
+
+@given(segment_scenes())
+@settings(max_examples=60, deadline=None)
+def test_arrangement_matches_reference(segs):
+    assert_matches_reference(segs)
+
+
+def test_holes_and_spikes_match_reference():
+    segs = (box(0, 0, 12, 12) + box(3, 3, 6, 6) + box(4, 4, 5, 5)
+            + [(pt(0, 6), pt(2, 6)),        # spike off the outer wall
+               (pt(8, 8), pt(10, 9)),       # floating segment
+               (pt(6, 4), pt(7, 4)),        # spike off a hole
+               (pt(3, 3), pt(6, 6)),        # chord through the nested box
+               (pt(12, 3), pt(12, 9))])     # collinear overlap of a wall
+    arr = assert_matches_reference(segs)
+    # the outer face's cycle encloses the hole, whose faces tile its 3 x 3
+    assert sum(polygon_area(c) for c in arr.face_cycles) == 144 + 9
+
+
+@pytest.mark.parametrize("make", [channel, lambda: comb(3)],
+                         ids=["channel", "comb3"])
+def test_overlay_faces_tile_the_polygon(make):
+    m = make()
+    segs = overlay_segments(
+        m, [visibility_polygon(m, c) for c in default_candidates(m)])
+    arr = build_arrangement(segs)
+    assert sum(polygon_area(c) for c in arr.face_cycles) == polygon_area(
+        m.vertices)
+    for rep in arr.representatives:
+        assert not any(on_segment(rep, a, b) for a, b in segs)

@@ -27,7 +27,6 @@ from gridguards.geometry import (
     segment_intersection_point,
     segments_intersect,
     sort_directions_ccw,
-    sqrt_lower_bound,
     tan_angle_between_cmp,
 )
 
@@ -167,20 +166,6 @@ def test_sort_directions_ccw_order():
     dirs = [(0, 1), (1, 0), (-1, 0), (0, -1), (1, 1), (-2, 1)]
     out = sort_directions_ccw(dirs)
     assert out == [(1, 0), (1, 1), (0, 1), (-2, 1), (-1, 0), (0, -1)]
-
-
-@given(st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 6))
-def test_sqrt_lower_bound(q):
-    b = sqrt_lower_bound(q)
-    assert b * b <= q
-    if q > 0:
-        assert b > 0
-
-
-def test_sqrt_lower_bound_tiny():
-    q = Fraction(1, 10 ** 30)
-    b = sqrt_lower_bound(q)
-    assert 0 < b and b * b <= q
 
 
 @given(points, points, points)

@@ -1,8 +1,10 @@
 """`solve` output pinned byte for byte on fixed fixtures.
 
-The JSON under ``golden/`` was written by ``gridguards solve`` with the
-masks decided by ``sees`` for every candidate-witness pair.  Any change to
-the kernel, the arrangement or the solver must reproduce it exactly.
+The JSON under ``golden/`` was written by ``gridguards solve``: the comb
+and random fixtures with the masks decided by ``sees`` for every
+candidate-witness pair, the channel ones with the arrangement's earlier
+clearance-offset witnesses.  Any change to the kernel, the arrangement or
+the solver must reproduce it exactly.
 """
 
 from pathlib import Path
@@ -10,11 +12,12 @@ from pathlib import Path
 import pytest
 
 from gridguards.cli import main
-from gridguards.generate import comb, random_polygon
+from gridguards.generate import channel, comb, random_polygon
 from gridguards.persistence import write_polygon
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = {
+    "channel": channel,
     "comb2": lambda: comb(2),
     "comb3": lambda: comb(3),
     "random-6-8-2": lambda: random_polygon(6, 8, seed=2),
