@@ -267,16 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--mode", choices=[MODE_THEORY, MODE_HUMANE],
-                       default=MODE_HUMANE)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("-o", "--output", default=None)
-        p.add_argument("--svg", default=None,
-                       help="also write an SVG rendering to this path")
 
     ps = sub.add_parser("solve", help="compute a certified guard set")
     common(ps)
+    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--svg", default=None,
+                    help="also write an SVG rendering to this path")
     ps.add_argument("input")
+    ps.add_argument("--mode", choices=[MODE_THEORY, MODE_HUMANE],
+                    default=MODE_HUMANE)
     ps.add_argument("--strategy",
                     choices=[STRATEGY_FULL, STRATEGY_ADAPTIVE],
                     default=None)
@@ -285,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify-lemmas", help="run the lemma checks")
     common(pv)
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("input", nargs="?", default=None)
     pv.add_argument("--fixture", choices=sorted(_FIXTURES), default=None)
     pv.add_argument("--check", default="all",
@@ -297,12 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="report structure of a polygon")
     common(pa)
+    pa.add_argument("--svg", default=None,
+                    help="also write an SVG rendering to this path")
     pa.add_argument("input")
     pa.add_argument("--s-exponent", type=int, default=None)
     pa.set_defaults(func=cmd_analyze)
 
     pg = sub.add_parser("generate", help="emit a fixture polygon")
     common(pg)
+    pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--shape", choices=["comb", "channel", "random"],
                     required=True)
     pg.add_argument("--prongs", type=int, default=3)

@@ -271,22 +271,15 @@ class Uncovered:
 CoverageResult = Union[Covered, Uncovered]
 
 
-def coverage_segments(m: PolygonModel,
-                      guards: Sequence[Point]) -> List[Tuple[Point, Point]]:
-    """Polygon edges plus every window chord of every guard's visibility."""
-    return overlay_segments(m, [visibility_polygon(m, g) for g in guards])
-
-
 def verify_coverage(m: PolygonModel, g: GuardSet) -> CoverageResult:
     """Exact coverage decision via one witness per face of the visibility
     overlay (visibility is constant on each open face)."""
     from .arrangement import build_arrangement
     if not g.guards:
         return Uncovered(witness=m.vertices[0])
-    arr = build_arrangement(coverage_segments(m, g.guards))
+    arr = build_arrangement(
+        overlay_segments(m, [visibility_polygon(m, x) for x in g.guards]))
     for wpt in arr.representatives:
-        if not point_in_polygon(m, wpt):
-            continue
         if not any(sees(m, x, wpt) for x in g.guards):
             return Uncovered(witness=wpt)
     return Covered()

@@ -41,7 +41,13 @@ from .polygon import (
 )
 from .grid import GridSpec, surrounding_grid
 from .badregions import bad_region, in_bad_region
-from .visibility import cone_of, sees, visibility_polygon, visible_subsegments
+from .visibility import (
+    cone_of,
+    overlay_segments,
+    sees,
+    visibility_polygon,
+    visible_subsegments,
+)
 
 STATUS_VERIFIED = "Verified"
 STATUS_VIOLATED = "Violated"
@@ -462,16 +468,9 @@ def check_local_visibility(m: PolygonModel, x: Point, alpha: Scalar,
     spec = GridSpec(E=grid_exponent, L=L)
     sg = surrounding_grid(spec, m, x, alpha)
     guards = list(sg.all_points())
-    segs = list(m.edges())
-    for view in [x] + guards:
-        vp = visibility_polygon(m, view)
-        es = vp.edges()
-        for i in vp.window_edges:
-            segs.append(es[i])
-    arr = build_arrangement(segs)
+    arr = build_arrangement(overlay_segments(
+        m, [visibility_polygon(m, v) for v in [x] + guards]))
     for w in arr.representatives:
-        if not point_in_polygon(m, w):
-            continue
         if not sees(m, x, w):
             continue
         rep.check(any(sees(m, g, w) for g in guards),

@@ -1,13 +1,13 @@
 """Guard-placement solvers over grid candidates and arrangement witnesses.
 
-Covering a finite witness set (one point per face of the overlay of the
-polygon with all candidate visibility boundaries) is equivalent to covering
-the whole polygon with those candidates, so every solver below reduces to
-finite set cover over bitmasks.  Each candidate's visibility polygon is
-computed once and gives both its window chords for the overlay and, by
-exact membership, its bitmask of seen witnesses.  Every returned cover is
-certified afterwards by an independent verify_coverage run, which decides
-visibility with ``sees``.
+The witnesses are one point per face of the overlay of the polygon's edges
+with every candidate's window chords; each face lies in the polygon.  A
+candidate covers a face exactly when the face lies in its visibility
+polygon, so its bitmask holds the witnesses in its closed visibility
+polygon, and every solver below is finite set cover over those bitmasks.
+Each candidate's visibility polygon is computed once and gives both its
+chords and its bitmask.  Every returned cover is certified afterwards by an
+independent verify_coverage run, which decides visibility with ``sees``.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from .grid import (
     guard_set,
     verify_coverage,
 )
-from .polygon import PolygonModel, point_in_polygon
+from .polygon import PolygonModel, point_in_cycle, point_in_polygon
 from .visibility import (
     VisibilityPolygon,
     overlay_segments,
     sees,  # noqa: F401  kept bound: perfbench's --selfcheck wraps solver.sees
-    sees_from_polygon,
     visibility_polygon,
 )
 
@@ -63,6 +62,8 @@ NONE_WITHIN = NoneWithin()
 STRATEGY_FULL = "FullCellSample"
 STRATEGY_ADAPTIVE = "AdaptiveRefine"
 
+WEIGHT_DOUBLING_CAP = 10 ** 6
+
 
 @dataclass(frozen=True)
 class WitnessSet:
@@ -77,7 +78,6 @@ class SolveConfig:
     candidate_strategy: str = STRATEGY_FULL
     max_rounds: int = 200
     rng_seed: int = 0
-    weight_doubling_cap: int = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,18 @@ def build_witnesses(m: PolygonModel,
     """One representative per face of the overlay of the polygon with the
     window chords of the candidates' visibility polygons."""
     arr = build_arrangement(overlay_segments(m, polygons))
-    points = tuple(p for p in arr.representatives if point_in_polygon(m, p))
-    return WitnessSet(points=points)
+    return WitnessSet(points=tuple(arr.representatives))
 
 
-def _masks(m: PolygonModel, polygons: Sequence[VisibilityPolygon],
+def _masks(polygons: Sequence[VisibilityPolygon],
            witnesses: WitnessSet) -> List[int]:
-    """Per-candidate bitmask of the witnesses it sees."""
+    """Per-candidate bitmask of the witnesses in its closed visibility
+    polygon."""
     masks = []
     for vp in polygons:
         mask = 0
         for i, w in enumerate(witnesses.points):
-            if sees_from_polygon(m, vp, w):
+            if point_in_cycle(vp.boundary, w):
                 mask |= 1 << i
         masks.append(mask)
     return masks
@@ -144,7 +144,7 @@ def greedy_cover(m: PolygonModel, candidates: Sequence[Point],
                  witnesses: WitnessSet) -> SolveResult:
     """Classic greedy set cover; ties broken by lexicographic point order."""
     cands = sorted(set(candidates), key=Point.key)
-    masks = _masks(m, [visibility_polygon(m, c) for c in cands], witnesses)
+    masks = _masks([visibility_polygon(m, c) for c in cands], witnesses)
     chosen = _greedy(masks, _full_mask(masks, witnesses))
     gs = guard_set([cands[i] for i in chosen], PROV_SOLVER_GREEDY)
     return SolveResult(guards=gs, witness_count=len(witnesses),
@@ -161,7 +161,7 @@ def brute_force_optimum(m: PolygonModel, candidates: Sequence[Point],
     if total > 10 ** 7:
         raise CombinatoricsBudgetExceeded(
             f"{total} subsets exceed the 1e7 budget")
-    masks = _masks(m, [visibility_polygon(m, c) for c in cands], witnesses)
+    masks = _masks([visibility_polygon(m, c) for c in cands], witnesses)
     full = (1 << len(witnesses)) - 1
     for k in range(1, k_max + 1):
         for combo in combinations(range(n), k):
@@ -226,7 +226,7 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig,
         cands = sorted(set(candidates), key=Point.key)
     polygons = [visibility_polygon(m, c) for c in cands]
     witnesses = build_witnesses(m, polygons)
-    masks = _masks(m, polygons, witnesses)
+    masks = _masks(polygons, witnesses)
     full = _full_mask(masks, witnesses)
     n = len(cands)
 
@@ -257,7 +257,7 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig,
                              if not (acc >> i) & 1)
             bit = 1 << uncovered
             for i in range(n):
-                if masks[i] & bit and weights[i] < cfg.weight_doubling_cap:
+                if masks[i] & bit and weights[i] < WEIGHT_DOUBLING_CAP:
                     weights[i] *= 2
         else:
             k *= 2

@@ -37,7 +37,6 @@ from .polygon import (
     PointOutsidePolygon,
     PolygonModel,
     _segment_inside,
-    point_in_cycle,
     point_in_polygon,
     point_on_boundary,
     segment_in_polygon,
@@ -120,31 +119,6 @@ def overlay_segments(m: PolygonModel, polygons: Sequence[VisibilityPolygon]
         es = vp.edges()
         segs.extend(es[i] for i in vp.window_edges)
     return segs
-
-
-def sees_from_polygon(m: PolygonModel, vp: VisibilityPolygon,
-                      y: Point) -> bool:
-    """``sees(m, vp.viewpoint, y)`` for y in P, decided from ``vp``.
-
-    A point of the closed visibility polygon is seen.  A point outside it
-    can still be seen along a ray from the viewpoint through a polygon
-    vertex: beyond a pinhole between two reflex vertices the visible set
-    goes on as a segment of zero width, which the polygon leaves out.  Only
-    points on such rays are handed to ``sees``; every other point outside
-    the polygon is not seen.
-    """
-    if point_in_cycle(vp.boundary, y):
-        return True
-    x = vp.viewpoint
-    _, cs = cleared(x.x, x.y, y.x, y.y,
-                    *[c for v in m.vertices for c in (v.x, v.y)])
-    xx, xy = cs[0], cs[1]
-    dx, dy = cs[2] - xx, cs[3] - xy
-    for vx, vy in zip(cs[4::2], cs[5::2]):
-        wx, wy = vx - xx, vy - xy
-        if wx * dy == wy * dx and wx * dx + wy * dy > 0:
-            return sees(m, x, y)
-    return False
 
 
 def _blocking_edge(m: PolygonModel, X: int, Y: int, w: int,

@@ -176,3 +176,15 @@ def test_gg_threads_validated(monkeypatch, tmp_path, poly_file):
     monkeypatch.setenv("GG_THREADS", "4")
     code, _ = run_to_file(tmp_path, ["solve", poly_file])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lemmas", "--fixture", "channel", "--mode", "theory"],
+    ["generate", "--shape", "comb", "--svg", "x"],
+    ["analyze", "x", "--seed", "1"],
+], ids=["verify-lemmas-mode", "generate-svg", "analyze-seed"])
+def test_unread_options_rejected(argv):
+    """Each subcommand parses only the options it reads."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

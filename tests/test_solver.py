@@ -4,10 +4,19 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from gridguards.generate import channel, comb
-from gridguards.geometry import Point, cross, dot, pt
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridguards.generate import (
+    blocking_fixture,
+    channel,
+    comb,
+    counterexample_polygon,
+    random_polygon,
+)
+from gridguards.geometry import Point, pt
 from gridguards.grid import Covered, guard_set, verify_coverage
-from gridguards.polygon import load_polygon, point_in_cycle
+from gridguards.polygon import load_polygon, point_in_polygon
 from gridguards.solver import (
     NONE_WITHIN,
     STRATEGY_ADAPTIVE,
@@ -136,33 +145,37 @@ def test_eh_solve_infeasible_candidates():
         eh_solve(m, SolveConfig(), candidates=[m.vertices[0]])
 
 
-def test_witnesses_are_inside_polygon():
-    m = channel()
+@given(st.integers(5, 8), st.integers(0, 10 ** 6), st.data())
+@settings(max_examples=25, deadline=None)
+def test_witnesses_are_inside_polygon(n, seed, data):
+    """Every overlay face lies in P: its boundary is in the overlay and
+    every window chord lies in closed P, so no witness needs a filter."""
+    m = random_polygon(n, 8, seed=seed)
+    views = data.draw(st.lists(st.sampled_from(default_candidates(m)),
+                               min_size=1, max_size=8, unique=True))
+    ws = witnesses_of(m, views)
+    assert len(ws) > 0
+    assert all(point_in_polygon(m, p) for p in ws.points)
+
+
+@pytest.mark.parametrize("fixture", [
+    channel, counterexample_polygon, lambda: blocking_fixture()[0]],
+    ids=["channel", "deshpande", "blocking"])
+def test_witnesses_are_inside_fixture_polygons(fixture):
+    m = fixture()
     ws = witnesses_of(m, default_candidates(m))
-    from gridguards.polygon import point_in_polygon
     assert len(ws) > 0
     assert all(point_in_polygon(m, p) for p in ws.points)
 
 
 def test_eh_solve_call_counts(monkeypatch):
     """One solve computes each candidate's visibility polygon once, builds
-    two arrangements (witnesses, certification) and calls sees() from the
-    mask pass only for witnesses outside a candidate's visibility polygon on
-    a ray from the candidate through a polygon vertex."""
+    two arrangements (witnesses, certification) and decides its masks by
+    membership alone, without a call to sees()."""
     from gridguards import arrangement, grid, solver, visibility
 
     m = comb(3)
     cands = default_candidates(m)
-    polygons = [visibility_polygon(m, c) for c in cands]
-    witnesses = build_witnesses(m, polygons).points
-    fallbacks = sum(
-        1 for vp in polygons for w in witnesses
-        if not point_in_cycle(vp.boundary, w)
-        and any(cross(v - vp.viewpoint, w - vp.viewpoint) == 0
-                and dot(v - vp.viewpoint, w - vp.viewpoint) > 0
-                for v in m.vertices))
-    assert fallbacks > 0
-
     calls = Counter()
 
     def count(module, name):
@@ -177,11 +190,11 @@ def test_eh_solve_call_counts(monkeypatch):
     count(grid, "visibility_polygon")
     count(solver, "build_arrangement")
     count(arrangement, "build_arrangement")  # imported by verify_coverage
-    # sees_from_polygon calls visibility's own binding; verify_coverage
-    # calls grid's, which stays uncounted
+    # verify_coverage calls grid's binding of sees, which stays uncounted
+    count(solver, "sees")
     count(visibility, "sees")
     result = eh_solve(m, SolveConfig(rng_seed=0))
     assert result.certified and len(result.guards) == 3
     assert calls["visibility_polygon"] == len(cands) + len(result.guards)
     assert calls["build_arrangement"] == 2
-    assert calls["sees"] == fallbacks
+    assert calls["sees"] == 0

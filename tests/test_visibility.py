@@ -12,7 +12,7 @@ from gridguards.generate import (
     counterexample_polygon,
     random_polygon,
 )
-from gridguards.geometry import Point, dist_sq, polygon_area, pt
+from gridguards.geometry import Point, cross, dist_sq, dot, polygon_area, pt
 from gridguards.polygon import (
     PointOutsidePolygon,
     load_polygon,
@@ -24,7 +24,6 @@ from gridguards.solver import default_candidates
 from gridguards.visibility import (
     grid_cone,
     sees,
-    sees_from_polygon,
     star_triangles,
     visibility_polygon,
     visible_subsegments,
@@ -122,8 +121,10 @@ def test_visibility_area_matches_oracle(x):
 
 @given(st.integers(5, 8), st.integers(0, 10 ** 6), st.data())
 @settings(max_examples=30, deadline=None)
-def test_sees_from_polygon_matches_sees(n, seed, data):
-    """Differential: membership with the critical-ray fallback equals sees
+def test_polygon_membership_implies_sees(n, seed, data):
+    """Differential: a point of the closed visibility polygon is seen, and
+    a point seen from outside it lies on a ray from the viewpoint through a
+    polygon vertex, beyond that vertex (a sightline of zero width).  Probed
     on grid points, the polygon's own boundary and points along the rays
     from the viewpoint through every vertex, short of and beyond it."""
     m = random_polygon(n, 8, seed=seed)
@@ -134,8 +135,14 @@ def test_sees_from_polygon_matches_sees(n, seed, data):
         x + (v - x).scaled(Fraction(k, 2))
         for v in m.vertices if v != x for k in (1, 3, 4, 5, 6)]
     for y in ys:
-        if point_in_polygon(m, y):
-            assert sees_from_polygon(m, vp, y) == sees(m, x, y), (x, y)
+        if not point_in_polygon(m, y):
+            continue
+        if point_in_cycle(vp.boundary, y):
+            assert sees(m, x, y), (x, y)
+        elif sees(m, x, y):
+            assert any(cross(v - x, y - x) == 0
+                       and dot(v - x, y - x) > dot(v - x, v - x)
+                       for v in m.vertices), (x, y)
 
 
 @pytest.mark.parametrize("fixture", [
@@ -143,8 +150,9 @@ def test_sees_from_polygon_matches_sees(n, seed, data):
     ids=["deshpande", "channel", "blocking"])
 def test_sees_from_polygon_beyond_pinhole(fixture):
     """On the line of an opposite reflex pair, viewed from just before r1,
-    points beyond r2 can be seen through the pinhole although the
-    visibility polygon leaves them out: the fallback must decide them."""
+    points beyond r2 can be seen through the pinhole along a sightline of
+    zero width.  Such points exist, and membership in the visibility
+    polygon, which decides the solver's masks, leaves them out."""
     m = fixture()
     seen_outside = 0
     for pair in opposite_reflex_pairs(m):
@@ -159,9 +167,8 @@ def test_sees_from_polygon_beyond_pinhole(fixture):
                 y = r2 + d.scaled(Fraction(k, 8))
                 if not point_in_polygon(m, y):
                     continue
-                seen = sees(m, x, y)
-                assert sees_from_polygon(m, vp, y) == seen, (x, y)
-                seen_outside += seen and not point_in_cycle(vp.boundary, y)
+                assert not point_in_cycle(vp.boundary, y), (x, y)
+                seen_outside += sees(m, x, y)
     assert seen_outside > 0
 
 
