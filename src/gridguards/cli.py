@@ -26,7 +26,6 @@ from .generate import (
     random_polygon,
     triple_pairs,
 )
-from .grid import GridSpec
 from .lemmas import (
     LemmaReport,
     build_counterexample,
@@ -81,12 +80,6 @@ _FIXTURES = {
 }
 
 
-def _scalar_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else (
-        f"{f.numerator}/{f.denominator}")
-
-
 def _emit_json(doc, path: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path:
@@ -124,7 +117,7 @@ def cmd_solve(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     doc = {
-        "guards": [[_scalar_str(g.x), _scalar_str(g.y)]
+        "guards": [[str(g.x), str(g.y)]
                    for g in result.guards.guards],
         "provenance": list(result.guards.provenance),
         "certified": result.certified,
@@ -218,10 +211,10 @@ def cmd_analyze(args) -> int:
         "general_position": {
             "collinear_triples": [list(t) for t in gp.collinear_triples],
             "concurrent_extension_triples": [
-                [_scalar_str(p.x), _scalar_str(p.y), list(idxs)]
+                [str(p.x), str(p.y), list(idxs)]
                 for p, idxs in gp.concurrent_extension_triples],
         },
-        "s": _scalar_str(s),
+        "s": str(s),
         "bad_region_triples": [list(t) for t in triple.triples],
     }
     _emit_json(doc, args.output)

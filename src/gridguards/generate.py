@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .geometry import Point, pt, segments_intersect, orient
 from .polygon import PolygonModel, PolygonError, load_polygon

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -436,8 +437,8 @@ def primitive_direction(v: Point) -> Tuple[int, int]:
     return (nx // g, ny // g)
 
 
-def angle_cmp_key(origin_half=None):
-    """cmp_to_key-compatible comparator sorting vectors CCW from (1, 0)."""
+def sort_directions_ccw(dirs: Iterable[Tuple[int, int]]) -> list:
+    """Sort primitive integer direction vectors counterclockwise from (1, 0)."""
     def half(v: Tuple[int, int]) -> int:
         x, y = v
         return 0 if (y > 0 or (y == 0 and x > 0)) else 1
@@ -449,10 +450,4 @@ def angle_cmp_key(origin_half=None):
         c = u[0] * v[1] - u[1] * v[0]
         return (c < 0) - (c > 0)  # positive cross => u before v
 
-    return cmp
-
-
-def sort_directions_ccw(dirs: Iterable[Tuple[int, int]]) -> list:
-    """Sort primitive integer direction vectors counterclockwise from (1, 0)."""
-    from functools import cmp_to_key
-    return sorted(set(dirs), key=cmp_to_key(angle_cmp_key()))
+    return sorted(set(dirs), key=cmp_to_key(cmp))

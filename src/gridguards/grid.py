@@ -8,8 +8,9 @@ vertices, with at most nine output guards per input guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .badregions import bad_region, in_bad_region
@@ -102,7 +103,6 @@ def round_to_grid(spec: GridSpec, m: PolygonModel, x: Point) -> Point:
     if not point_in_polygon(m, x):
         raise PointOutsidePolygon(f"{x} outside polygon")
     w = spec.w
-    from math import ceil, floor
     u = x.x / w
     v = x.y / w
     iu, iv = floor(u), floor(v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arrangement import build_arrangement
@@ -32,7 +32,6 @@ from .geometry import (
 from .polygon import (
     OppositeReflexPair,
     PolygonModel,
-    extensions,
     _line_key,
     opposite_reflex_pairs,
     point_in_polygon,
@@ -247,9 +246,7 @@ def _interior_points(m: PolygonModel, count: int,
     """Seeded random points in P via area-weighted triangle sampling."""
     tris = triangulate(m)
     areas = [abs(cross(b - a, c - a)) for a, b, c in tris]
-    den = 1
-    for w in areas:
-        den = den * w.denominator // gcd(den, w.denominator)
+    den = lcm(*[w.denominator for w in areas])
     weights = [int(w * den) for w in areas]
     total = sum(weights)
     out = []
@@ -269,6 +266,14 @@ def _interior_points(m: PolygonModel, count: int,
         a, b, c = tri
         out.append(a + (b - a).scaled(u) + (c - a).scaled(v))
     return out
+
+
+def _grid_exponent(L: int, alpha: Scalar) -> int:
+    """The smallest grid exponent E >= 1 with L^-E <= alpha."""
+    exponent = 1
+    while Fraction(1, L ** exponent) > alpha:
+        exponent += 1
+    return exponent
 
 
 def _cone_side(m: PolygonModel, x: Point, pair: OppositeReflexPair,
@@ -461,9 +466,7 @@ def check_local_visibility(m: PolygonModel, x: Point, alpha: Scalar,
     s = Fraction(s)
     L = m.L
     if grid_exponent is None:
-        grid_exponent = 1
-        while Fraction(1, L ** grid_exponent) > alpha:
-            grid_exponent += 1
+        grid_exponent = _grid_exponent(L, alpha)
     rep = LemmaReport(lemma_id="local_visibility")
     spec = GridSpec(E=grid_exponent, L=L)
     sg = surrounding_grid(spec, m, x, alpha)
@@ -598,9 +601,7 @@ def check_grid_outside_bad(m: PolygonModel, samples: int = 100,
         rep.skipped += 1
         return rep
     if grid_exponent is None:
-        grid_exponent = 1
-        while Fraction(1, L ** grid_exponent) > alpha:
-            grid_exponent += 1
+        grid_exponent = _grid_exponent(L, alpha)
     spec = GridSpec(E=grid_exponent, L=L)
     pairs = opposite_reflex_pairs(m)
     inv_l_sq = Fraction(1, L) ** 2

@@ -98,27 +98,8 @@ def read_polygon(source: Union[str, IO[str]]) -> PolygonModel:
     return load_polygon(verts)
 
 
-def _scalar_token(x: Scalar) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def write_polygon(m: PolygonModel, target: Union[str, IO[str]],
-                  fmt: str = FORMAT_TEXT) -> None:
-    """Serialize the polygon's exact coordinates to a path or stream."""
-    if fmt == FORMAT_TEXT:
-        lines = [f"{_scalar_token(v.x)} {_scalar_token(v.y)}"
-                 for v in m.vertices]
-        text = "\n".join(lines) + "\n"
-    elif fmt == FORMAT_JSON:
-        verts = []
-        for v in m.vertices:
-            verts.append([
-                int(v.x) if v.x.denominator == 1 else _scalar_token(v.x),
-                int(v.y) if v.y.denominator == 1 else _scalar_token(v.y)])
-        text = json.dumps({"vertices": verts}, separators=(",", ":")) + "\n"
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+def _write_text(text: str, target: Union[str, IO[str]]) -> None:
+    """Write to a stream, or to a path with OSError reported as IoError."""
     if hasattr(target, "write"):
         target.write(text)
     else:
@@ -127,6 +108,24 @@ def write_polygon(m: PolygonModel, target: Union[str, IO[str]],
                 fh.write(text)
         except OSError as e:
             raise IoError(str(e))
+
+
+def write_polygon(m: PolygonModel, target: Union[str, IO[str]],
+                  fmt: str = FORMAT_TEXT) -> None:
+    """Serialize the polygon's exact coordinates to a path or stream."""
+    if fmt == FORMAT_TEXT:
+        lines = [f"{v.x} {v.y}" for v in m.vertices]
+        text = "\n".join(lines) + "\n"
+    elif fmt == FORMAT_JSON:
+        verts = []
+        for v in m.vertices:
+            verts.append([
+                int(v.x) if v.x.denominator == 1 else str(v.x),
+                int(v.y) if v.y.denominator == 1 else str(v.y)])
+        text = json.dumps({"vertices": verts}, separators=(",", ":")) + "\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    _write_text(text, target)
 
 
 @dataclass
@@ -188,7 +187,7 @@ def write_svg(scene: SceneRender, target: Union[str, IO[str]]) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{fx(x0)} {fx(Fraction(0))} {fx(x1 - x0)} {fx(y1 - y0)}">')
     audit = "exact: " + "; ".join(
-        f"{_scalar_token(v.x)},{_scalar_token(v.y)}" for v in m.vertices)
+        f"{v.x},{v.y}" for v in m.vertices)
     out.append(f"<!-- {audit} -->")
     out.append(f'<path d="{path(list(m.vertices))}" style="{style["polygon"]}"/>')
     for vp in scene.visibility_regions:
@@ -216,11 +215,4 @@ def write_svg(scene: SceneRender, target: Union[str, IO[str]]) -> None:
                    f'r="{r_guard:.{p}f}" style="{style["guard"]}"/>')
     out.append("</svg>")
     text = "\n".join(out) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        try:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise IoError(str(e))
+    _write_text(text, target)

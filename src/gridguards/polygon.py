@@ -10,17 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .geometry import (
     DirectedLine,
     Point,
-    Scalar,
     cleared,
-    dist_sq,
     line_intersection,
     orient,
-    point_on_segment,
     polygon_signed_area2,
     pt,
     ray_segment_params,
@@ -125,10 +122,6 @@ def load_polygon(vertex_list: Sequence) -> PolygonModel:
 
     M = max(int(c) for v in verts for c in (v.x, v.y))
     return PolygonModel(vertices=tuple(verts), M=M, L=20 * M)
-
-
-def point_on_boundary(m: PolygonModel, p: Point) -> bool:
-    return any(point_on_segment(p, a, b) for a, b in m.edges())
 
 
 def point_in_polygon(m: PolygonModel, p: Point) -> bool:

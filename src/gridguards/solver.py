@@ -5,9 +5,11 @@ with every candidate's window chords; each face lies in the polygon.  A
 candidate covers a face exactly when the face lies in its visibility
 polygon, so its bitmask holds the witnesses in its closed visibility
 polygon, and every solver below is finite set cover over those bitmasks.
-Each candidate's visibility polygon is computed once and gives both its
-chords and its bitmask.  Every returned cover is certified afterwards by an
-independent verify_coverage run, which decides visibility with ``sees``.
+``cover_instance`` is the one place that instance is built: it computes
+each candidate's visibility polygon once, which gives both its chords and
+its bitmask, and checks that every witness is seen.  The solvers only read
+it.  Every returned SolveResult is certified afterwards by an independent
+verify_coverage run, which decides visibility with ``sees``.
 """
 
 from __future__ import annotations
@@ -50,27 +52,10 @@ class CombinatoricsBudgetExceeded(Exception):
     pass
 
 
-class NoneWithin:
-    """brute_force_optimum found no cover within the size limit."""
-
-    def __repr__(self):
-        return "NoneWithin"
-
-
-NONE_WITHIN = NoneWithin()
-
 STRATEGY_FULL = "FullCellSample"
 STRATEGY_ADAPTIVE = "AdaptiveRefine"
 
 WEIGHT_DOUBLING_CAP = 10 ** 6
-
-
-@dataclass(frozen=True)
-class WitnessSet:
-    points: Tuple[Point, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -88,43 +73,58 @@ class SolveResult:
     certified: bool
 
 
+@dataclass(frozen=True)
+class CoverInstance:
+    """Finite set cover: candidates sorted by key, one witness per overlay
+    face, and per candidate the bitmask of the witnesses it covers."""
+
+    candidates: Tuple[Point, ...]
+    witnesses: Tuple[Point, ...]
+    masks: Tuple[int, ...]
+
+    @property
+    def full(self) -> int:
+        """The mask of all witnesses."""
+        return (1 << len(self.witnesses)) - 1
+
+
 def build_witnesses(m: PolygonModel,
-                    polygons: Sequence[VisibilityPolygon]) -> WitnessSet:
+                    polygons: Sequence[VisibilityPolygon]) -> Tuple[Point, ...]:
     """One representative per face of the overlay of the polygon with the
     window chords of the candidates' visibility polygons."""
     arr = build_arrangement(overlay_segments(m, polygons))
-    return WitnessSet(points=tuple(arr.representatives))
+    return tuple(arr.representatives)
 
 
-def _masks(polygons: Sequence[VisibilityPolygon],
-           witnesses: WitnessSet) -> List[int]:
-    """Per-candidate bitmask of the witnesses in its closed visibility
-    polygon."""
+def cover_instance(m: PolygonModel,
+                   candidates: Sequence[Point]) -> CoverInstance:
+    """The set-cover instance of the candidates' own visibility overlay.
+
+    Each candidate's visibility polygon is computed once and gives both its
+    window chords and its bitmask: the witnesses in the closed polygon.
+    Raises InfeasibleWitness if some witness is seen by no candidate.
+    """
+    cands = tuple(sorted(set(candidates), key=Point.key))
+    polygons = [visibility_polygon(m, c) for c in cands]
+    witnesses = build_witnesses(m, polygons)
     masks = []
+    seen_any = 0
     for vp in polygons:
         mask = 0
-        for i, w in enumerate(witnesses.points):
+        for i, w in enumerate(witnesses):
             if point_in_cycle(vp.boundary, w):
                 mask |= 1 << i
         masks.append(mask)
-    return masks
-
-
-def _full_mask(masks: List[int], witnesses: WitnessSet) -> int:
-    """The mask of all witnesses; raises if some witness is seen by none."""
-    full = (1 << len(witnesses)) - 1
-    seen_any = 0
-    for mk in masks:
-        seen_any |= mk
-    if seen_any != full:
-        missing = next(i for i in range(len(witnesses))
+        seen_any |= mask
+    inst = CoverInstance(cands, witnesses, tuple(masks))
+    if seen_any != inst.full:
+        missing = next(w for i, w in enumerate(witnesses)
                        if not (seen_any >> i) & 1)
-        raise InfeasibleWitness(
-            f"witness {witnesses.points[missing]} seen by no candidate")
-    return full
+        raise InfeasibleWitness(f"witness {missing} seen by no candidate")
+    return inst
 
 
-def _greedy(masks: List[int], full: int) -> List[int]:
+def _greedy(masks: Sequence[int], full: int) -> List[int]:
     """Indices picked by greedy set cover, in the order picked."""
     chosen: List[int] = []
     covered = 0
@@ -140,37 +140,41 @@ def _greedy(masks: List[int], full: int) -> List[int]:
     return chosen
 
 
-def greedy_cover(m: PolygonModel, candidates: Sequence[Point],
-                 witnesses: WitnessSet) -> SolveResult:
-    """Classic greedy set cover; ties broken by lexicographic point order."""
-    cands = sorted(set(candidates), key=Point.key)
-    masks = _masks([visibility_polygon(m, c) for c in cands], witnesses)
-    chosen = _greedy(masks, _full_mask(masks, witnesses))
-    gs = guard_set([cands[i] for i in chosen], PROV_SOLVER_GREEDY)
-    return SolveResult(guards=gs, witness_count=len(witnesses),
-                       rounds=len(chosen),
+def _certified(m: PolygonModel, inst: CoverInstance, chosen: Sequence[int],
+               rounds: int) -> SolveResult:
+    """The chosen candidates as a guard set, certified by verify_coverage."""
+    gs = guard_set([inst.candidates[i] for i in chosen], PROV_SOLVER_GREEDY)
+    return SolveResult(guards=gs, witness_count=len(inst.witnesses),
+                       rounds=rounds,
                        certified=isinstance(verify_coverage(m, gs), Covered))
 
 
-def brute_force_optimum(m: PolygonModel, candidates: Sequence[Point],
-                        witnesses: WitnessSet, k_max: int):
-    """Smallest covering subset of the candidates, or NoneWithin."""
-    cands = sorted(set(candidates), key=Point.key)
-    n = len(cands)
+def greedy_cover(m: PolygonModel, inst: CoverInstance) -> SolveResult:
+    """Classic greedy set cover; ties broken by lexicographic point order."""
+    chosen = _greedy(inst.masks, inst.full)
+    return _certified(m, inst, chosen, rounds=len(chosen))
+
+
+def brute_force_optimum(inst: CoverInstance,
+                        k_max: int) -> Optional[GuardSet]:
+    """Smallest covering subset of the candidates, or None if every cover
+    has more than k_max guards."""
+    n = len(inst.candidates)
     total = sum(math.comb(n, k) for k in range(1, k_max + 1))
     if total > 10 ** 7:
         raise CombinatoricsBudgetExceeded(
             f"{total} subsets exceed the 1e7 budget")
-    masks = _masks([visibility_polygon(m, c) for c in cands], witnesses)
-    full = (1 << len(witnesses)) - 1
+    masks = inst.masks
+    full = inst.full
     for k in range(1, k_max + 1):
         for combo in combinations(range(n), k):
             acc = 0
             for i in combo:
                 acc |= masks[i]
             if acc == full:
-                return guard_set([cands[i] for i in combo], PROV_SOLVER_GREEDY)
-    return NONE_WITHIN
+                return guard_set([inst.candidates[i] for i in combo],
+                                 PROV_SOLVER_GREEDY)
+    return None
 
 
 def default_candidates(m: PolygonModel) -> List[Point]:
@@ -190,7 +194,7 @@ def default_candidates(m: PolygonModel) -> List[Point]:
     return sorted(set(out), key=Point.key)
 
 
-def _prune(chosen: List[int], masks: List[int], full: int) -> List[int]:
+def _prune(chosen: List[int], masks: Sequence[int], full: int) -> List[int]:
     """Drop redundant guards, scanning in deterministic order."""
     kept = list(chosen)
     changed = True
@@ -219,16 +223,13 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig,
     """
     if candidates is None:
         if cfg.candidate_strategy == STRATEGY_FULL:
-            cands = default_candidates(m)
+            candidates = default_candidates(m)
         else:
-            cands = sorted(set(m.vertices), key=Point.key)
-    else:
-        cands = sorted(set(candidates), key=Point.key)
-    polygons = [visibility_polygon(m, c) for c in cands]
-    witnesses = build_witnesses(m, polygons)
-    masks = _masks(polygons, witnesses)
-    full = _full_mask(masks, witnesses)
-    n = len(cands)
+            candidates = m.vertices
+    inst = cover_instance(m, candidates)
+    masks = inst.masks
+    full = inst.full
+    n = len(inst.candidates)
 
     rng = random.Random(cfg.rng_seed)
     rounds = 0
@@ -253,7 +254,7 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig,
             if acc == full:
                 solution = sorted(set(net))
                 break
-            uncovered = next(i for i in range(len(witnesses))
+            uncovered = next(i for i in range(len(inst.witnesses))
                              if not (acc >> i) & 1)
             bit = 1 << uncovered
             for i in range(n):
@@ -268,10 +269,7 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig,
     solution = _prune(solution, masks, full)
     greedy = _greedy(masks, full)
     chosen = greedy if len(greedy) < len(solution) else solution
-    gs = guard_set([cands[i] for i in chosen], PROV_SOLVER_GREEDY)
-    return SolveResult(guards=gs, witness_count=len(witnesses),
-                       rounds=rounds,
-                       certified=isinstance(verify_coverage(m, gs), Covered))
+    return _certified(m, inst, chosen, rounds)
 
 
 def _weighted_sample(rng: random.Random, weights: List[int],

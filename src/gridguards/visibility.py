@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 from .geometry import (
     Cone,
     DegenerateConeError,
-    DirectedLine,
     GeometryError,
     Point,
     Ray,
@@ -38,7 +37,6 @@ from .polygon import (
     PolygonModel,
     _segment_inside,
     point_in_polygon,
-    point_on_boundary,
     segment_in_polygon,
 )
 

@@ -40,11 +40,10 @@ from gridguards.polygon import (
     point_in_polygon,
 )
 from gridguards.solver import (
-    NoneWithin,
     STRATEGY_ADAPTIVE,
     SolveConfig,
     brute_force_optimum,
-    build_witnesses,
+    cover_instance,
     default_candidates,
     eh_solve,
     greedy_cover,
@@ -124,10 +123,8 @@ def test_criterion_2_grid_replacement_bound_and_coverage():
             cands = _offgrid_candidates(m)
             if not cands:
                 continue
-            witnesses = build_witnesses(
-                m, [visibility_polygon(m, c) for c in cands])
-            opt = brute_force_optimum(m, cands, witnesses, k_max=3)
-            if isinstance(opt, NoneWithin):
+            opt = brute_force_optimum(cover_instance(m, cands), k_max=3)
+            if opt is None:
                 continue
             L = m.L
             s = Fraction(9, 10 * L ** 9)
@@ -221,16 +218,15 @@ def test_criterion_6_solver_soundness_and_quality():
             assert result.certified
 
         cands = default_candidates(m3)
-        witnesses = build_witnesses(
-            m3, [visibility_polygon(m3, c) for c in cands])
-        greedy = greedy_cover(m3, cands, witnesses)
+        inst = cover_instance(m3, cands)
+        greedy = greedy_cover(m3, inst)
         assert greedy.certified
 
         base = [c for c in cands if c.y == Fraction(3, 2)]
-        opt = brute_force_optimum(m3, base, witnesses, k_max=3)
-        assert not isinstance(opt, NoneWithin)
+        opt = brute_force_optimum(cover_instance(m3, base), k_max=3)
+        assert opt is not None
         assert len(opt) == 3
-        w = len(witnesses)
+        w = len(inst.witnesses)
         assert len(greedy.guards) <= (1 + math.log(w)) * len(opt)
         assert len(greedy.guards) == 3
         assert len(eh_solve(m3, SolveConfig(rng_seed=0)).guards) == 3

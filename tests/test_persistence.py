@@ -88,6 +88,14 @@ def test_read_polygon_missing_file():
         read_polygon("/nonexistent/path/poly.txt")
 
 
+def test_writers_report_io_errors(tmp_path):
+    target = str(tmp_path / "missing" / "out")
+    with pytest.raises(IoError):
+        write_polygon(channel(), target)
+    with pytest.raises(IoError):
+        write_svg(SceneRender(polygon=channel()), target)
+
+
 def test_write_polygon_unknown_format():
     with pytest.raises(ValueError):
         write_polygon(channel(), io.StringIO(), "Yaml")

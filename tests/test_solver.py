@@ -18,16 +18,15 @@ from gridguards.geometry import Point, pt
 from gridguards.grid import Covered, guard_set, verify_coverage
 from gridguards.polygon import load_polygon, point_in_polygon
 from gridguards.solver import (
-    NONE_WITHIN,
     STRATEGY_ADAPTIVE,
     STRATEGY_FULL,
     CombinatoricsBudgetExceeded,
     InfeasibleWitness,
-    NoneWithin,
     RoundLimitExceeded,
     SolveConfig,
     brute_force_optimum,
     build_witnesses,
+    cover_instance,
     default_candidates,
     eh_solve,
     greedy_cover,
@@ -54,18 +53,14 @@ def test_default_candidates_square():
 
 def test_greedy_square_one_guard():
     m = square()
-    cands = default_candidates(m)
-    witnesses = witnesses_of(m, cands)
-    result = greedy_cover(m, cands, witnesses)
+    result = greedy_cover(m, cover_instance(m, default_candidates(m)))
     assert len(result.guards) == 1
     assert result.certified
 
 
 def test_greedy_comb3_three_guards():
     m = comb(3)
-    cands = default_candidates(m)
-    witnesses = witnesses_of(m, cands)
-    result = greedy_cover(m, cands, witnesses)
+    result = greedy_cover(m, cover_instance(m, default_candidates(m)))
     assert len(result.guards) == 3
     assert result.certified
 
@@ -75,29 +70,40 @@ def test_brute_force_comb3_optimum_is_three():
     # keep the subset lattice small: only base-strip cell centers
     cands = [c for c in default_candidates(m) if c.y == Fraction(3, 2)]
     assert len(cands) == 5
-    witnesses = witnesses_of(m, default_candidates(m))
-    best = brute_force_optimum(m, cands, witnesses, k_max=3)
-    assert not isinstance(best, NoneWithin)
+    inst = cover_instance(m, cands)
+    best = brute_force_optimum(inst, k_max=3)
+    assert best is not None
     assert len(best.guards) == 3
     assert isinstance(verify_coverage(m, best), Covered)
     # two guards cannot cover three prongs
-    assert brute_force_optimum(m, cands, witnesses, k_max=2) is NONE_WITHIN
+    assert brute_force_optimum(inst, k_max=2) is None
 
 
 def test_brute_force_budget_guard():
     m = square()
-    cands = default_candidates(m)
-    witnesses = witnesses_of(m, cands)
+    inst = cover_instance(m, default_candidates(m))
     with pytest.raises(CombinatoricsBudgetExceeded):
-        brute_force_optimum(m, cands, witnesses, k_max=len(cands))
+        brute_force_optimum(inst, k_max=len(inst.candidates))
+
+
+@pytest.mark.parametrize("fixture", [lambda: comb(2), lambda: comb(3),
+                                     channel],
+                         ids=["comb2", "comb3", "channel"])
+def test_brute_force_cover_is_a_cover(fixture):
+    """The instance's witnesses come from its own candidates' overlay, so a
+    set that covers them covers P; the solver reaches the same size."""
+    m = fixture()
+    best = brute_force_optimum(cover_instance(m, default_candidates(m)), 3)
+    assert best is not None
+    assert isinstance(verify_coverage(m, best), Covered)
+    assert len(best) == len(eh_solve(m, SolveConfig(rng_seed=0)).guards)
 
 
 def test_infeasible_witness_raised():
     m = comb(3)
     # a single base corner cannot see into every prong
-    witnesses = witnesses_of(m, default_candidates(m))
     with pytest.raises(InfeasibleWitness):
-        greedy_cover(m, [m.vertices[0]], witnesses)
+        cover_instance(m, [m.vertices[0]])
 
 
 def test_eh_solve_square():
@@ -155,7 +161,7 @@ def test_witnesses_are_inside_polygon(n, seed, data):
                                min_size=1, max_size=8, unique=True))
     ws = witnesses_of(m, views)
     assert len(ws) > 0
-    assert all(point_in_polygon(m, p) for p in ws.points)
+    assert all(point_in_polygon(m, p) for p in ws)
 
 
 @pytest.mark.parametrize("fixture", [
@@ -165,7 +171,7 @@ def test_witnesses_are_inside_fixture_polygons(fixture):
     m = fixture()
     ws = witnesses_of(m, default_candidates(m))
     assert len(ws) > 0
-    assert all(point_in_polygon(m, p) for p in ws.points)
+    assert all(point_in_polygon(m, p) for p in ws)
 
 
 def test_eh_solve_call_counts(monkeypatch):
