@@ -1,33 +1,35 @@
 """Exact planar arrangement of segments with one witness point per face.
 
-Segments are split where they meet (only pairs whose bounding boxes meet
-are compared), giving a planar graph whose faces are traversed with the
-usual rotate-clockwise half-edge rule (faces lie to the left of their
-half-edges).  A face is bounded by its own walk and by whole other
-connected components (its holes), so a ray from a vertex of the walk into
-the face stays inside it up to its first hit on those edges; each bounded
-face's representative is the midpoint of that stretch.
+All endpoints are cleared to one common denominator, so the construction
+runs on integers.  Identical segments, in either orientation, are merged;
+the rest are split where they meet.  Only pairs whose bounding boxes meet
+are compared, and a pair that is not parallel but shares an endpoint is
+skipped, since it meets only there.  Split points are reduced integer
+triples, which key the nodes; one Point is built per node.  Faces are
+traversed with the usual rotate-clockwise half-edge rule (faces lie to
+the left of their half-edges).  A face is bounded by its own walk and by
+whole other connected components (its holes), so a ray from a vertex of
+the walk into the face stays inside it up to its first hit on those
+edges; each bounded face's representative is the midpoint of that stretch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .geometry import (
     GeometryError,
     Point,
-    cross,
-    point_on_segment,
-    polygon_signed_area2,
-    primitive_direction,
+    cleared,
     ray_segment_params,
-    segment_intersection_point,
     sort_directions_ccw,
 )
 
 Key = Tuple[Fraction, Fraction]
+Triple = Tuple[int, int, int]
 
 
 @dataclass
@@ -38,43 +40,67 @@ class Arrangement:
     representatives: List[Point]        # one interior point per bounded face
 
 
-def _split_points(segs: List[Tuple[Point, Point]]) -> List[List[Point]]:
-    """For each segment, every point where it meets a segment (itself too)."""
-    splits = [[a, b] for a, b in segs]
-    boxes = [(min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y))
-             for a, b in segs]
+def _split_points(segs: List[Tuple[Tuple[int, int], Tuple[int, int]]]
+                  ) -> List[List[Triple]]:
+    """For each segment, every point where it meets a segment (itself too),
+    as the triple (X, Y, W) of (X / W, Y / W) with W > 0 and gcd 1."""
+    splits = [[a + (1,), b + (1,)] for a, b in segs]
+    boxes = [(min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+             for (ax, ay), (bx, by) in segs]
     order = sorted(range(len(segs)), key=lambda i: boxes[i][0])
     for n, i in enumerate(order):
-        _, x1, y0, y1 = boxes[i]
-        a, b = segs[i]
+        x0, x1, y0, y1 = boxes[i]
+        (ax, ay), (bx, by) = a, b = segs[i]
+        ux, uy = bx - ax, by - ay
         for j in order[n + 1:]:
-            jx0, _, jy0, jy1 = boxes[j]
+            jx0, jx1, jy0, jy1 = boxes[j]
             if jx0 > x1:
                 break
             if jy0 > y1 or jy1 < y0:
                 continue
-            c, d = segs[j]
-            p = segment_intersection_point(a, b, c, d)
-            if p is not None:
+            (cx, cy), (dx, dy) = c, d = segs[j]
+            vx, vy, fx, fy = dx - cx, dy - cy, cx - ax, cy - ay
+            den, un = ux * vy - uy * vx, fx * uy - fy * ux
+            if den == 0:
+                if un == 0:  # collinear: each gets the other's ends on it
+                    splits[i] += [(qx, qy, 1) for qx, qy in (c, d)
+                                  if x0 <= qx <= x1 and y0 <= qy <= y1]
+                    splits[j] += [(qx, qy, 1) for qx, qy in (a, b)
+                                  if jx0 <= qx <= jx1 and jy0 <= qy <= jy1]
+                continue
+            if a == c or a == d or b == c or b == d:
+                continue  # not parallel: they meet only at the shared end
+            tn = fx * vy - fy * vx
+            if den < 0:
+                den, tn, un = -den, -tn, -un
+            if 0 <= tn <= den and 0 <= un <= den:
+                # a + (b - a) tn / den
+                X, Y = ax * den + ux * tn, ay * den + uy * tn
+                g = gcd(X, Y, den)
+                p = (X // g, Y // g, den // g)
                 splits[i].append(p)
                 splits[j].append(p)
-            elif cross(b - a, d - c) == 0:
-                # parallel: only a collinear overlap adds split points
-                splits[i].extend(q for q in (c, d) if point_on_segment(q, a, b))
-                splits[j].extend(q for q in (a, b) if point_on_segment(q, c, d))
     return splits
 
 
 def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
     """Planar subdivision induced by the segments (assumed nonempty)."""
-    splits = _split_points([(a, b) for a, b in segments if a != b])
+    # endpoints over one denominator s, so triple (X, Y, W) is the point
+    # (X, Y) / (W s); each segment once, from its smaller endpoint
+    s, cs = cleared(*[c for ab in segments for p in ab for c in (p.x, p.y)])
+    ends = iter(zip(cs[0::2], cs[1::2]))
+    splits = _split_points(sorted({(min(p, q), max(p, q))
+                                   for p, q in zip(ends, ends) if p != q}))
+    points = {t: Point(Fraction(t[0], t[2] * s), Fraction(t[1], t[2] * s))
+              for on in splits for t in on}
     # nodes are numbered in key order, so ids compare as keys do
-    nodes = sorted({p for on in splits for p in on}, key=Point.key)
-    index = {p: i for i, p in enumerate(nodes)}
+    triples = sorted(points, key=lambda t: points[t].key())
+    nodes = [points[t] for t in triples]
+    index = {t: i for i, t in enumerate(triples)}
     edge_set = set()
     for on in splits:
         # the points of one segment lie along it in key order
-        ids = sorted({index[p] for p in on})
+        ids = sorted({index[t] for t in on})
         edge_set.update(zip(ids, ids[1:]))
     edges = sorted(edge_set)
 
@@ -86,12 +112,17 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
     walls: List[List[Tuple[int, int]]] = []
     ccw: List[List[int]] = []
     slot: Dict[Tuple[int, int], int] = {}
-    for u, p in enumerate(nodes):
-        by_dir = {primitive_direction(nodes[v] - p): v for v in adj[u]}
+    for u, (X, Y, W) in enumerate(triples):
+        by_dir = {}
+        for v in adj[u]:
+            X2, Y2, W2 = triples[v]  # node v - node u, made primitive
+            dx, dy = X2 * W - X * W2, Y2 * W - Y * W2
+            g = gcd(dx, dy)
+            by_dir[(dx // g, dy // g)] = v
         walls.append(sort_directions_ccw(by_dir))
         ccw.append([by_dir[d] for d in walls[u]])
-        for s, v in enumerate(ccw[u]):
-            slot[(u, v)] = s
+        for k, v in enumerate(ccw[u]):
+            slot[(u, v)] = k
 
     # connected components, by union-find over the edges
     parent = list(range(len(nodes)))
@@ -107,6 +138,7 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
     others: Dict[int, List[Tuple[Point, Point]]] = {}  # by component root
 
     axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    fans: Dict[int, List[Tuple[int, int]]] = {}  # walls and axes, by node
     half_edges = sorted(edges + [(v, u) for u, v in edges])
     visited = set()
     face_cycles: List[List[Point]] = []
@@ -125,16 +157,22 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
         if h != start:
             raise GeometryError(
                 "face walk ran into an earlier cycle instead of closing")
-        cycle = [nodes[u] for u, _ in walk]
-        if polygon_signed_area2(cycle) <= 0:
+        # twice the signed area, over the walk's common denominator
+        tri = [triples[u] for u, _ in walk]
+        q = lcm(*[t[2] for t in tri])
+        xy = [(X * (q // W), Y * (q // W)) for X, Y, W in tri]
+        if sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+               in zip(xy, xy[1:] + xy[:1])) <= 0:
             continue  # outer face or hole boundary
-        face_cycles.append(cycle)
+        face_cycles.append([nodes[u] for u, _ in walk])
         # representative: from the lexicographically smallest cycle vertex
         # along the bisector of the first gap counterclockwise of its
         # out-wall among walls and axes, halfway to the ray's first hit
         u, v = min(walk)
         d0 = walls[u][slot[(u, v)]]
-        fan = sort_directions_ccw(walls[u] + axes)
+        if u not in fans:
+            fans[u] = sort_directions_ccw(walls[u] + axes)
+        fan = fans[u]
         d1 = fan[(fan.index(d0) + 1) % len(fan)]
         mid = Point(Fraction(d0[0] + d1[0]), Fraction(d0[1] + d1[1]))
         r = find(u)

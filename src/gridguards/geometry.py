@@ -5,11 +5,14 @@ boundary, the hot predicates (``orient``, ``point_on_segment``,
 ``ray_segment_params``, ``segment_intersection_point`` and
 ``polygon.point_in_cycle``) decide on integers obtained by clearing the
 denominators of the few coordinates involved, and no float is ever used.
-Scaling every coordinate by the same positive integer keeps every sign,
-order and parameter ratio, so the integer decisions are exact; only a
-returned parameter or point is built as a Fraction again.  Distances are
-kept squared so that no square root is ever taken; angle comparisons use
-cross/dot ratios for the same reason.
+The two overlay constructions, ``visibility.visibility_polygon`` and
+``arrangement.build_arrangement``, each clear their whole input once and
+work in that one integer frame, with constructed points as reduced
+homogeneous triples.  Scaling every coordinate by the same positive
+integer keeps every sign, order and parameter ratio, so the integer
+decisions are exact; only a returned parameter or point is built as a
+Fraction again.  Distances are kept squared so that no square root is
+ever taken; angle comparisons use cross/dot ratios for the same reason.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Scalar = Fraction
@@ -423,18 +426,6 @@ def convex_intersection(poly_a: Sequence[Point],
         ell = DirectedLine(poly_b[i], poly_b[(i + 1) % n])
         result = clip_convex_by_halfplane(result, ell, +1)
     return result if len(result) >= 3 else []
-
-
-def primitive_direction(v: Point) -> Tuple[int, int]:
-    """Canonical primitive integer vector with the same direction as v."""
-    if v == ORIGIN:
-        raise GeometryError("zero vector has no direction")
-    # clear denominators, then divide by gcd
-    den = v.x.denominator * v.y.denominator
-    nx = v.x.numerator * v.y.denominator
-    ny = v.y.numerator * v.x.denominator
-    g = gcd(abs(nx), abs(ny))
-    return (nx // g, ny // g)
 
 
 def sort_directions_ccw(dirs: Iterable[Tuple[int, int]]) -> list:

@@ -27,7 +27,6 @@ from .geometry import (
     dist_sq,
     dot,
     orient,
-    point_on_segment,
     pt,
     ray_segment_params,
     sort_directions_ccw,
@@ -174,20 +173,33 @@ def _blocking_edge(m: PolygonModel, X: int, Y: int, w: int,
     return best[2]
 
 
-def _ray_meets_line(X: int, Y: int, w: int, d: Tuple[int, int],
-                    a: Tuple[int, int], b: Tuple[int, int]) -> Point:
-    """The point where the ray from x in direction d meets line(a, b).
+Triple = Tuple[int, int, int]
 
-    x is (X / w, Y / w), a and b are w * (vertex - x), and the ray is not
-    parallel to the line.
+
+def _ray_meets_line(d: Tuple[int, int], a: Tuple[int, int],
+                    b: Tuple[int, int]) -> Triple:
+    """Where the ray from x in the primitive direction d meets line(a, b),
+    to which it is not parallel, as the reduced triple (hx, hy, hw) with
+    hw > 0 of w * (point - x) = (hx / hw, hy / hw); a and b are
+    w * (vertex - x).
     """
     dx, dy = d
     ex, ey = b[0] - a[0], b[1] - a[1]
     den = dx * ey - dy * ex
     sn = a[0] * ey - a[1] * ex
-    q = w * den
-    return Point(Fraction(X * den + dx * sn, q),
-                 Fraction(Y * den + dy * sn, q))
+    g = gcd(sn, den) if den > 0 else -gcd(sn, den)  # d primitive: reduces
+    return (dx * sn // g, dy * sn // g, den // g)
+
+
+def _edges_through(rel: List[Tuple[int, int]], p: Triple) -> int:
+    """Bitmask of the polygon edges whose closed segment holds p (edge i
+    from vertex i - 1 to vertex i, ``rel`` as in ``_blocking_edge``)."""
+    hx, hy, hw = p
+    return sum(1 << i for i, ((ax, ay), (bx, by))
+               in enumerate(zip(rel[-1:] + rel[:-1], rel))
+               if min(ax, bx) * hw <= hx <= max(ax, bx) * hw
+               and min(ay, by) * hw <= hy <= max(ay, by) * hw
+               and (bx - ax) * (hy - ay * hw) == (by - ay) * (hx - ax * hw))
 
 
 def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
@@ -206,43 +218,36 @@ def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
             g = gcd(rx, ry)
             dirs.add((rx // g, ry // g))
     order = sort_directions_ccw(dirs)
-    k = len(order)
 
-    pts: List[Point] = []
-
-    def push(p: Point) -> None:
-        if not pts or pts[-1] != p:
-            pts.append(p)
-
-    for i in range(k):
-        d1 = order[i]
-        d2 = order[(i + 1) % k]
+    # the boundary as triples of w * (point - x), x itself being (0, 0, 1)
+    pts: List[Triple] = []
+    for d1, d2 in zip(order, order[1:] + order[:1]):
         edge = _blocking_edge(m, X, Y, w, rel, d1[0] + d2[0], d1[1] + d2[1])
-        if edge is None:
-            push(x)
-            continue
-        a, b = rel[edge - 1], rel[edge]
-        push(_ray_meets_line(X, Y, w, d1, a, b))
-        push(_ray_meets_line(X, Y, w, d2, a, b))
+        hits = [(0, 0, 1)] if edge is None else [
+            _ray_meets_line(d, rel[edge - 1], rel[edge]) for d in (d1, d2)]
+        for p in hits:
+            if not pts or pts[-1] != p:
+                pts.append(p)
 
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
     # drop collinear middle vertices (neighbors taken from the raw cycle,
-    # which is correct for collinear runs along a single line)
-    n = len(pts)
-    boundary = tuple(
-        pts[i] for i in range(n)
-        if orient(pts[i - 1], pts[i], pts[(i + 1) % n]) != 0)
-    if len(boundary) < 3:
+    # which is correct for collinear runs along a single line); with every
+    # hw > 0 the determinant has the sign of orient
+    kept = [q for p, q, r in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
+            if p[0] * (q[1] * r[2] - r[1] * q[2])
+            - p[1] * (q[0] * r[2] - r[0] * q[2])
+            + p[2] * (q[0] * r[1] - r[0] * q[1])]
+    if len(kept) < 3:
         raise GeometryError("degenerate visibility region")
 
-    def on_polygon_edge(a: Point, b: Point) -> bool:
-        return any(point_on_segment(a, p, q) and point_on_segment(b, p, q)
-                   for p, q in m.edges())
-
-    nb = len(boundary)
-    windows = tuple(i for i in range(nb)
-                    if not on_polygon_edge(boundary[i], boundary[(i + 1) % nb]))
+    # a boundary edge is a window unless one polygon edge holds both ends
+    on = [_edges_through(rel, p) for p in kept]
+    nb = len(kept)
+    windows = tuple(i for i in range(nb) if not on[i] & on[(i + 1) % nb])
+    boundary = tuple(Point(Fraction(X * hw + hx, w * hw),
+                           Fraction(Y * hw + hy, w * hw))
+                     for hx, hy, hw in kept)
     return VisibilityPolygon(viewpoint=x, boundary=boundary,
                              window_edges=windows)
 

@@ -9,6 +9,7 @@ computation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import List, Tuple
 
 from gridguards.geometry import Point, cross, dot, pt
@@ -214,3 +215,80 @@ def arrangement_ref(segments):
         if area2 > 0:
             cycles.append(walk)
     return sorted(nodes, key=Point.key), edges, cycles
+
+
+# Fraction reference for gridguards.visibility.visibility_polygon: the same
+# wedge sweep with every hit built as a Point, and the window rule applied
+# to the finished boundary by scanning the polygon's edges.
+
+
+def _primitive(v: Point):
+    """The primitive integer vector with the direction of v."""
+    den = v.x.denominator * v.y.denominator
+    nx, ny = int(v.x * den), int(v.y * den)
+    g = gcd(nx, ny)
+    return (nx // g, ny // g)
+
+
+def _first_exit_ref(verts, x: Point, d: Point):
+    """Index of the edge (from vertex i - 1 to vertex i) through which the
+    ray from x in direction d leaves the polygon, or None when it leaves at
+    x.  The ray passes through no vertex."""
+    best, edge, tie, at_x = None, None, False, False
+    for i in range(len(verts)):
+        a, b = verts[i - 1], verts[i]
+        e = b - a
+        den = cross(d, e)
+        if den == 0:
+            at_x = at_x or on_segment(x, a, b)
+            continue
+        s = cross(a - x, e) / den
+        u = cross(a - x, d) / den
+        if s < 0 or not 0 <= u <= 1:
+            continue
+        if s == 0:
+            at_x = True
+        elif best is None or s < best:
+            best, edge, tie = s, i, False
+        elif s == best:
+            tie = True
+    if best is None:
+        return None
+    if at_x and not winding_inside(verts, x + d.scaled(best / 2)):
+        return None
+    assert not tie, "mid-ray hit a vertex"
+    return edge
+
+
+def visibility_polygon_ref(m, x: Point):
+    """(boundary, window_edges) of the visibility polygon of x in m."""
+    verts = list(m.vertices)
+    dirs = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    dirs.update(_primitive(v - x) for v in verts if v != x)
+    order = sorted(dirs, key=lambda d: _pseudo_angle(pt(*d)))
+    pts = []
+    for d1, d2 in zip(order, order[1:] + order[:1]):
+        edge = _first_exit_ref(verts, x, pt(d1[0] + d2[0], d1[1] + d2[1]))
+        if edge is None:
+            hits = [x]
+        else:
+            a, e = verts[edge - 1], verts[edge] - verts[edge - 1]
+            hits = [x + d.scaled(cross(a - x, e) / cross(d, e))
+                    for d in (pt(*d1), pt(*d2))]
+        for p in hits:
+            if not pts or pts[-1] != p:
+                pts.append(p)
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts.pop()
+    n = len(pts)
+    boundary = tuple(pts[i] for i in range(n)
+                     if orient_ref(pts[i - 1], pts[i], pts[(i + 1) % n]) != 0)
+
+    def on_polygon_edge(p: Point, q: Point) -> bool:
+        return any(on_segment(p, a, b) and on_segment(q, a, b)
+                   for a, b in zip(verts, verts[1:] + verts[:1]))
+
+    ends = zip(boundary, boundary[1:] + boundary[:1])
+    windows = tuple(i for i, (p, q) in enumerate(ends)
+                    if not on_polygon_edge(p, q))
+    return boundary, windows

@@ -136,6 +136,15 @@ def segment_scenes(draw):
     for _ in range(draw(st.integers(0, 3))):       # T-junctions and spikes
         a, b = draw(st.sampled_from(segs))
         segs.append((a + (b - a).scaled(draw(fracs)), draw(lattice)))
+    for _ in range(draw(st.integers(0, 2))):       # duplicates, either way
+        a, b = draw(st.sampled_from(segs))
+        segs.append(draw(st.sampled_from([(a, b), (b, a)])))
+    for _ in range(draw(st.integers(0, 2))):       # collinear, sharing an end
+        a, b = draw(st.sampled_from(segs))
+        # overlapping from a, or continuing end to end from b
+        t = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+        segs.append(draw(st.sampled_from(
+            [(a, a + (b - a).scaled(t)), (b, b + (b - a).scaled(t))])))
     return segs
 
 
@@ -155,6 +164,21 @@ def test_holes_and_spikes_match_reference():
     arr = assert_matches_reference(segs)
     # the outer face's cycle encloses the hole, whose faces tile its 3 x 3
     assert sum(polygon_area(c) for c in arr.face_cycles) == 144 + 9
+
+
+@pytest.mark.parametrize("extra", [
+    [(pt(0, 0), pt(12, 12)), (pt(0, 0), pt(12, 12))],
+    [(pt(0, 0), pt(12, 12)), (pt(12, 12), pt(0, 0))],
+    [(pt(0, 0), pt(4, 0)), (pt(0, 0), pt(2, 0)),
+     (pt(0, 4), pt(6, 4)), (pt(0, 4), pt(3, 4))],
+    [(pt(0, 6), pt(4, 6)), (pt(4, 6), pt(9, 6)), (pt(9, 6), pt(12, 6))],
+], ids=["duplicate", "reversed-duplicate", "collinear-shared-end",
+        "end-to-end"])
+def test_merged_and_skipped_pairs_match_reference(extra):
+    """Segments the arrangement merges (identical in either orientation)
+    and pairs it skips or meets only at an end: collinear segments that
+    share an endpoint and overlap, and collinear ones end to end."""
+    assert_matches_reference(box(0, 0, 12, 12) + extra)
 
 
 @pytest.mark.parametrize("make", [channel, lambda: comb(3)],

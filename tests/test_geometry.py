@@ -21,7 +21,6 @@ from gridguards.geometry import (
     point_on_segment,
     polygon_area,
     polygon_signed_area2,
-    primitive_direction,
     pt,
     ray_segment_params,
     segment_intersection_point,
@@ -148,18 +147,6 @@ def test_convex_intersection_squares():
     b = [pt(2, 2), pt(6, 2), pt(6, 6), pt(2, 6)]
     inter = convex_intersection(a, b)
     assert polygon_area(inter) == 4
-
-
-@given(st.integers(-20, 20), st.integers(-20, 20))
-def test_primitive_direction(x, y):
-    if x == 0 and y == 0:
-        return
-    px, py = primitive_direction(pt(x, y))
-    from math import gcd
-    assert gcd(abs(px), abs(py)) == 1
-    # positive multiple of the input
-    assert px * y == py * x
-    assert px * x + py * y > 0
 
 
 def test_sort_directions_ccw_order():

@@ -29,7 +29,12 @@ from gridguards.visibility import (
     visible_subsegments,
 )
 
-from oracles import naive_sees, visibility_area_oracle, winding_inside
+from oracles import (
+    naive_sees,
+    visibility_area_oracle,
+    visibility_polygon_ref,
+    winding_inside,
+)
 
 
 def l_shape():
@@ -170,6 +175,47 @@ def test_sees_from_polygon_beyond_pinhole(fixture):
                 assert not point_in_cycle(vp.boundary, y), (x, y)
                 seen_outside += sees(m, x, y)
     assert seen_outside > 0
+
+
+def assert_matches_visibility_ref(m, x):
+    vp = visibility_polygon(m, x)
+    assert (vp.boundary, vp.window_edges) == visibility_polygon_ref(m, x), x
+
+
+@given(st.integers(5, 10), st.integers(8, 30), st.integers(0, 10 ** 6),
+       st.data())
+@settings(max_examples=25, deadline=None)
+def test_visibility_polygon_matches_fraction_reference(n, bound, seed, data):
+    """Differential: the integer construction against the Fraction one in
+    oracles.py, from a vertex, a cell centre and rational points of P with
+    denominators 3 and 7."""
+    m = random_polygon(n, bound, seed=seed)
+    cells = [c for c in default_candidates(m) if c not in m.vertices]
+    xs = [data.draw(st.sampled_from(m.vertices))]
+    if cells:
+        xs.append(data.draw(st.sampled_from(cells)))
+    for den in (3, 7):
+        coord = st.integers(den, bound * den).map(lambda k: Fraction(k, den))
+        for _ in range(3):
+            x = pt(data.draw(coord), data.draw(coord))
+            if point_in_polygon(m, x):
+                xs.append(x)
+    for x in xs:
+        assert_matches_visibility_ref(m, x)
+
+
+@pytest.mark.parametrize("name", ["channel", "deshpande", "blocking"])
+def test_visibility_polygon_matches_fraction_reference_on_fixtures(name):
+    """The same, from every grid candidate of the pinhole fixtures (and the
+    blocking fixture's own viewpoint)."""
+    if name == "blocking":
+        m, x = blocking_fixture()
+        xs = default_candidates(m) + [x]
+    else:
+        m = channel() if name == "channel" else counterexample_polygon()
+        xs = default_candidates(m)
+    for x in xs:
+        assert_matches_visibility_ref(m, x)
 
 
 def test_visible_subsegments_full_edge():
