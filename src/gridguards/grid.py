@@ -1,8 +1,19 @@
 """Grid of width L^-E, rounding, surrounding grid points, guard replacement.
 
-The grid is never enumerated: membership and rounding are arithmetic on
-exact rationals.  ``grid_replacement`` turns an arbitrary covering guard set
-into a nearby covering guard set supported on the grid plus a few reflex
+The grid is never enumerated.  Its points are integer indices (i, j) over
+the one denominator D = L^E, and the polygon's vertices are integers, so
+rounding works on the lattice: x is cleared once to (X, Y) / d, the
+polygon is scaled by D, and the squared distance to (i, j) / D is the
+integer (X D - i d)^2 + (Y D - j d)^2 over (d D)^2.  The search tests the
+four cell corners, then square rings of indices around them, each ring in
+(distance, i, j) order, which is the order of (distance, ``Point.key()``).
+It stops after ring r once the best distance is below ((r + 1) d)^2: every
+point outside rings 0..r is at least (r + 1) w from x, so none can win,
+and an exact tie at that distance is still searched.  ``surrounding_grid``
+likewise scales x, its triangle and the polygon once by one denominator
+and decides containment, edge crossings and the starred vertex on
+integers.  ``grid_replacement`` turns an arbitrary covering guard set into
+a nearby covering guard set supported on the grid plus a few reflex
 vertices, with at most nine output guards per input guard.
 """
 
@@ -10,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .badregions import bad_region, in_bad_region
-from .geometry import Point, Scalar, dist_sq, pt, segments_intersect
+from .geometry import Point, Scalar, cleared, dist_sq, pt
 from .polygon import (
     PointOutsidePolygon,
     PolygonModel,
+    _in_int_cycle,
     opposite_reflex_pairs,
     point_in_polygon,
 )
@@ -98,29 +109,19 @@ def round_to_grid(spec: GridSpec, m: PolygonModel, x: Point) -> Point:
     """Nearest in-polygon grid point; ties take the lexicographic smallest.
 
     Searches the four cell corners first, then expanding rings of grid
-    points, raising NoGridPointNearby past the ring budget.
+    points, raising NoGridPointNearby past the ring budget.  Works on
+    lattice indices (see the module docstring); only the result is built
+    as a Point.
     """
     if not point_in_polygon(m, x):
         raise PointOutsidePolygon(f"{x} outside polygon")
-    w = spec.w
-    u = x.x / w
-    v = x.y / w
-    iu, iv = floor(u), floor(v)
-
-    def grid_pt(i: int, j: int) -> Point:
-        return Point(i * w, j * w)
-
-    best: Optional[Tuple[Scalar, Tuple[Fraction, Fraction], Point]] = None
-
-    def consider(i: int, j: int) -> None:
-        nonlocal best
-        g = grid_pt(i, j)
-        if not point_in_polygon(m, g):
-            return
-        cand = (dist_sq(x, g), g.key(), g)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-
+    D = spec.L ** spec.E
+    d, (X, Y) = cleared(x.x, x.y)
+    X, Y = X * D, Y * D
+    xs = [int(v.x) * D for v in m.vertices]
+    ys = [int(v.y) * D for v in m.vertices]
+    iu, iv = X // d, Y // d
+    best = None  # (squared distance times (d D)^2, i, j)
     for ring in range(_RING_CAP):
         lo_i, hi_i = iu - ring, iu + 1 + ring
         lo_j, hi_j = iv - ring, iv + 1 + ring
@@ -131,18 +132,22 @@ def round_to_grid(spec: GridSpec, m: PolygonModel, x: Point) -> Point:
                      + [(i, hi_j) for i in range(lo_i, hi_i + 1)]
                      + [(lo_i, j) for j in range(lo_j + 1, hi_j)]
                      + [(hi_i, j) for j in range(lo_j + 1, hi_j)])
-        for i, j in cells:
-            consider(i, j)
-        if best is not None:
-            # a farther ring cannot beat the current best once the ring's
-            # nearest possible point is farther than the best distance
-            ring_min = (ring * w) ** 2
-            if best[0] <= ring_min:
-                return best[2]
-    if best is not None:
-        return best[2]
-    raise NoGridPointNearby(f"no in-polygon grid point within "
-                            f"{_RING_CAP} rings of {x}")
+        for cand in sorted(((X - i * d) ** 2 + (Y - j * d) ** 2, i, j)
+                           for i, j in cells):
+            if best is not None and cand >= best:
+                break
+            if _in_int_cycle(xs, ys, cand[1], cand[2]):
+                best = cand
+                break
+        # every grid point outside rings 0..ring is at least (ring + 1) w
+        # from x, so only a tie at exactly that distance could still win
+        if best is not None and best[0] < ((ring + 1) * d) ** 2:
+            break
+    else:
+        if best is None:
+            raise NoGridPointNearby(f"no in-polygon grid point within "
+                                    f"{_RING_CAP} rings of {x}")
+    return Point(Fraction(best[1], D), Fraction(best[2], D))
 
 
 def _triangle(x: Point, alpha: Scalar) -> Tuple[Point, Point, Point]:
@@ -158,61 +163,82 @@ def _triangle(x: Point, alpha: Scalar) -> Tuple[Point, Point, Point]:
 
 def surrounding_grid(spec: GridSpec, m: PolygonModel, x: Point,
                      alpha: Scalar) -> SurroundingGrid:
-    """Grid points surrounding x at scale alpha, case-split on the boundary."""
+    """Grid points surrounding x at scale alpha, case-split on the boundary.
+
+    x, the triangle and the polygon are scaled once by the triangle's common
+    denominator; containment, the edge crossings and the starred vertex are
+    then decided on integers.
+    """
     alpha = Fraction(alpha)
     if not (0 < alpha <= Fraction(1, m.L ** 2)):
         raise ValueError("alpha must be in (0, L^-2]")
-    if not point_in_polygon(m, x):
-        raise PointOutsidePolygon(f"{x} outside polygon")
-
     tri = _triangle(x, alpha)
-    tri_edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
+    d, cs = cleared(x.x, x.y, *[c for p in tri for c in (p.x, p.y)])
+    X, Y = cs[0], cs[1]
+    xs = [int(v.x) * d for v in m.vertices]
+    ys = [int(v.y) * d for v in m.vertices]
+    if not _in_int_cycle(xs, ys, X, Y):
+        raise PointOutsidePolygon(f"{x} outside polygon")
+    corners = list(zip(cs[2::2], cs[3::2]))
+    tri_edges = list(zip(corners, corners[1:] + corners[:1]))
 
-    def in_triangle(p: Point) -> bool:
-        from .geometry import orient
-        return (orient(tri[0], tri[1], p) >= 0
-                and orient(tri[1], tri[2], p) >= 0
-                and orient(tri[2], tri[0], p) >= 0)
+    def in_triangle(px: int, py: int) -> bool:
+        return all((bx - ax) * (py - ay) >= (by - ay) * (px - ax)
+                   for (ax, ay), (bx, by) in tri_edges)
 
-    enclosed = [v for v in m.vertices if in_triangle(v)]
-    crossing = any(segments_intersect(a, b, c, d)
-                   for a, b in m.edges() for c, d in tri_edges)
-    inside_edge_end = any(in_triangle(a) for a, _ in m.edges())
-
+    enclosed = [v for v, px, py in zip(m.vertices, xs, ys)
+                if in_triangle(px, py)]
+    defining: List[Point] = [p for p, (px, py) in zip(tri, corners)
+                             if _in_int_cycle(xs, ys, px, py)]
+    # each edge against each triangle side: a shared point makes the case
+    # at least Boundary, and a unique one is a defining point.  Parallel
+    # pairs need no test: if an edge overlaps a side, either a triangle
+    # vertex lies on the edge, and the other side through that vertex meets
+    # the edge there, or a polygon vertex lies on the side and is enclosed.
+    crossing = False
+    for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        for (cx, cy), (ex, ey) in tri_edges:
+            if (max(ax, bx) < min(cx, ex) or max(cx, ex) < min(ax, bx)
+                    or max(ay, by) < min(cy, ey)
+                    or max(cy, ey) < min(ay, by)):
+                continue
+            ux, uy = bx - ax, by - ay
+            vx, vy = ex - cx, ey - cy
+            fx, fy = cx - ax, cy - ay
+            denom = ux * vy - uy * vx
+            if denom == 0:
+                continue
+            tn = fx * vy - fy * vx
+            un = fx * uy - fy * ux
+            if denom < 0:
+                denom, tn, un = -denom, -tn, -un
+            if 0 <= tn <= denom and 0 <= un <= denom:
+                crossing = True
+                w = d * denom
+                defining.append(Point(Fraction(ax * denom + ux * tn, w),
+                                      Fraction(ay * denom + uy * tn, w)))
     if enclosed:
         case = CASE_CORNER
-    elif crossing or inside_edge_end:
+    elif crossing:
         case = CASE_BOUNDARY
     else:
         case = CASE_INTERIOR
 
-    defining: List[Point] = [v for v in tri if point_in_polygon(m, v)]
-    if case != CASE_INTERIOR:
-        from .geometry import segment_intersection_point
-        for a, b in m.edges():
-            for c, d in tri_edges:
-                p = segment_intersection_point(a, b, c, d)
-                if p is not None:
-                    defining.append(p)
     points: List[Point] = []
     for p in defining:
         g = round_to_grid(spec, m, p)
         if g not in points:
             points.append(g)
-    if case == CASE_CORNER:
-        for v in enclosed:
-            if v not in points:
-                points.append(v)  # polygon vertices lie on the grid
+    for v in enclosed:
+        if v not in points:
+            points.append(v)  # polygon vertices lie on the grid
 
-    starred = None
-    limit = Fraction(1, m.L) ** 2  # squared L^-1
-    best = None
-    for i, r in enumerate(m.vertices):
-        d = dist_sq(x, r)
-        if d <= limit and (best is None or (d, i) < best[:2]):
-            best = (d, i, r)
-    if best is not None:
-        starred = best[2]
+    # the nearest vertex within L^-1, lower index on ties: in the scaled
+    # frame |v - x|^2 <= L^-2 reads L^2 |dv - dx|^2 <= d^2
+    near = [(dd, i) for i, dd in enumerate(
+        (px - X) ** 2 + (py - Y) ** 2 for px, py in zip(xs, ys))
+        if dd * m.L ** 2 <= d * d]
+    starred = m.vertices[min(near)[1]] if near else None
 
     return SurroundingGrid(center=x, case=case, points=tuple(points),
                            starred=starred, inscribed_triangle=tri)

@@ -241,10 +241,10 @@ def check_distance_lemma(m: PolygonModel, item7_samples: int = 10,
     return rep
 
 
-def _interior_points(m: PolygonModel, count: int,
+def _interior_points(tris: Sequence[Tuple[Point, Point, Point]], count: int,
                      rng: random.Random) -> List[Point]:
-    """Seeded random points in P via area-weighted triangle sampling."""
-    tris = triangulate(m)
+    """Seeded random points in the triangles (a triangulation of P) via
+    area-weighted triangle sampling."""
     areas = [abs(cross(b - a, c - a)) for a, b, c in tris]
     den = lcm(*[w.denominator for w in areas])
     weights = [int(w * den) for w in areas]
@@ -322,11 +322,12 @@ def check_limited_blocking(m: PolygonModel, samples: int = 100,
     inv_l_sq = Fraction(1, L) ** 2
     inv_l4 = Fraction(1, L) ** 4
     rng = random.Random(seed)
-    xs = list(extra_points) + _interior_points(m, samples, rng)
+    xs = list(extra_points) + _interior_points(triangulate(m), samples, rng)
     for x in xs:
         if not point_in_polygon(m, x):
             rep.skipped += 1
             continue
+        sg = None  # built on first use, once per x
         for pair in pairs:
             r1 = m.vertices[pair.r1]
             r2 = m.vertices[pair.r2]
@@ -335,7 +336,8 @@ def check_limited_blocking(m: PolygonModel, samples: int = 100,
             except DegenerateConeError:
                 rep.skipped += 1
                 continue
-            sg = surrounding_grid(spec, m, x, alpha)
+            if sg is None:
+                sg = surrounding_grid(spec, m, x, alpha)
             for g in sg.points:
                 if point_in_cone(g, cone_x):
                     rep.skipped += 1
@@ -408,6 +410,7 @@ def check_cone_property(m: PolygonModel, samples: int = 100,
     if not 0 < s <= 1:
         raise ValueError("slope must be in (0, 1]")
     pairs = opposite_reflex_pairs(m)
+    tris = triangulate(m)
     rng = random.Random(seed)
     quarter = s / 4
     for pair in pairs:
@@ -416,7 +419,7 @@ def check_cone_property(m: PolygonModel, samples: int = 100,
         r2 = m.vertices[pair.r2]
         p1, p2 = region.apex_offsets
         for _ in range(samples):
-            g1 = _interior_points(m, 1, rng)[0]
+            g1 = _interior_points(tris, 1, rng)[0]
             # offset with |dx| + |dy| <= s/4 bounds the Euclidean distance
             num = rng.randint(-16, 16)
             den = rng.randint(-16, 16)
@@ -606,10 +609,12 @@ def check_grid_outside_bad(m: PolygonModel, samples: int = 100,
     pairs = opposite_reflex_pairs(m)
     inv_l_sq = Fraction(1, L) ** 2
     rng = random.Random(seed)
-    for x in _interior_points(m, samples, rng):
-        for pair in pairs:
-            region = bad_region(m, pair, s)
-            half = bad_region(m, pair, s / 2, embiggened=True)
+    regions = [(pair, bad_region(m, pair, s),
+                bad_region(m, pair, s / 2, embiggened=True))
+               for pair in pairs]
+    for x in _interior_points(triangulate(m), samples, rng):
+        sg = None  # built on first use, once per x
+        for pair, region, half in regions:
             r1 = m.vertices[pair.r1]
             r2 = m.vertices[pair.r2]
             if (in_bad_region(region, x)
@@ -618,7 +623,8 @@ def check_grid_outside_bad(m: PolygonModel, samples: int = 100,
                     or not sees(m, x, r1) or not sees(m, x, r2)):
                 rep.skipped += 1
                 continue
-            sg = surrounding_grid(spec, m, x, alpha)
+            if sg is None:
+                sg = surrounding_grid(spec, m, x, alpha)
             for g in sg.points:
                 rep.check(not in_bad_region(half, g),
                           f"outside_bad x={x} g={g}",

@@ -137,8 +137,12 @@ def point_in_cycle(vertices: Sequence[Point], p: Point) -> bool:
     of inputs), on the cycle and p scaled once to integers.
     """
     _, cs = cleared(p.x, p.y, *[c for v in vertices for c in (v.x, v.y)])
-    px, py = cs[0], cs[1]
-    xs, ys = cs[2::2], cs[3::2]
+    return _in_int_cycle(cs[2::2], cs[3::2], cs[0], cs[1])
+
+
+def _in_int_cycle(xs: Sequence[int], ys: Sequence[int], px: int,
+                 py: int) -> bool:
+    """``point_in_cycle`` on a cycle and a point already scaled to integers."""
     inside = False
     ax, ay = xs[-1], ys[-1]
     for bx, by in zip(xs, ys):

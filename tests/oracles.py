@@ -9,10 +9,27 @@ computation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 from typing import List, Tuple
 
-from gridguards.geometry import Point, cross, dot, pt
+from gridguards.geometry import (
+    Point,
+    cross,
+    dist_sq,
+    dot,
+    orient,
+    pt,
+    segment_intersection_point,
+    segments_intersect,
+)
+from gridguards.grid import (
+    CASE_BOUNDARY,
+    CASE_CORNER,
+    CASE_INTERIOR,
+    NoGridPointNearby,
+    SurroundingGrid,
+)
+from gridguards.polygon import PointOutsidePolygon, point_in_polygon
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -292,3 +309,90 @@ def visibility_polygon_ref(m, x: Point):
     windows = tuple(i for i, (p, q) in enumerate(ends)
                     if not on_polygon_edge(p, q))
     return boundary, windows
+
+
+_RING_CAP = 64
+
+
+def round_to_grid_ref(spec, m, x: Point) -> Point:
+    """``grid.round_to_grid`` on Fraction points: every candidate grid point
+    is built as a Point, tested by ``point_in_polygon`` and compared by its
+    Fraction distance and key; a ring search stops once the best distance
+    is at most the ring's own radius."""
+    if not point_in_polygon(m, x):
+        raise PointOutsidePolygon(f"{x} outside polygon")
+    w = spec.w
+    iu, iv = floor(x.x / w), floor(x.y / w)
+    best = None
+    for ring in range(_RING_CAP):
+        lo_i, hi_i = iu - ring, iu + 1 + ring
+        lo_j, hi_j = iv - ring, iv + 1 + ring
+        if ring == 0:
+            cells = [(i, j) for i in (lo_i, hi_i) for j in (lo_j, hi_j)]
+        else:
+            cells = ([(i, lo_j) for i in range(lo_i, hi_i + 1)]
+                     + [(i, hi_j) for i in range(lo_i, hi_i + 1)]
+                     + [(lo_i, j) for j in range(lo_j + 1, hi_j)]
+                     + [(hi_i, j) for j in range(lo_j + 1, hi_j)])
+        for i, j in cells:
+            g = Point(i * w, j * w)
+            if not point_in_polygon(m, g):
+                continue
+            cand = (dist_sq(x, g), g.key(), g)
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+        if best is not None and best[0] <= (ring * w) ** 2:
+            return best[2]
+    if best is not None:
+        return best[2]
+    raise NoGridPointNearby(f"no in-polygon grid point within "
+                            f"{_RING_CAP} rings of {x}")
+
+
+def surrounding_grid_ref(spec, m, x: Point, alpha) -> SurroundingGrid:
+    """``grid.surrounding_grid`` on Fraction points: the same isoceles
+    triangle, classified and cut against the polygon edges by the Fraction
+    predicates, every defining point rounded by ``round_to_grid_ref``."""
+    alpha = Fraction(alpha)
+    if not (0 < alpha <= Fraction(1, m.L ** 2)):
+        raise ValueError("alpha must be in (0, L^-2]")
+    if not point_in_polygon(m, x):
+        raise PointOutsidePolygon(f"{x} outside polygon")
+    tri = (x + pt(0, alpha),
+           x + Point(-3 * alpha / 4, -alpha / 2),
+           x + Point(3 * alpha / 4, -alpha / 2))
+    tri_edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
+
+    def in_triangle(p: Point) -> bool:
+        return all(orient(a, b, p) >= 0 for a, b in tri_edges)
+
+    enclosed = [v for v in m.vertices if in_triangle(v)]
+    crossing = any(segments_intersect(a, b, c, d)
+                   for a, b in m.edges() for c, d in tri_edges)
+    inside_edge_end = any(in_triangle(a) for a, _ in m.edges())
+    if enclosed:
+        case = CASE_CORNER
+    elif crossing or inside_edge_end:
+        case = CASE_BOUNDARY
+    else:
+        case = CASE_INTERIOR
+    defining = [v for v in tri if point_in_polygon(m, v)]
+    if case != CASE_INTERIOR:
+        for a, b in m.edges():
+            for c, d in tri_edges:
+                p = segment_intersection_point(a, b, c, d)
+                if p is not None:
+                    defining.append(p)
+    points = []
+    for p in defining:
+        g = round_to_grid_ref(spec, m, p)
+        if g not in points:
+            points.append(g)
+    if case == CASE_CORNER:
+        points += [v for v in enclosed if v not in points]
+    limit = Fraction(1, m.L) ** 2
+    near = [(dist_sq(x, r), i) for i, r in enumerate(m.vertices)
+            if dist_sq(x, r) <= limit]
+    starred = m.vertices[min(near)[1]] if near else None
+    return SurroundingGrid(center=x, case=case, points=tuple(points),
+                           starred=starred, inscribed_triangle=tri)

@@ -38,6 +38,7 @@ from gridguards.polygon import (
     load_polygon,
     opposite_reflex_pairs,
     point_in_polygon,
+    triangulate,
 )
 from gridguards.solver import (
     STRATEGY_ADAPTIVE,
@@ -173,7 +174,7 @@ def test_criterion_4_local_visibility_outside_bad_regions():
                        for p in opposite_reflex_pairs(m)]
             rng = random.Random(4)
             accepted = 0
-            for x in _interior_points(m, 120, rng):
+            for x in _interior_points(triangulate(m), 120, rng):
                 if any(in_bad_region(r, x) for r in regions):
                     continue
                 rep = check_local_visibility(m, x, alpha, s,
@@ -244,7 +245,7 @@ def test_criterion_7_visibility_oracle_equivalence():
             m = random_polygon(n, 20, seed=seed)
             rng = random.Random(seed)
             seed += 1
-            for x in _interior_points(m, 3, rng):
+            for x in _interior_points(triangulate(m), 3, rng):
                 vp = visibility_polygon(m, x)
                 assert vp.area() == visibility_area_oracle(
                     list(m.vertices), x)

@@ -6,6 +6,11 @@ candidate-witness pair, the channel ones with the arrangement's earlier
 clearance-offset witnesses.  Any change to the kernel, the arrangement or
 the solver must reproduce it exactly.
 
+``golden/lemmas-*-seed1.json`` pins the ``verify-lemmas`` reports of the
+three benchmark fixtures at 16 samples and of the pinhole bad-region probe,
+as the Fraction grid rounding wrote them.  The probe's violation text names
+the surrounding-grid points, so it also pins their order.
+
 ``golden/arrangement-digests.json`` pins the arrangement of five
 visibility overlays (the four ``certify`` benchmark inputs at seed 0 and
 the comb-3 solve overlay) by a sha256 of its nodes, edges, face cycles
@@ -45,6 +50,24 @@ def test_solve_json_matches_golden(tmp_path, name, seed):
     assert main(["solve", str(poly), "--seed", str(seed),
                  "-o", str(out)]) == 0
     expected = GOLDEN / f"solve-{name}-seed{seed}.json"
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("name", ("channel", "deshpande", "blocking"))
+def test_lemma_reports_match_golden(tmp_path, name):
+    out = tmp_path / "lemmas.json"
+    assert main(["verify-lemmas", "--fixture", name, "--samples", "16",
+                 "--seed", "1", "-o", str(out)]) == 0
+    expected = GOLDEN / f"lemmas-{name}-seed1.json"
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_bad_region_probe_matches_golden(tmp_path):
+    out = tmp_path / "probe.json"
+    assert main(["verify-lemmas", "--fixture", "deshpande",
+                 "--check", "local-visibility", "--at", "bad-region",
+                 "--seed", "1", "-o", str(out)]) == 4
+    expected = GOLDEN / "lemmas-bad-region-probe-seed1.json"
     assert out.read_bytes() == expected.read_bytes()
 
 

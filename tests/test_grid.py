@@ -1,12 +1,18 @@
 """Grid rounding, surrounding grid points, guard replacement, coverage."""
 
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridguards.generate import channel, comb
+from gridguards.generate import (
+    blocking_fixture,
+    channel,
+    comb,
+    counterexample_polygon,
+)
 from gridguards.geometry import Point, dist_sq, pt
 from gridguards.grid import (
     CASE_BOUNDARY,
@@ -14,6 +20,7 @@ from gridguards.grid import (
     CASE_INTERIOR,
     Covered,
     GridSpec,
+    NoGridPointNearby,
     Uncovered,
     grid_replacement,
     guard_set,
@@ -21,8 +28,10 @@ from gridguards.grid import (
     surrounding_grid,
     verify_coverage,
 )
-from gridguards.polygon import PointOutsidePolygon, load_polygon
+from gridguards.polygon import PointOutsidePolygon, load_polygon, triangulate
 from gridguards.visibility import sees
+
+from oracles import round_to_grid_ref, surrounding_grid_ref
 
 
 def square():
@@ -224,3 +233,187 @@ def test_round_to_grid_is_nearest_among_cell_corners(dx, dy):
     g = round_to_grid(spec, m, x)
     corners = [Point(4 + i * w, 4 + j * w) for i in (0, 1) for j in (0, 1)]
     assert dist_sq(x, g) == min(dist_sq(x, c) for c in corners)
+
+
+# Differential tests of the lattice rounding and the integer surrounding
+# grid against the Fraction references in oracles.py.
+
+# "thin" is a triangle of area 1/2: on a coarse grid its only grid points
+# may be its vertices, several rings away from a point inside it
+MODELS = {"channel": channel(), "deshpande": counterexample_polygon(),
+          "blocking": blocking_fixture()[0], "comb3": comb(3),
+          "thin": load_polygon([(1, 1), (9, 2), (8, 2)])}
+TRIANGLES = {name: triangulate(m) for name, m in MODELS.items()}
+unit = st.fractions(min_value=0, max_value=1, max_denominator=97)
+signed = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
+                      max_denominator=97)
+
+
+def outcome(f, *args):
+    """The result of f, or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except (PointOutsidePolygon, NoGridPointNearby) as e:
+        return type(e), str(e)
+
+
+def triangle_offsets(alpha):
+    """The corners of surrounding_grid's triangle, relative to its x."""
+    return (Point(0, alpha), Point(-3 * alpha / 4, -alpha / 2),
+            Point(3 * alpha / 4, -alpha / 2))
+
+
+@st.composite
+def probes(draw):
+    """(model, grid spec, alpha, point): a point in P, on an edge, near an
+    edge, within alpha of a vertex or with a corner of surrounding_grid's
+    triangle on an edge, possibly moved onto the grid, a cell centre or a
+    cell-edge midpoint of the spec (which may leave P)."""
+    name = draw(st.sampled_from(sorted(MODELS)))
+    m = MODELS[name]
+    # the theorem's grid L^-E, and coarse ones whose nearest cell corners
+    # may lie outside P, so that the ring search goes past ring 0
+    spec = GridSpec(E=draw(st.integers(1, 4)),
+                    L=draw(st.sampled_from((m.L, 1, 2, 3))))
+    alpha = draw(st.sampled_from((Fraction(1, m.L ** 2),
+                                  Fraction(1, 3 * m.L ** 3),
+                                  Fraction(1, 16 * m.L ** 4),
+                                  Fraction(1, m.L ** 7))))
+    kind = draw(st.sampled_from(("interior", "edge", "near-edge", "vertex",
+                                 "touch")))
+    k = draw(st.integers(0, m.n - 1))
+    a, b = m.vertices[k], m.vertices[(k + 1) % m.n]
+    if kind == "interior":
+        p, q, r = draw(st.sampled_from(TRIANGLES[name]))
+        u, v = draw(unit), draw(unit)
+        if u + v > 1:
+            u, v = 1 - u, 1 - v
+        x = p + (q - p).scaled(u) + (r - p).scaled(v)
+    elif kind == "edge":
+        x = a + (b - a).scaled(draw(unit))
+    elif kind == "near-edge":
+        # inward normal of a counterclockwise edge, a fraction of alpha long
+        d = b - a
+        step = alpha * draw(unit) / (abs(d.x) + abs(d.y))
+        x = a + d.scaled(draw(unit)) + Point(-d.y, d.x).scaled(step)
+    elif kind == "vertex":
+        x = a + Point(alpha * draw(signed), alpha * draw(signed))
+    else:
+        # one corner of the triangle of surrounding_grid exactly on the edge
+        corner = draw(st.sampled_from(triangle_offsets(alpha)))
+        x = a + (b - a).scaled(draw(unit)) - corner
+    D = spec.L ** spec.E
+    i, j = floor(x.x * D), floor(x.y * D)
+    half = Fraction(1, 2)
+    x = draw(st.sampled_from((
+        x, Point(Fraction(i, D), Fraction(j, D)),
+        Point((i + half) / D, (j + half) / D),
+        Point((i + half) / D, Fraction(j, D)),
+        Point(Fraction(i, D), (j + half) / D))))
+    return m, spec, alpha, x
+
+
+@given(probes())
+@settings(max_examples=300, deadline=None)
+def test_round_to_grid_matches_fraction_reference(probe):
+    m, spec, _, x = probe
+    assert outcome(round_to_grid, spec, m, x) == outcome(
+        round_to_grid_ref, spec, m, x)
+
+
+@given(probes())
+@settings(max_examples=200, deadline=None)
+def test_surrounding_grid_matches_fraction_reference(probe):
+    m, spec, alpha, x = probe
+    assert outcome(surrounding_grid, spec, m, x, alpha) == outcome(
+        surrounding_grid_ref, spec, m, x, alpha)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_surrounding_grid_matches_reference_at_every_vertex_and_edge(name):
+    # fixed sweep of the Corner and touching cases: x within alpha of each
+    # vertex, and each corner of the triangle exactly on each edge (at its
+    # start and a third along it), so that edge order, vertical and
+    # horizontal edges and crossings at an edge's ends all occur
+    m = MODELS[name]
+    spec = GridSpec(E=2, L=m.L)
+    alpha = Fraction(1, m.L ** 2)
+    steps = (-alpha / 2, 0, alpha / 2)
+    for k, a in enumerate(m.vertices):
+        b = m.vertices[(k + 1) % m.n]
+        xs = [a + Point(dx, dy) for dx in steps for dy in steps]
+        xs += [a + (b - a).scaled(t) - c
+               for t in (Fraction(0), Fraction(1, 3))
+               for c in triangle_offsets(alpha)]
+        for x in xs:
+            assert outcome(surrounding_grid, spec, m, x, alpha) == outcome(
+                surrounding_grid_ref, spec, m, x, alpha), x
+
+
+def test_round_to_grid_searches_a_ring_that_can_hold_a_nearer_point():
+    # on the unit grid this triangle's only grid points are its vertices;
+    # ring 0 holds (5, 6) at squared distance 1.42 > 1, so ring 1 must be
+    # searched, and its (4, 4) is nearer, at 1.12
+    m = load_polygon([(4, 4), (5, 7), (5, 6)])
+    spec = GridSpec(E=1, L=1)
+    x = Point(Fraction(135, 31), Fraction(5))
+    assert round_to_grid(spec, m, x) == pt(4, 4)
+    assert round_to_grid_ref(spec, m, x) == pt(4, 4)
+
+
+def test_surrounding_grid_star_vertex_at_exactly_one_over_l():
+    m = square()
+    spec = GridSpec(E=2, L=m.L)
+    alpha = Fraction(1, m.L ** 2)
+    for offset, starred in ((Point(Fraction(3, 5 * m.L), Fraction(4, 5 * m.L)),
+                             pt(1, 1)),
+                            (Point(Fraction(3, 5 * m.L) + alpha,
+                                   Fraction(4, 5 * m.L)), None)):
+        x = pt(1, 1) + offset
+        sg = surrounding_grid(spec, m, x, alpha)
+        assert sg.starred == starred
+        assert sg == surrounding_grid_ref(spec, m, x, alpha)
+
+
+# triangles of area 1/2 whose only integer points are their vertices, more
+# than 64 unit cells long: along an axis and along the diagonal
+SLIVERS = (load_polygon([(1, 1), (200, 2), (199, 2)]),
+           load_polygon([(1, 1), (101, 100), (100, 99)]))
+
+
+@given(st.sampled_from(SLIVERS), unit, unit)
+@settings(max_examples=30, deadline=None)
+def test_round_to_grid_ring_budget_matches_reference(m, u, v):
+    # on the unit grid the middle of the first sliver is more than 64 rings
+    # from any of its grid points, so the search raises; in the middle of
+    # the second a vertex lies within ring 63 but more than 64 cells away,
+    # so the budget returns it without the stopping rule
+    spec = GridSpec(E=1, L=1)
+    a, b, c = m.vertices
+    if u + v > 1:
+        u, v = 1 - u, 1 - v
+    x = a + (b - a).scaled(u) + (c - a).scaled(v)
+    assert outcome(round_to_grid, spec, m, x) == outcome(
+        round_to_grid_ref, spec, m, x)
+
+
+def test_round_to_grid_ring_budget():
+    spec = GridSpec(E=1, L=1)
+    centre = Point(Fraction(400, 3), Fraction(5, 3))
+    for f in (round_to_grid, round_to_grid_ref):
+        with pytest.raises(NoGridPointNearby):
+            f(spec, SLIVERS[0], centre)
+    # ring 49 holds (100, 99) at distance 69.3 > 64, and no other grid
+    # point of the sliver is within ring 63
+    centre = Point(Fraction(203, 4), Fraction(201, 4))
+    for f in (round_to_grid, round_to_grid_ref):
+        assert f(spec, SLIVERS[1], centre) == pt(100, 99)
+
+
+def test_surrounding_grid_rejects_outside_point():
+    m = comb(3)
+    spec = GridSpec(E=2, L=m.L)
+    slit = Point(Fraction(5, 2), Fraction(4))
+    for f in (surrounding_grid, surrounding_grid_ref):
+        with pytest.raises(PointOutsidePolygon):
+            f(spec, m, slit, Fraction(1, m.L ** 2))
