@@ -11,6 +11,9 @@ the left of their half-edges).  A face is bounded by its own walk and by
 whole other connected components (its holes), so a ray from a vertex of
 the walk into the face stays inside it up to its first hit on those
 edges; each bounded face's representative is the midpoint of that stretch.
+The ray is shot on integers: the walk's triples and those of the other
+components are brought over the lcm of their W, and one Point is built
+per representative.
 """
 
 from __future__ import annotations
@@ -18,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .geometry import (
     GeometryError,
     Point,
     cleared,
-    ray_segment_params,
     sort_directions_ccw,
 )
 
@@ -83,6 +85,36 @@ def _split_points(segs: List[Tuple[Tuple[int, int], Tuple[int, int]]]
     return splits
 
 
+def _first_hit(ox: int, oy: int, mx: int, my: int,
+               segs: List[Tuple[int, int, int, int]]
+               ) -> Optional[Tuple[int, int]]:
+    """The smallest t > 0 at which (ox, oy) + t (mx, my) meets one of the
+    segments (ax, ay, bx, by), as (numerator, denominator), or None.
+
+    A collinear segment is met at the projections of its ends.
+    """
+    best = None
+    for ax, ay, bx, by in segs:
+        fx, fy = ax - ox, ay - oy
+        ex, ey = bx - ax, by - ay
+        den = mx * ey - my * ex
+        if den == 0:
+            if mx * fy - my * fx:
+                continue
+            dd = mx * mx + my * my
+            hits = [(n, dd) for n in (fx * mx + fy * my,
+                                      (bx - ox) * mx + (by - oy) * my)]
+        else:
+            tn, un = fx * ey - fy * ex, fx * my - fy * mx
+            if den < 0:
+                den, tn, un = -den, -tn, -un
+            hits = [(tn, den)] if 0 <= un <= den else []
+        for n, d in hits:
+            if n > 0 and (best is None or n * best[1] < best[0] * d):
+                best = (n, d)
+    return best
+
+
 def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
     """Planar subdivision induced by the segments (assumed nonempty)."""
     # endpoints over one denominator s, so triple (X, Y, W) is the point
@@ -135,7 +167,9 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
 
     for u, v in edges:
         parent[find(u)] = find(v)
-    others: Dict[int, List[Tuple[Point, Point]]] = {}  # by component root
+    # by component root: the edges of the other components, and the lcm
+    # of their nodes' W
+    others: Dict[int, Tuple[List[Tuple[int, int]], int]] = {}
 
     axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     fans: Dict[int, List[Tuple[int, int]]] = {}  # walls and axes, by node
@@ -174,18 +208,30 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
             fans[u] = sort_directions_ccw(walls[u] + axes)
         fan = fans[u]
         d1 = fan[(fan.index(d0) + 1) % len(fan)]
-        mid = Point(Fraction(d0[0] + d1[0]), Fraction(d0[1] + d1[1]))
+        mx, my = d0[0] + d1[0], d0[1] + d1[1]
         r = find(u)
         if r not in others:
-            others[r] = [(nodes[a], nodes[b]) for a, b in edges
-                         if find(a) != r]
-        bounds = [(nodes[a], nodes[b]) for a, b in walk] + others[r]
-        hits = [t for a, b in bounds
-                for t in ray_segment_params(nodes[u], mid, a, b) if t > 0]
-        if not hits:
+            ends = [(a, b) for a, b in edges if find(a) != r]
+            others[r] = (ends, lcm(*[triples[a][2] for e in ends for a in e]))
+        ends, wr = others[r]
+        # the walk and the other components over one denominator Q, so
+        # node k is (px[k], py[k]) / (Q s); the ray is shot on integers
+        Q = lcm(q, wr)
+        px, py = {}, {}
+        for k in [a for a, _ in walk] + [a for e in ends for a in e]:
+            X, Y, W = triples[k]
+            px[k], py[k] = X * (Q // W), Y * (Q // W)
+        hit = _first_hit(px[u], py[u], mx, my,
+                         [(px[a], py[a], px[b], py[b])
+                          for a, b in walk + ends])
+        if hit is None:
             raise GeometryError(
                 f"ray from {nodes[u]} into a bounded face meets no edge")
-        reps.append(nodes[u] + mid.scaled(min(hits) / 2))
+        # node u + (mx, my) t / 2 for the hit's t = n / den in this frame
+        n, den = hit
+        w = 2 * den * Q * s
+        reps.append(Point(Fraction(2 * den * px[u] + n * mx, w),
+                          Fraction(2 * den * py[u] + n * my, w)))
 
     return Arrangement(
         nodes=nodes, edges=[(nodes[u].key(), nodes[v].key()) for u, v in edges],

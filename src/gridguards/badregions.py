@@ -105,24 +105,6 @@ def in_bad_region(region: BadRegion, x: Point) -> bool:
     return any(w.contains(x) for w in region.wedges)
 
 
-def max_dist_to_supporting_line(region: BadRegion) -> Scalar:
-    """Upper bound on squared distance from region points to ell(r1, r2).
-
-    Within a wedge, perpendicular distance is below s times the along-line
-    distance from the apex; the along-line distance inside P is maximized
-    at a polygon vertex, so the supremum is computed over vertices.
-    """
-    m = region.model
-    best = Fraction(0)
-    for w in region.wedges:
-        dd = dot(w.outward, w.outward)
-        along_max = max(dot(w.outward, v - w.apex) for v in m.vertices)
-        if along_max <= 0:
-            continue
-        best = max(best, region.s ** 2 * along_max ** 2 / dd)
-    return best
-
-
 @dataclass
 class TripleIntersectionReport:
     s: Scalar

@@ -2,8 +2,9 @@
 
 Kernel invariant: coordinates are ``fractions.Fraction`` at every API
 boundary, the hot predicates (``orient``, ``point_on_segment``,
-``ray_segment_params``, ``segment_intersection_point`` and
-``polygon.point_in_cycle``) decide on integers obtained by clearing the
+``ray_segment_params``, ``segment_intersection_point``,
+``polygon.point_in_cycle``, and ``polygon._segment_inside`` behind
+``segment_in_polygon`` and ``visibility.sees``) decide on integers obtained by clearing the
 denominators of the few coordinates involved, and no float is ever used.
 The two overlay constructions, ``visibility.visibility_polygon`` and
 ``arrangement.build_arrangement``, each clear their whole input once and
@@ -29,10 +30,6 @@ CoordLike = Union[int, str, Fraction]
 
 class GeometryError(Exception):
     """Base class for geometric construction errors."""
-
-
-class IdenticalDirectionError(GeometryError):
-    """Two lines share a direction, so the angle between them is zero."""
 
 
 class DegenerateConeError(GeometryError):
@@ -210,13 +207,6 @@ IDENTICAL = Identical()
 LineMeet = Union[Point, Parallel, Identical]
 
 
-def dist_sq_point_line(v: Point, ell: DirectedLine) -> Scalar:
-    """Exact squared distance from v to the infinite line (cross^2 / |d|^2)."""
-    d = ell.direction()
-    c = cross(d, v - ell.a)
-    return (c * c) / dot(d, d)
-
-
 def line_intersection(l1: DirectedLine, l2: DirectedLine) -> LineMeet:
     """Unique intersection point, or the Parallel / Identical classification.
 
@@ -229,27 +219,6 @@ def line_intersection(l1: DirectedLine, l2: DirectedLine) -> LineMeet:
         return IDENTICAL if l1.contains(l2.a) else PARALLEL
     t = cross(l2.a - l1.a, d2) / denom
     return l1.a + d1.scaled(t)
-
-
-def tan_angle_between_cmp(l1: DirectedLine, l2: DirectedLine,
-                          threshold: Scalar) -> int:
-    """Compare tan of the smaller angle between two lines against a threshold.
-
-    Returns -1 / 0 / +1 for less / equal / greater.  A zero dot product means
-    the angle is pi/2 and tan is infinite, so the result is +1 for any finite
-    threshold.  Lines with identical direction have no angle between them.
-    """
-    d1 = l1.direction()
-    d2 = l2.direction()
-    c = cross(d1, d2)
-    if c == 0:
-        raise IdenticalDirectionError("lines share a direction")
-    dp = dot(d1, d2)
-    if dp == 0:
-        return 1
-    tan = abs(c) / abs(dp)
-    t = Fraction(threshold)
-    return (tan > t) - (tan < t)
 
 
 @dataclass(frozen=True)

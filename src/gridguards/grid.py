@@ -299,13 +299,26 @@ CoverageResult = Union[Covered, Uncovered]
 
 def verify_coverage(m: PolygonModel, g: GuardSet) -> CoverageResult:
     """Exact coverage decision via one witness per face of the visibility
-    overlay (visibility is constant on each open face)."""
+    overlay (visibility is constant on each open face).
+
+    The witnesses are checked in face order, and each asks first the guard
+    that saw the previous one (move-to-front): consecutive faces are often
+    seen by the same guard.  Whether some guard sees a witness does not
+    depend on the order in which the guards are asked, and the witness
+    order is fixed, so the result, and the uncovered witness it names, are
+    those of a scan in any fixed guard order.
+    """
     from .arrangement import build_arrangement
     if not g.guards:
         return Uncovered(witness=m.vertices[0])
     arr = build_arrangement(
         overlay_segments(m, [visibility_polygon(m, x) for x in g.guards]))
+    guards = list(g.guards)
     for wpt in arr.representatives:
-        if not any(sees(m, x, wpt) for x in g.guards):
+        for i, x in enumerate(guards):
+            if sees(m, x, wpt):
+                guards.insert(0, guards.pop(i))
+                break
+        else:
             return Uncovered(witness=wpt)
     return Covered()

@@ -8,8 +8,7 @@ is the largest coordinate, drives every distance bound downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .geometry import (
@@ -20,7 +19,6 @@ from .geometry import (
     orient,
     polygon_signed_area2,
     pt,
-    ray_segment_params,
     segments_intersect,
 )
 
@@ -160,27 +158,59 @@ def _in_int_cycle(xs: Sequence[int], ys: Sequence[int], px: int,
 
 def segment_in_polygon(m: PolygonModel, a: Point, b: Point) -> bool:
     """True iff the closed segment ab lies entirely in the closed polygon."""
-    if not point_in_polygon(m, a) or not point_in_polygon(m, b):
+    try:
+        return _segment_inside(m, a, b)
+    except PointOutsidePolygon:
         return False
-    return _segment_inside(m, a, b)
 
 
 def _segment_inside(m: PolygonModel, a: Point, b: Point) -> bool:
-    """``segment_in_polygon`` for endpoints already known to be in P."""
-    if a == b:
+    """True iff the closed segment ab lies in the closed polygon; raises
+    PointOutsidePolygon naming the first endpoint outside it.
+
+    a, b and the vertices are scaled once to integers.  Every point where
+    ab meets an edge is a + t (b - a) with t an integer ratio; between
+    consecutive such t the segment is either inside or outside, so it
+    stays in P iff every gap's midpoint does.  With all t over one common
+    denominator q, each midpoint is an integer point once the cycle is
+    scaled by 2 q.
+    """
+    _, cs = cleared(a.x, a.y, b.x, b.y,
+                    *[c for v in m.vertices for c in (v.x, v.y)])
+    ox, oy, bx, by = cs[:4]
+    xs, ys = cs[4::2], cs[5::2]
+    for p, px, py in ((a, ox, oy), (b, bx, by)):
+        if not _in_int_cycle(xs, ys, px, py):
+            raise PointOutsidePolygon(f"{p} outside polygon")
+    dx, dy = bx - ox, by - oy
+    if not (dx or dy):
         return True
-    d = b - a
-    ts = {Fraction(0), Fraction(1)}
-    for c, e in m.edges():
-        for t in ray_segment_params(a, d, c, e):
-            if 0 <= t <= 1:
-                ts.add(t)
-    ordered = sorted(ts)
-    for t0, t1 in zip(ordered, ordered[1:]):
-        mid = a + d.scaled((t0 + t1) / 2)
-        if not point_in_polygon(m, mid):
-            return False
-    return True
+    dd = dx * dx + dy * dy
+    ts = [(0, 1), (1, 1)]   # (numerator, denominator) of each t in [0, 1]
+    fx, fy = xs[-1] - ox, ys[-1] - oy
+    for gx, gy in zip(xs, ys):
+        gx, gy = gx - ox, gy - oy   # the edge f -> g, relative to a
+        ex, ey = gx - fx, gy - fy
+        den = dx * ey - dy * ex
+        if den == 0:
+            if dx * fy - dy * fx == 0:
+                # collinear: project the edge's ends onto the segment
+                ts += [(n, dd) for n in (fx * dx + fy * dy, gx * dx + gy * dy)
+                       if 0 <= n <= dd]
+        else:
+            tn, un = fx * ey - fy * ex, fx * dy - fy * dx
+            if den < 0:
+                den, tn, un = -den, -tn, -un
+            if 0 <= tn <= den and 0 <= un <= den:
+                ts.append((tn, den))
+        fx, fy = gx, gy
+    q = lcm(*[t // gcd(n, t) for n, t in ts])
+    ns = sorted({n * q // t for n, t in ts})
+    w = 2 * q
+    wxs, wys = [x * w for x in xs], [y * w for y in ys]
+    return all(_in_int_cycle(wxs, wys, w * ox + (n0 + n1) * dx,
+                             w * oy + (n0 + n1) * dy)
+               for n0, n1 in zip(ns, ns[1:]))
 
 
 def reflex_vertices(m: PolygonModel) -> List[int]:
@@ -196,7 +226,6 @@ def _line_key(a: Point, b: Point) -> Tuple[int, int, int]:
 
     Assumes integer vertex coordinates (guaranteed after load_polygon).
     """
-    from math import gcd
     A = int(b.y - a.y)
     B = int(a.x - b.x)
     C = A * int(a.x) + B * int(a.y)

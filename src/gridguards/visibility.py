@@ -1,4 +1,4 @@
-"""Exact visibility: point-to-point tests, visibility polygons, star triangles.
+"""Exact visibility: segment tests, visibility polygons, visible sub-segments.
 
 Visibility is closed: a segment that grazes the boundary still counts, since
 the whole pipeline reasons about closed regions.  The visibility polygon is
@@ -24,10 +24,7 @@ from .geometry import (
     Segment,
     cleared,
     cross,
-    dist_sq,
-    dot,
     orient,
-    pt,
     ray_segment_params,
     sort_directions_ccw,
 )
@@ -57,54 +54,11 @@ class VisibilityPolygon:
         return polygon_area(self.boundary)
 
 
-@dataclass(frozen=True)
-class StarTriangle:
-    apex: Point
-    u: Point
-    v: Point
-    triangle: Tuple[Point, Point, Point]
-
-
-@dataclass(frozen=True)
-class GridCone:
-    """Union of rays from ``apex`` through the visible part of seg(u, v)."""
-
-    apex: Point
-    u: Point
-    v: Point
-    subsegments: Tuple[Segment, ...]
-
-    @property
-    def empty(self) -> bool:
-        return not self.subsegments
-
-    def contains(self, p: Point) -> bool:
-        if p == self.apex:
-            return True
-        w = p - self.apex
-        for s in self.subsegments:
-            da = s.a - self.apex
-            db = s.b - self.apex
-            c = cross(da, db)
-            if c < 0:
-                da, db = db, da
-                c = -c
-            if c == 0:
-                # apex collinear with the subsegment: the cone is a single ray
-                if cross(da, w) == 0 and dot(da, w) > 0:
-                    return True
-                continue
-            if cross(da, w) >= 0 and cross(w, db) >= 0:
-                return True
-        return False
-
-
 def sees(m: PolygonModel, x: Point, y: Point) -> bool:
-    """True iff the closed segment xy stays inside the closed polygon."""
-    if not point_in_polygon(m, x):
-        raise PointOutsidePolygon(f"{x} outside polygon")
-    if not point_in_polygon(m, y):
-        raise PointOutsidePolygon(f"{y} outside polygon")
+    """True iff the closed segment xy stays inside the closed polygon.
+
+    Raises PointOutsidePolygon when x, or else y, lies outside it.
+    """
     return _segment_inside(m, x, y)
 
 
@@ -252,42 +206,6 @@ def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
                              window_edges=windows)
 
 
-def _visible_vertex_on_ray(m: PolygonModel, x: Point, p: Point) -> Point:
-    """Nearest polygon vertex on ray(x, p) visible from x, defaulting to p."""
-    d = p - x
-    best = None
-    for w in m.vertices:
-        vw = w - x
-        if vw == pt(0, 0) or cross(d, vw) != 0 or dot(d, vw) <= 0:
-            continue
-        if sees(m, x, w):
-            if best is None or dist_sq(x, w) < dist_sq(x, best):
-                best = w
-    return best if best is not None else p
-
-
-def star_triangles(m: PolygonModel, x: Point) -> List[StarTriangle]:
-    """Fan decomposition of Vis(x) into triangles with apex x.
-
-    Triangles partition the visibility region up to shared edges; u and v
-    are the visible polygon vertices on the bounding rays of each fan piece.
-    """
-    vp = visibility_polygon(m, x)
-    out: List[StarTriangle] = []
-    b = vp.boundary
-    nb = len(b)
-    for i in range(nb):
-        a, c = b[i], b[(i + 1) % nb]
-        if orient(x, a, c) == 0:
-            continue
-        out.append(StarTriangle(
-            apex=x,
-            u=_visible_vertex_on_ray(m, x, a),
-            v=_visible_vertex_on_ray(m, x, c),
-            triangle=(x, a, c)))
-    return out
-
-
 def cone_of(x: Point, u: Point, v: Point) -> Cone:
     """Convex cone with apex x bounded by ray(x, u) and ray(x, v)."""
     if x == u or x == v or u == v:
@@ -343,8 +261,3 @@ def visible_subsegments(m: PolygonModel, g: Point, u: Point,
         prev_t1 = t1
     return out
 
-
-def grid_cone(m: PolygonModel, g: Point, u: Point, v: Point) -> GridCone:
-    """Cone of g toward the visible part of seg(u, v)."""
-    subs = visible_subsegments(m, g, u, v) if u != v else []
-    return GridCone(apex=g, u=u, v=v, subsegments=tuple(subs))

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import List, Tuple
 
+from gridguards.arrangement import build_arrangement
 from gridguards.geometry import (
     Point,
     cross,
@@ -19,6 +20,7 @@ from gridguards.geometry import (
     dot,
     orient,
     pt,
+    ray_segment_params,
     segment_intersection_point,
     segments_intersect,
 )
@@ -26,10 +28,13 @@ from gridguards.grid import (
     CASE_BOUNDARY,
     CASE_CORNER,
     CASE_INTERIOR,
+    Covered,
     NoGridPointNearby,
     SurroundingGrid,
+    Uncovered,
 )
 from gridguards.polygon import PointOutsidePolygon, point_in_polygon
+from gridguards.visibility import overlay_segments, sees, visibility_polygon
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -163,6 +168,39 @@ def segment_intersection_ref(a: Point, b: Point, c: Point, d: Point):
     if 0 <= t <= 1 and 0 <= u <= 1:
         return (a.x + ux * t, a.y + uy * t)
     return None
+
+
+def segment_inside_ref(m, a: Point, b: Point) -> bool:
+    """``polygon._segment_inside`` on Fraction points, for endpoints in P:
+    every edge's hit parameters from ``ray_segment_params``, and each gap's
+    midpoint built as a Point and tested by ``point_in_polygon``."""
+    if a == b:
+        return True
+    d = b - a
+    ts = {Fraction(0), Fraction(1)}
+    for c, e in m.edges():
+        for t in ray_segment_params(a, d, c, e):
+            if 0 <= t <= 1:
+                ts.add(t)
+    ordered = sorted(ts)
+    for t0, t1 in zip(ordered, ordered[1:]):
+        mid = a + d.scaled((t0 + t1) / 2)
+        if not point_in_polygon(m, mid):
+            return False
+    return True
+
+
+def verify_coverage_ref(m, g):
+    """``grid.verify_coverage`` asking the guards in their given order at
+    every witness."""
+    if not g.guards:
+        return Uncovered(witness=m.vertices[0])
+    arr = build_arrangement(
+        overlay_segments(m, [visibility_polygon(m, x) for x in g.guards]))
+    for wpt in arr.representatives:
+        if not any(sees(m, x, wpt) for x in g.guards):
+            return Uncovered(witness=wpt)
+    return Covered()
 
 
 # Brute-force reference for gridguards.arrangement: every pairwise

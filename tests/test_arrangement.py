@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridguards.arrangement import build_arrangement
@@ -106,7 +106,8 @@ def assert_matches_reference(segs):
     assert len(arr.representatives) == len(cycles)
     for f, (cycle, rep) in enumerate(zip(cycles, arr.representatives)):
         assert winding_inside(cycle, rep)
-        assert not any(on_segment(rep, a, b) for a, b in segs)
+        # a zero-length input segment is a point, not an edge: it is dropped
+        assert not any(on_segment(rep, a, b) for a, b in segs if a != b)
         # a cycle around rep other than its own must enclose its own face
         for g, other in enumerate(cycles):
             if g != f and winding_inside(other, rep):
@@ -150,6 +151,8 @@ def segment_scenes(draw):
 
 @given(segment_scenes())
 @settings(max_examples=60, deadline=None)
+# a zero-length chord at the centre of a hole, where its witness lies
+@example(box(0, 0, 12, 12) + [(pt(7, 4), pt(7, 4))] + box(6, 3, 8, 5))
 def test_arrangement_matches_reference(segs):
     assert_matches_reference(segs)
 
@@ -191,4 +194,5 @@ def test_overlay_faces_tile_the_polygon(make):
     assert sum(polygon_area(c) for c in arr.face_cycles) == polygon_area(
         m.vertices)
     for rep in arr.representatives:
-        assert not any(on_segment(rep, a, b) for a, b in segs)
+        # a zero-length input segment is a point, not an edge: it is dropped
+        assert not any(on_segment(rep, a, b) for a, b in segs if a != b)

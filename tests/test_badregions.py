@@ -7,10 +7,9 @@ from gridguards.badregions import (
     bad_region,
     check_no_triple_intersection,
     in_bad_region,
-    max_dist_to_supporting_line,
 )
 from gridguards.generate import channel, concurrent_pairs, triple_pairs
-from gridguards.geometry import Point, dist_sq, dist_sq_point_line, pt
+from gridguards.geometry import Point, dist_sq, pt
 from gridguards.polygon import PointOutsidePolygon, opposite_reflex_pairs
 
 
@@ -72,22 +71,6 @@ def test_embiggened_apexes_near_reflex_vertices():
     probe = r1 + (r1 - m.vertices[plain.pair.r2]).scaled(Fraction(1, 100))
     assert in_bad_region(plain, probe)
     assert in_bad_region(region, probe)
-
-
-def test_max_dist_to_supporting_line_bounds_members():
-    m, region = channel_region(Fraction(1, 10))
-    bound = max_dist_to_supporting_line(region)
-    ell = region.pair.line.line
-    r1 = m.vertices[region.pair.r1]
-    r2 = m.vertices[region.pair.r2]
-    d = r1 - r2
-    for k in (1, 3, 7):
-        probe = r1 + d.scaled(Fraction(k, 1000))
-        if in_bad_region(region, probe):
-            assert dist_sq_point_line(probe, ell) <= bound
-    # the bound scales with s^2
-    _, tighter = channel_region(Fraction(1, 100))
-    assert max_dist_to_supporting_line(tighter) == bound / 100
 
 
 def test_no_triple_intersection_clean_fixture():

@@ -1,21 +1,16 @@
 """Exact-arithmetic geometric primitives: unit cases and properties."""
 
-from fractions import Fraction
-
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gridguards.geometry import (
     DirectedLine,
     IDENTICAL,
-    IdenticalDirectionError,
     PARALLEL,
     Point,
     clip_convex_by_halfplane,
     convex_intersection,
     dist_sq,
-    dist_sq_point_line,
     line_intersection,
     orient,
     point_on_segment,
@@ -26,7 +21,6 @@ from gridguards.geometry import (
     segment_intersection_point,
     segments_intersect,
     sort_directions_ccw,
-    tan_angle_between_cmp,
 )
 
 coords = st.fractions(min_value=-50, max_value=50, max_denominator=8)
@@ -69,27 +63,6 @@ def test_line_intersection_on_both_lines(a, b, c, d):
     if isinstance(p, Point):
         assert orient(a, b, p) == 0
         assert orient(c, d, p) == 0
-
-
-def test_tan_angle_cmp_perpendicular_is_greater():
-    l1 = DirectedLine(pt(0, 0), pt(1, 0))
-    l2 = DirectedLine(pt(0, 0), pt(0, 1))
-    assert tan_angle_between_cmp(l1, l2, Fraction(10 ** 9)) == 1
-
-
-def test_tan_angle_cmp_exact_threshold():
-    l1 = DirectedLine(pt(0, 0), pt(1, 0))
-    l2 = DirectedLine(pt(0, 0), pt(3, 1))  # tan = 1/3
-    assert tan_angle_between_cmp(l1, l2, Fraction(1, 3)) == 0
-    assert tan_angle_between_cmp(l1, l2, Fraction(1, 4)) == 1
-    assert tan_angle_between_cmp(l1, l2, Fraction(1, 2)) == -1
-
-
-def test_tan_angle_cmp_identical_direction_raises():
-    l1 = DirectedLine(pt(0, 0), pt(1, 1))
-    l2 = DirectedLine(pt(5, 0), pt(6, 1))
-    with pytest.raises(IdenticalDirectionError):
-        tan_angle_between_cmp(l1, l2, Fraction(1))
 
 
 @given(points, points, st.fractions(min_value=0, max_value=1,
@@ -154,12 +127,3 @@ def test_sort_directions_ccw_order():
     out = sort_directions_ccw(dirs)
     assert out == [(1, 0), (1, 1), (0, 1), (-2, 1), (-1, 0), (0, -1)]
 
-
-@given(points, points, points)
-def test_dist_sq_point_line_zero_iff_on_line(a, b, v):
-    if a == b:
-        return
-    ell = DirectedLine(a, b)
-    d = dist_sq_point_line(v, ell)
-    assert d >= 0
-    assert (d == 0) == (orient(a, b, v) == 0)

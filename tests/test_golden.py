@@ -11,6 +11,13 @@ three benchmark fixtures at 16 samples and of the pinhole bad-region probe,
 as the Fraction grid rounding wrote them.  The probe's violation text names
 the surrounding-grid points, so it also pins their order.
 
+``golden/certify-*.json`` pins the text of ``verify_coverage`` results
+(``Covered``, or ``Uncovered x y`` with the witness) as the Fraction
+``sees`` and the fixed guard order wrote them: the four ``certify``
+benchmark cases at seeds 1-3, rebuilt here from the same placement and
+cell-centre recipe, and every single-vertex and the all-vertex guard set
+on comb 3, channel and the pinhole polygon.
+
 ``golden/arrangement-digests.json`` pins the arrangement of five
 visibility overlays (the four ``certify`` benchmark inputs at seed 0 and
 the comb-3 solve overlay) by a sha256 of its nodes, edges, face cycles
@@ -19,6 +26,7 @@ and representatives, in order, as the Fraction arrangement wrote them.
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,10 +34,17 @@ import pytest
 
 from gridguards.arrangement import build_arrangement
 from gridguards.cli import main
-from gridguards.generate import channel, comb, random_polygon
+from gridguards.generate import (
+    channel,
+    comb,
+    counterexample_polygon,
+    random_polygon,
+)
 from gridguards.geometry import pt
+from gridguards.grid import Covered, guard_set, verify_coverage
 from gridguards.persistence import write_polygon
 from gridguards.polygon import load_polygon
+from gridguards.solver import default_candidates
 from gridguards.visibility import overlay_segments, visibility_polygon
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,6 +84,84 @@ def test_bad_region_probe_matches_golden(tmp_path):
                  "--seed", "1", "-o", str(out)]) == 4
     expected = GOLDEN / "lemmas-bad-region-probe-seed1.json"
     assert out.read_bytes() == expected.read_bytes()
+
+
+def coverage_text(m, guards):
+    result = verify_coverage(m, guard_set(guards))
+    if isinstance(result, Covered):
+        return "Covered"
+    return f"Uncovered {result.witness.x} {result.witness.y}"
+
+
+def place(m, rng):
+    """``m`` under a seeded grid symmetry and shift, as the benchmark's
+    ``perfbench/workloads.py::place`` draws them."""
+    xs = [int(v.x) for v in m.vertices]
+    ys = [int(v.y) for v in m.vertices]
+    cx, cy = min(xs) + max(xs), min(ys) + max(ys)
+    swap, flip_x, flip_y = (rng.random() < 0.5 for _ in range(3))
+    dx, dy = rng.randint(0, 3), rng.randint(0, 3)
+    out = []
+    for x, y in zip(xs, ys):
+        if flip_x:
+            x = cx - x
+        if flip_y:
+            y = cy - y
+        if swap:
+            x, y = y, x
+        out.append((x + dx, y + dy))
+    return load_polygon(out)
+
+
+def cell_centres(m):
+    corners = set(m.vertices)
+    return [c for c in default_candidates(m) if c not in corners]
+
+
+def certify_workload(seed):
+    """The benchmark's ``certify`` cases at this seed: two covered sets
+    (every vertex plus every k-th cell centre) and two one-guard combs."""
+    rng = random.Random(seed)
+    cases = {}
+    for name, shape, k in (("channel", channel(), 2),
+                           ("random10", random_polygon(10, 10, seed=0), 1)):
+        m = place(shape, rng)
+        chosen = cell_centres(m)[rng.randrange(k)::k]
+        cases[name] = (m, list(m.vertices) + chosen)
+    for prongs in (2, 3):
+        m = place(comb(prongs), rng)
+        cases[f"comb{prongs}-one-guard"] = (m, [rng.choice(cell_centres(m))])
+    return cases
+
+
+def certify_vertex_guards():
+    """Each single vertex, and all vertices, as guards on three polygons."""
+    cases = {}
+    for name, m in (("comb3", comb(3)), ("channel", channel()),
+                    ("pinhole", counterexample_polygon())):
+        for i, v in enumerate(m.vertices):
+            cases[f"{name}-vertex{i}"] = (m, [v])
+        cases[f"{name}-all-vertices"] = (m, list(m.vertices))
+    return cases
+
+
+CERTIFY_GOLDEN = {
+    **{f"certify-workload-seed{s}": (lambda s=s: certify_workload(s))
+       for s in (1, 2, 3)},
+    "certify-vertex-guards": certify_vertex_guards,
+}
+
+
+def certify_json(name):
+    cases = CERTIFY_GOLDEN[name]()
+    return json.dumps({k: coverage_text(m, gs) for k, (m, gs)
+                       in cases.items()}, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_GOLDEN))
+def test_coverage_results_match_golden(name):
+    expected = GOLDEN / f"{name}.json"
+    assert certify_json(name).encode() == expected.read_bytes()
 
 
 def overlay_digest(m, viewpoints):

@@ -12,6 +12,7 @@ from gridguards.generate import (
     channel,
     comb,
     counterexample_polygon,
+    random_polygon,
 )
 from gridguards.geometry import Point, dist_sq, pt
 from gridguards.grid import (
@@ -29,9 +30,10 @@ from gridguards.grid import (
     verify_coverage,
 )
 from gridguards.polygon import PointOutsidePolygon, load_polygon, triangulate
+from gridguards.solver import default_candidates
 from gridguards.visibility import sees
 
-from oracles import round_to_grid_ref, surrounding_grid_ref
+from oracles import round_to_grid_ref, surrounding_grid_ref, verify_coverage_ref
 
 
 def square():
@@ -217,6 +219,25 @@ def test_verify_coverage_empty_guard_set():
 def test_verify_coverage_square_one_guard():
     m = square()
     assert isinstance(verify_coverage(m, guard_set([pt(3, 7)])), Covered)
+
+
+@given(st.integers(5, 8), st.integers(0, 10 ** 6), st.data())
+@settings(max_examples=25, deadline=None)
+def test_move_to_front_matches_fixed_order(n, seed, data):
+    """Asking the last seeing guard first names the same witness as asking
+    the guards in their given order, on covered and uncovered sets."""
+    m = random_polygon(n, 8, seed=seed)
+    pool = default_candidates(m)
+    if data.draw(st.booleans()):
+        # every vertex covers; shuffled cell centres join them
+        guards = list(m.vertices) + data.draw(
+            st.lists(st.sampled_from(pool), max_size=4))
+        guards = data.draw(st.permutations(guards))
+    else:
+        guards = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                    max_size=4))
+    gs = guard_set(guards)
+    assert verify_coverage(m, gs) == verify_coverage_ref(m, gs)
 
 
 offsets = st.fractions(min_value=Fraction(1, 97), max_value=Fraction(96, 97),

@@ -1,7 +1,8 @@
 """Differential tests of the integer kernel against Fraction references.
 
-The predicates in gridguards.geometry and polygon.point_in_cycle decide on
-denominator-cleared integers.  Each is checked here against the same
+The predicates in gridguards.geometry, polygon.point_in_cycle and
+visibility.sees (polygon._segment_inside) decide on denominator-cleared
+integers.  Each is checked here against the same
 formula computed directly in Fraction arithmetic (tests/oracles.py), on
 integer, half-integer and mixed-denominator coordinates, with forced
 degeneracies: collinear points, points on vertices and edges, parallel
@@ -17,7 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridguards.generate import random_polygon
+from gridguards.generate import (
+    blocking_fixture,
+    counterexample_polygon,
+    random_polygon,
+)
 from gridguards.geometry import (
     Point,
     Segment,
@@ -27,14 +32,22 @@ from gridguards.geometry import (
     ray_segment_params,
     segment_intersection_point,
 )
-from gridguards.polygon import point_in_cycle
+from gridguards.lemmas import build_counterexample
+from gridguards.polygon import (
+    PointOutsidePolygon,
+    load_polygon,
+    point_in_cycle,
+    segment_in_polygon,
+)
 from gridguards.solver import default_candidates
-from gridguards.visibility import visibility_polygon
+from gridguards.visibility import sees, visibility_polygon
 
 from oracles import (
+    naive_sees,
     on_segment,
     orient_ref,
     ray_segment_params_ref,
+    segment_inside_ref,
     segment_intersection_ref,
     visibility_area_oracle,
     winding_inside,
@@ -222,3 +235,118 @@ def test_visibility_from_boundary_matches_area_oracle(n, seed, data):
     x = along(m.vertex(i), m.vertex(i + 1), t)
     vp = visibility_polygon(m, x)
     assert vp.area() == visibility_area_oracle(list(m.vertices), x)
+
+
+# ---------------------------------------------------------------------------
+# sees in one integer frame
+
+
+def draw_endpoint(data, m, cells, grazing):
+    """A vertex, an edge point, a point on an edge's line beyond the edge,
+    a cell centre in P, a point of ``grazing`` (visibility-polygon
+    vertices), or a lattice point of the bounding box (quarter steps); the
+    last two kinds and the edge lines also fall outside P."""
+    i = data.draw(st.integers(0, m.n - 1))
+    a, b = m.vertex(i), m.vertex(i + 1)
+    kind = data.draw(st.sampled_from(
+        ["vertex", "edge", "line", "cell", "grazing", "lattice"]))
+    if kind == "vertex":
+        return a
+    if kind == "edge":
+        return along(a, b, data.draw(unit))
+    if kind == "line":
+        return along(a, b, data.draw(params))
+    if kind == "cell":
+        return data.draw(st.sampled_from(cells))
+    if kind == "grazing":
+        return data.draw(st.sampled_from(grazing))
+    xs = [int(v.x) for v in m.vertices]
+    ys = [int(v.y) for v in m.vertices]
+    return Point(Fraction(data.draw(st.integers(4 * min(xs), 4 * max(xs))), 4),
+                 Fraction(data.draw(st.integers(4 * min(ys), 4 * max(ys))), 4))
+
+
+def check_sees(m, data, extra=()):
+    verts = list(m.vertices)
+    cells = default_candidates(m)
+    x = data.draw(st.sampled_from(cells + list(extra)))
+    grazing = list(visibility_polygon(m, x).boundary) + list(extra)
+    for _ in range(6):
+        if data.draw(st.booleans()):
+            # the sightline from x to its own visibility polygon grazes
+            # the reflex vertices it passes
+            p, q = x, data.draw(st.sampled_from(grazing))
+        else:
+            p, q = (draw_endpoint(data, m, cells, grazing)
+                    for _ in range(2))
+        mode = data.draw(st.sampled_from(["as drawn", "vertex", "line"]))
+        if mode == "vertex":
+            # from p through a vertex and on: it may leave P there
+            v = data.draw(st.sampled_from(verts))
+            q = along(p, v, data.draw(st.fractions(
+                min_value=1, max_value=4, max_denominator=7)))
+        elif mode == "line":
+            # both ends on one edge's line: collinear overlaps
+            i = data.draw(st.integers(0, m.n - 1))
+            p, q = (along(m.vertex(i), m.vertex(i + 1), data.draw(params))
+                    for _ in range(2))
+        outside = [e for e in (p, q) if not winding_inside(verts, e)]
+        if outside:
+            with pytest.raises(PointOutsidePolygon) as err:
+                sees(m, p, q)
+            assert str(err.value) == f"{outside[0]} outside polygon"
+            assert not segment_in_polygon(m, p, q)
+            continue
+        expected = naive_sees(verts, p, q)
+        assert segment_inside_ref(m, p, q) == expected, (p, q)
+        assert sees(m, p, q) == expected, (p, q)
+        assert segment_in_polygon(m, p, q) == expected, (p, q)
+
+
+@given(st.integers(5, 10), st.integers(8, 12), st.integers(0, 10 ** 6),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_sees_matches_references_on_random_polygons(n, bound, seed, data):
+    check_sees(random_polygon(n, bound, seed=seed), data)
+
+
+PINHOLE = build_counterexample(3)
+
+
+@pytest.mark.parametrize("fixture", [
+    counterexample_polygon, lambda: blocking_fixture()[0]],
+    ids=["pinhole", "blocking"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_sees_matches_references_on_pinholes(fixture, data):
+    """The approach points see the wall only through the slit, and not the
+    target behind it: sightlines that pass the slit's apexes exactly."""
+    m = fixture()
+    extra = [p for p in (PINHOLE.pinhole_target,) + PINHOLE.approach_points
+             if winding_inside(list(m.vertices), p)]
+    extra += [p for lo_hi in PINHOLE.wall_intervals for p in lo_hi]
+    check_sees(m, data, extra)
+
+
+NOTCH = [(1, 1), (20, 1), (20, 10), (11, 10), (11, 3), (10, 3), (10, 10),
+         (1, 10)]
+
+
+@pytest.mark.parametrize("k", range(len(NOTCH)))
+def test_sees_through_a_notch_corner(k):
+    """A room with a notch of width 1 down to y = 3, its cycle started at
+    each vertex in turn so that every wall is once the closing edge.  The
+    first sightline passes the notch's corner (10, 3) exactly, crosses the
+    notch and re-enters through the wall x = 11: only the breakpoints at
+    the corner and at that wall show the gap."""
+    m = load_polygon(NOTCH[k:] + NOTCH[:k])
+    cases = [((2, 2), (14, Fraction(7, 2)), False),
+             ((2, 2), (10, 3), True),              # ends at the corner
+             ((2, 2), (12, Fraction(5, 2)), True),  # passes below it
+             ((2, 3), (19, 3), True),              # along the notch floor
+             ((5, 5), (15, 5), False)]             # across the notch
+    for (p, q, expected) in cases:
+        p, q = pt(*p), pt(*q)
+        assert naive_sees(list(m.vertices), p, q) == expected
+        assert segment_inside_ref(m, p, q) == expected
+        assert sees(m, p, q) == expected, (p, q)

@@ -1,4 +1,4 @@
-"""Visibility regions, star decomposition, and visible sub-segments."""
+"""Visibility regions, segment visibility, and visible sub-segments."""
 
 from fractions import Fraction
 
@@ -12,7 +12,7 @@ from gridguards.generate import (
     counterexample_polygon,
     random_polygon,
 )
-from gridguards.geometry import Point, cross, dist_sq, dot, polygon_area, pt
+from gridguards.geometry import Point, cross, dot, pt
 from gridguards.polygon import (
     PointOutsidePolygon,
     load_polygon,
@@ -22,9 +22,7 @@ from gridguards.polygon import (
 )
 from gridguards.solver import default_candidates
 from gridguards.visibility import (
-    grid_cone,
     sees,
-    star_triangles,
     visibility_polygon,
     visible_subsegments,
 )
@@ -85,19 +83,6 @@ def test_visibility_boundary_points_are_visible():
     vp = visibility_polygon(m, x)
     for b in vp.boundary:
         assert sees(m, x, b)
-
-
-def test_star_triangles_partition_visible_area():
-    m = l_shape()
-    for x in (pt(2, 2), pt(6, 2), pt(4, 4), pt(2, 6)):
-        vp = visibility_polygon(m, x)
-        tris = star_triangles(m, x)
-        assert sum(polygon_area(t.triangle) for t in tris) == vp.area()
-        for t in tris:
-            assert t.apex == x
-            # bounding points of each fan piece are visible polygon vertices
-            assert t.u in m.vertices and t.v in m.vertices
-            assert sees(m, x, t.u) and sees(m, x, t.v)
 
 
 inner = st.fractions(min_value=Fraction(3, 2), max_value=Fraction(13, 2),
@@ -267,22 +252,3 @@ def test_pinhole_intervals_disjoint_and_shrinking():
             assert hi < prev_lo  # interval i sits strictly below interval i-1
         prev_lo = lo
 
-
-def test_grid_cone_membership():
-    m = l_shape()
-    g = pt(6, 2)
-    cone = grid_cone(m, g, pt(1, 1), pt(1, 7))
-    assert not cone.empty
-    assert cone.contains(pt(3, 3))        # between g and the wall piece
-    assert cone.contains(pt(1, 4))        # on the wall piece
-    assert not cone.contains(pt(6, 5))    # outside every ray bundle
-    assert cone.contains(g)
-
-
-def test_grid_cone_empty_when_wall_hidden():
-    # viewpoint in the bottom-right prong of a deep notch sees none of a
-    # far segment hidden around the corner
-    m = load_polygon([(1, 1), (9, 1), (9, 9), (8, 9), (8, 2), (2, 2),
-                      (2, 9), (1, 9)])
-    cone = grid_cone(m, pt(Fraction(17, 2), 8), pt(1, 8), pt(1, 9))
-    assert cone.empty
