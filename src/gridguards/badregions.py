@@ -44,7 +44,6 @@ class Wedge:
 
     apex: Point
     outward: Point
-    reflex: Point
     s: Scalar
 
     def contains(self, x: Point) -> bool:
@@ -60,9 +59,7 @@ class Wedge:
 class BadRegion:
     model: PolygonModel
     pair: OppositeReflexPair
-    s: Scalar
     wedges: Tuple[Wedge, Wedge]
-    embiggened: bool
     apex_offsets: Tuple[Point, Point]
 
 
@@ -92,10 +89,10 @@ def bad_region(m: PolygonModel, pair: OppositeReflexPair, s: Scalar,
         a2 = _offset_apex(r2, r1, inv_l2)
     else:
         a1, a2 = r1, r2
-    w1 = Wedge(apex=a1, outward=r1 - r2, reflex=r1, s=s)
-    w2 = Wedge(apex=a2, outward=r2 - r1, reflex=r2, s=s)
-    return BadRegion(model=m, pair=pair, s=s, wedges=(w1, w2),
-                     embiggened=embiggened, apex_offsets=(a1, a2))
+    w1 = Wedge(apex=a1, outward=r1 - r2, s=s)
+    w2 = Wedge(apex=a2, outward=r2 - r1, s=s)
+    return BadRegion(model=m, pair=pair, wedges=(w1, w2),
+                     apex_offsets=(a1, a2))
 
 
 def in_bad_region(region: BadRegion, x: Point) -> bool:
@@ -107,13 +104,8 @@ def in_bad_region(region: BadRegion, x: Point) -> bool:
 
 @dataclass
 class TripleIntersectionReport:
-    s: Scalar
     pair_count: int
     triples: List[Tuple[int, int, int]] = field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        return not self.triples
 
 
 def _wedge_halfplanes(w: Wedge) -> List[Tuple[DirectedLine, int]]:
@@ -165,10 +157,9 @@ def _wedges_overlap_interior(m: PolygonModel, ws: List[Wedge],
 def check_no_triple_intersection(m: PolygonModel,
                                  s: Scalar) -> TripleIntersectionReport:
     """Search for an interior point shared by three distinct s-bad regions."""
-    s = Fraction(s)
     pairs = opposite_reflex_pairs(m)
     regions = [bad_region(m, p, s) for p in pairs]
-    report = TripleIntersectionReport(s=s, pair_count=len(pairs))
+    report = TripleIntersectionReport(pair_count=len(pairs))
     if len(regions) < 3:
         return report
     tris = triangulate(m)

@@ -2,10 +2,8 @@
 
 Exit codes: 0 success, 2 input or validation error, 3 budget exhausted,
 4 lemma violation detected.  All outputs are deterministic under a fixed
-seed.  In ``solve``, theory mode selects the vertex candidate strategy
-(AdaptiveRefine) and refuses FullCellSample, whose grid is not enumerable
-at the theorem's width; humane mode (the default) uses FullCellSample
-unless ``--strategy`` says otherwise.
+seed.  ``solve --strategy`` picks the candidates: FullCellSample (the
+default) or Vertices.
 """
 
 from __future__ import annotations
@@ -54,8 +52,8 @@ from .polygon import (
     reflex_vertices,
 )
 from .solver import (
-    STRATEGY_ADAPTIVE,
     STRATEGY_FULL,
+    STRATEGY_VERTICES,
     InfeasibleWitness,
     RoundLimitExceeded,
     SolveConfig,
@@ -66,9 +64,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
-
-MODE_THEORY = "theory"
-MODE_HUMANE = "humane"
 
 _FIXTURES = {
     "channel": channel,
@@ -95,17 +90,8 @@ def cmd_solve(args) -> int:
     except (ParseError, IoError, PolygonError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    strategy = args.strategy
-    if args.mode == MODE_THEORY:
-        if strategy == STRATEGY_FULL:
-            print("error: theory mode cannot enumerate the full grid; "
-                  "use AdaptiveRefine", file=sys.stderr)
-            return EXIT_INPUT
-        strategy = STRATEGY_ADAPTIVE
-    elif strategy is None:
-        strategy = STRATEGY_FULL
     cfg = SolveConfig(
-        candidate_strategy=strategy,
+        candidate_strategy=args.strategy,
         max_rounds=args.max_rounds,
         rng_seed=args.seed)
     try:
@@ -124,7 +110,7 @@ def cmd_solve(args) -> int:
         "witness_count": result.witness_count,
         "rounds": result.rounds,
         "seed": args.seed,
-        "strategy": strategy,
+        "strategy": args.strategy,
     }
     _emit_json(doc, args.output)
     if args.svg:
@@ -268,11 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--svg", default=None,
                     help="also write an SVG rendering to this path")
     ps.add_argument("input")
-    ps.add_argument("--mode", choices=[MODE_THEORY, MODE_HUMANE],
-                    default=MODE_HUMANE)
     ps.add_argument("--strategy",
-                    choices=[STRATEGY_FULL, STRATEGY_ADAPTIVE],
-                    default=None)
+                    choices=[STRATEGY_FULL, STRATEGY_VERTICES],
+                    default=STRATEGY_FULL)
     ps.add_argument("--max-rounds", type=int, default=200)
     ps.set_defaults(func=cmd_solve)
 

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import List, Tuple
 
-from .geometry import Point, pt, segments_intersect, orient
+from .geometry import Point, pt, segments_intersect
 from .polygon import PolygonModel, PolygonError, load_polygon
 
 
@@ -19,21 +19,19 @@ class GenerationBudgetExceeded(Exception):
     pass
 
 
-def comb(prongs: int, height: int = 6) -> PolygonModel:
-    """Comb with ``prongs`` upward towers of width 1 over a base strip.
+def comb(prongs: int) -> PolygonModel:
+    """Comb with ``prongs`` upward towers of width 1 and height 4 over a
+    base strip of height 1.
 
     Any guard set needs one guard per tower, so the optimum is ``prongs``.
     """
     if prongs < 1:
         raise ValueError("need at least one prong")
-    if height < 3:
-        raise ValueError("height must leave room above the base strip")
     k = prongs
-    verts: List[Tuple[int, int]] = [(1, 1), (2 * k, 1), (2 * k, height)]
+    verts: List[Tuple[int, int]] = [(1, 1), (2 * k, 1), (2 * k, 6)]
     for i in range(k - 1, 0, -1):
-        verts += [(2 * i + 1, height), (2 * i + 1, 2),
-                  (2 * i, 2), (2 * i, height)]
-    verts.append((1, height))
+        verts += [(2 * i + 1, 6), (2 * i + 1, 2), (2 * i, 2), (2 * i, 6)]
+    verts.append((1, 6))
     return load_polygon(verts)
 
 
@@ -146,29 +144,23 @@ def _is_simple(verts: List[Point]) -> bool:
     return True
 
 
-def random_polygon(n: int, m: int, seed: int,
-                   budget: int = 20000,
-                   require_general_position: bool = False) -> PolygonModel:
-    """Random simple polygon with n vertices in [1, m]^2 via 2-opt untangling.
+_BUDGET = 20000  # samples drawn, and 2-opt moves per sample
 
-    With ``require_general_position`` the sample is rejected until no three
-    vertices are collinear (extension concurrency is not filtered here).
-    """
+
+def random_polygon(n: int, m: int, seed: int) -> PolygonModel:
+    """Random simple polygon with n vertices in [1, m]^2 via 2-opt untangling."""
     if n < 3:
         raise ValueError("need at least 3 vertices")
     rng = random.Random(seed)
     spent = 0
     while True:
         spent += 1
-        if spent > budget:
+        if spent > _BUDGET:
             raise GenerationBudgetExceeded(
-                f"no valid polygon after {budget} attempts")
-        raw = random_points(rng, n, m)
-        if require_general_position and _any_collinear_triple(raw):
-            continue
-        verts = [pt(x, y) for x, y in raw]
+                f"no valid polygon after {_BUDGET} attempts")
+        verts = [pt(x, y) for x, y in random_points(rng, n, m)]
         rng.shuffle(verts)
-        if not _untangle(verts, rng, budget):
+        if not _untangle(verts):
             continue
         try:
             model = load_polygon(verts)
@@ -177,21 +169,10 @@ def random_polygon(n: int, m: int, seed: int,
         return model
 
 
-def _any_collinear_triple(points) -> bool:
-    ps = [pt(x, y) for x, y in points]
-    n = len(ps)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orient(ps[i], ps[j], ps[k]) == 0:
-                    return True
-    return False
-
-
-def _untangle(verts: List[Point], rng: random.Random, budget: int) -> bool:
+def _untangle(verts: List[Point]) -> bool:
     """2-opt: reverse the span between any two crossing edges."""
     n = len(verts)
-    for _ in range(budget):
+    for _ in range(_BUDGET):
         crossing = None
         for i in range(n):
             a, b = verts[i], verts[(i + 1) % n]

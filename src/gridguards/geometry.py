@@ -1,19 +1,23 @@
 """Exact rational planar primitives and predicates.
 
 Kernel invariant: coordinates are ``fractions.Fraction`` at every API
-boundary, the hot predicates (``orient``, ``point_on_segment``,
-``ray_segment_params``, ``segment_intersection_point``,
-``polygon.point_in_cycle``, and ``polygon._segment_inside`` behind
-``segment_in_polygon`` and ``visibility.sees``) decide on integers obtained by clearing the
-denominators of the few coordinates involved, and no float is ever used.
-The two overlay constructions, ``visibility.visibility_polygon`` and
-``arrangement.build_arrangement``, each clear their whole input once and
-work in that one integer frame, with constructed points as reduced
-homogeneous triples.  Scaling every coordinate by the same positive
-integer keeps every sign, order and parameter ratio, so the integer
-decisions are exact; only a returned parameter or point is built as a
-Fraction again.  Distances are kept squared so that no square root is
-ever taken; angle comparisons use cross/dot ratios for the same reason.
+boundary and no float is ever used.  The predicates ``orient``,
+``point_on_segment``, ``ray_segment_params`` and
+``segment_intersection_point`` decide on integers obtained by clearing the
+denominators of the few coordinates involved; they serve input
+validation, the bound checks and the test oracles, and once its input
+polygon is validated a solve or a coverage check calls none of them.  The
+hot code works in integer frames of its own: ``polygon._in_int_cycle``,
+the even-odd core of every membership test, ``polygon._segment_inside``
+behind ``segment_in_polygon`` and ``visibility.sees``, and the two
+overlay constructions, ``visibility.visibility_polygon`` and
+``arrangement.build_arrangement``, which each clear their whole input
+once and keep constructed points as reduced homogeneous triples.  Scaling
+every coordinate by the same positive integer keeps every sign, order and
+parameter ratio, so the integer decisions are exact; only a returned
+parameter or point is built as a Fraction again.  Distances are kept
+squared so that no square root is ever taken; angle comparisons use
+cross/dot ratios for the same reason.
 """
 
 from __future__ import annotations
@@ -162,12 +166,6 @@ class Segment:
         if self.a == self.b:
             raise GeometryError("degenerate segment: endpoints coincide")
 
-    def line(self) -> DirectedLine:
-        return DirectedLine(self.a, self.b)
-
-    def midpoint(self) -> Point:
-        return Point((self.a.x + self.b.x) / 2, (self.a.y + self.b.y) / 2)
-
 
 @dataclass(frozen=True)
 class Ray:
@@ -180,11 +178,6 @@ class Ray:
 
     def direction(self) -> Point:
         return self.through - self.apex
-
-    def contains(self, p: Point) -> bool:
-        v = p - self.apex
-        d = self.direction()
-        return cross(d, v) == 0 and dot(d, v) >= 0
 
 
 class Parallel:
@@ -250,10 +243,6 @@ class Cone:
         d1 = self.boundary_ray_1.direction()
         d2 = self.boundary_ray_2.direction()
         return cross(d1, v) >= 0 and cross(v, d2) >= 0
-
-
-def point_in_cone(p: Point, c: Cone) -> bool:
-    return c.contains(p)
 
 
 # ---------------------------------------------------------------------------

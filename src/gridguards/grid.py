@@ -74,7 +74,6 @@ class SurroundingGrid:
     case: str
     points: Tuple[Point, ...]
     starred: Optional[Point]
-    inscribed_triangle: Tuple[Point, Point, Point]
 
     def all_points(self) -> Tuple[Point, ...]:
         if self.starred is not None and self.starred not in self.points:
@@ -241,7 +240,7 @@ def surrounding_grid(spec: GridSpec, m: PolygonModel, x: Point,
     starred = m.vertices[min(near)[1]] if near else None
 
     return SurroundingGrid(center=x, case=case, points=tuple(points),
-                           starred=starred, inscribed_triangle=tri)
+                           starred=starred)
 
 
 def grid_replacement(spec: GridSpec, m: PolygonModel, opt: GuardSet,

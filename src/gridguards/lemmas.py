@@ -25,7 +25,6 @@ from .geometry import (
     dot,
     line_intersection,
     orient,
-    point_in_cone,
     point_on_segment,
     pt,
 )
@@ -105,8 +104,7 @@ def _homogeneous_intersections(lines: List[Tuple[int, int, int]]):
     return list(points)
 
 
-def check_distance_lemma(m: PolygonModel, item7_samples: int = 10,
-                         seed: int = 0) -> LemmaReport:
+def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
     """Exhaustive exact verification of the separation bounds.
 
     Items: (1) vertex pairs at distance >= 1; (2) vertex to non-incident
@@ -114,7 +112,7 @@ def check_distance_lemma(m: PolygonModel, item7_samples: int = 10,
     >= L^-5; (4) distinct intersection points >= L^-4; (5) parallel distinct
     extensions >= L^-1; (6) tangent between non-parallel extensions
     >= 8 L^-2; (7) constructive: two lines within d of a point a meet within
-    d L^2 of a, sampled.
+    d L^2 of a, on 10 sampled line pairs.
 
     Items 3 and 4 run on integer homogeneous coordinates with a float
     prefilter; only near-threshold cases are re-checked exactly.
@@ -220,7 +218,7 @@ def check_distance_lemma(m: PolygonModel, item7_samples: int = 10,
     rng = random.Random(seed)
     L4 = L ** 4
     attempts = 0
-    while attempts < item7_samples and len(lines) >= 2:
+    while attempts < 10 and len(lines) >= 2:
         attempts += 1
         i, j = rng.sample(range(len(lines)), 2)
         a1, b1, c1 = lines[i]
@@ -297,26 +295,20 @@ def _cone_side(m: PolygonModel, x: Point, pair: OppositeReflexPair,
 
 def check_limited_blocking(m: PolygonModel, samples: int = 100,
                            seed: int = 0,
-                           alpha: Optional[Scalar] = None,
-                           grid_exponent: int = 3,
                            extra_points: Sequence[Point] = ()) -> LemmaReport:
     """Blocked visibility of grid points is confined near one reflex vertex.
 
-    Hypotheses per configuration: g in alpha-grid(x), g outside cone(x),
-    alpha <= L^-7, reflex q in cone(g) but outside cone(x) with
-    dist(x, q) > L^-1, q strictly beyond exactly one bounding ray of
-    cone(x).  Conclusion: the line through g and q crosses seg(r1, r2)
-    within L^-2 of the reflex vertex on q's side.
+    The grid has width L^-3 and alpha = L^-7.  Hypotheses per
+    configuration: g in alpha-grid(x), g outside cone(x), reflex q in
+    cone(g) but outside cone(x) with dist(x, q) > L^-1, q strictly beyond
+    exactly one bounding ray of cone(x).  Conclusion: the line through g
+    and q crosses seg(r1, r2) within L^-2 of the reflex vertex on q's side.
+    The ``extra_points`` are checked before the samples.
     """
     rep = LemmaReport(lemma_id="limited_blocking")
     L = m.L
-    if alpha is None:
-        alpha = Fraction(1, L ** 7)
-    alpha = Fraction(alpha)
-    if alpha > Fraction(1, L ** 7):
-        rep.skipped += 1
-        return rep
-    spec = GridSpec(E=grid_exponent, L=L)
+    alpha = Fraction(1, L ** 7)
+    spec = GridSpec(E=3, L=L)
     pairs = opposite_reflex_pairs(m)
     refl = reflex_vertices(m)
     inv_l_sq = Fraction(1, L) ** 2
@@ -339,7 +331,7 @@ def check_limited_blocking(m: PolygonModel, samples: int = 100,
             if sg is None:
                 sg = surrounding_grid(spec, m, x, alpha)
             for g in sg.points:
-                if point_in_cone(g, cone_x):
+                if cone_x.contains(g):
                     rep.skipped += 1
                     continue
                 try:
@@ -349,8 +341,8 @@ def check_limited_blocking(m: PolygonModel, samples: int = 100,
                     continue
                 for qi in refl:
                     q = m.vertices[qi]
-                    if (point_in_cone(q, cone_x)
-                            or not point_in_cone(q, cone_g)
+                    if (cone_x.contains(q)
+                            or not cone_g.contains(q)
                             or dist_sq(x, q) <= inv_l_sq):
                         rep.skipped += 1
                         continue
@@ -392,23 +384,17 @@ def _rays_intersect(o1: Point, d1: Point, o2: Point, d2: Point) -> bool:
 
 
 def check_cone_property(m: PolygonModel, samples: int = 100,
-                        seed: int = 0,
-                        s: Optional[Scalar] = None) -> LemmaReport:
+                        seed: int = 0) -> LemmaReport:
     """Nearby points outside the embiggened bad region get diverging rays.
 
-    For sampled g1, g2 with dist(g1, g2) <= s/4, both inside P and outside
-    the embiggened s-bad region of a pair, the rays from g1 through p1 and
-    from g2 through p2 (the shifted apex points on the diagonal) must not
-    intersect; labels are arranged so g1 is closer to r1.  Coincident
-    points trivially satisfy the property.
+    For the slope s = 1/4 and sampled g1, g2 with dist(g1, g2) <= s/4,
+    both inside P and outside the embiggened s-bad region of a pair, the
+    rays from g1 through p1 and from g2 through p2 (the shifted apex points
+    on the diagonal) must not intersect; labels are arranged so g1 is
+    closer to r1.  Coincident points trivially satisfy the property.
     """
     rep = LemmaReport(lemma_id="cone_property")
-    L = m.L
-    if s is None:
-        s = Fraction(1, 4)
-    s = Fraction(s)
-    if not 0 < s <= 1:
-        raise ValueError("slope must be in (0, 1]")
+    s = Fraction(1, 4)
     pairs = opposite_reflex_pairs(m)
     tris = triangulate(m)
     rng = random.Random(seed)
@@ -496,7 +482,6 @@ class CounterexampleFixture:
     polygon: PolygonModel
     pinhole_target: Point
     approach_points: Tuple[Point, ...]
-    opposite_pair: OppositeReflexPair
     wall_intervals: Tuple[Tuple[Point, Point], ...]
 
 
@@ -514,10 +499,6 @@ def build_counterexample(i_max: int) -> CounterexampleFixture:
     m = counterexample_polygon()
     L = m.L
     t = pt(1, 6)
-    pairs = opposite_reflex_pairs(m)
-    pair = next(p for p in pairs
-                if {m.vertices[p.r1], m.vertices[p.r2]}
-                == {pt(11, 6), pt(13, 6)})
     approach: List[Point] = []
     intervals: List[Tuple[Point, Point]] = []
     wall_a, wall_b = pt(1, 1), pt(1, 11)
@@ -544,7 +525,7 @@ def build_counterexample(i_max: int) -> CounterexampleFixture:
                     f"wall intervals {i + 1} and {j + 1} overlap")
     return CounterexampleFixture(
         polygon=m, pinhole_target=t, approach_points=tuple(approach),
-        opposite_pair=pair, wall_intervals=tuple(intervals))
+        wall_intervals=tuple(intervals))
 
 
 def missed_interval(fix: CounterexampleFixture,
@@ -581,31 +562,20 @@ def missed_interval(fix: CounterexampleFixture,
 
 
 def check_grid_outside_bad(m: PolygonModel, samples: int = 100,
-                           seed: int = 0,
-                           alpha: Optional[Scalar] = None,
-                           s: Optional[Scalar] = None,
-                           grid_exponent: Optional[int] = None) -> LemmaReport:
+                           seed: int = 0) -> LemmaReport:
     """Grid neighborhoods of points outside a bad region stay outside it.
 
-    Hypotheses per sample: x outside the s-bad region of a pair, x sees
-    both reflex vertices from distance >= L^-1, s <= L^-3 and 16 L alpha
-    <= s.  Conclusion: every point of alpha-grid(x) avoids the embiggened
+    The slope is s = L^-3 and alpha = s / (16 L), on the coarsest grid
+    whose width is at most alpha.  Hypotheses per sample: x outside the s-bad region
+    of a pair, x sees both reflex vertices from distance >= L^-1.
+    Conclusion: every point of alpha-grid(x) avoids the embiggened
     (s/2)-bad region.
     """
     rep = LemmaReport(lemma_id="grid_outside_bad")
     L = m.L
-    if s is None:
-        s = Fraction(1, L ** 3)
-    if alpha is None:
-        alpha = Fraction(s, 16 * L)
-    s = Fraction(s)
-    alpha = Fraction(alpha)
-    if not (s <= Fraction(1, L ** 3) and 16 * L * alpha <= s):
-        rep.skipped += 1
-        return rep
-    if grid_exponent is None:
-        grid_exponent = _grid_exponent(L, alpha)
-    spec = GridSpec(E=grid_exponent, L=L)
+    s = Fraction(1, L ** 3)
+    alpha = s / (16 * L)
+    spec = GridSpec(E=_grid_exponent(L, alpha), L=L)
     pairs = opposite_reflex_pairs(m)
     inv_l_sq = Fraction(1, L) ** 2
     rng = random.Random(seed)

@@ -10,14 +10,13 @@ the bytes are deterministic for identical scenes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import IO, List, Optional, Sequence, Tuple, Union
 
 from .badregions import BadRegion, _wedge_clip_box
 from .geometry import Point, Scalar
 from .polygon import PolygonModel, load_polygon
-from .visibility import VisibilityPolygon
 
 FORMAT_TEXT = "PlainText"
 FORMAT_JSON = "Json"
@@ -130,35 +129,25 @@ def write_polygon(m: PolygonModel, target: Union[str, IO[str]],
 
 @dataclass
 class SceneRender:
-    """Layered scene over one polygon; all geometry is exact until render."""
+    """A polygon with its guards or its bad regions; all geometry is exact
+    until render."""
 
     polygon: PolygonModel
     guards: Tuple[Point, ...] = ()
-    visibility_regions: Tuple[VisibilityPolygon, ...] = ()
     bad_regions: Tuple[BadRegion, ...] = ()
-    grid_sample: Tuple[Point, ...] = ()
-    witnesses: Tuple[Point, ...] = ()
-    precision: int = 6
-    style: Dict[str, str] = field(default_factory=dict)
 
 
-_DEFAULT_STYLE = {
+_STYLE = {
     "polygon": "fill:none;stroke:#202020;stroke-width:0.5%",
-    "visibility": "fill:#4477aa;fill-opacity:0.25;stroke:none",
-    "window": "stroke:#4477aa;stroke-dasharray:2,2;fill:none",
     "bad": "fill:#cc3311;fill-opacity:0.35;stroke:none",
-    "grid": "fill:#009988",
-    "witness": "fill:#ee7733",
     "guard": "fill:#000000;stroke:#ffffff",
 }
 
 
 def write_svg(scene: SceneRender, target: Union[str, IO[str]]) -> None:
-    """Render the scene as standalone SVG 1.1 with deterministic bytes."""
+    """Render the scene as standalone SVG 1.1 with deterministic bytes,
+    every coordinate with 6 decimals."""
     m = scene.polygon
-    p = scene.precision
-    style = dict(_DEFAULT_STYLE)
-    style.update(scene.style)
     xs = [v.x for v in m.vertices]
     ys = [v.y for v in m.vertices]
     pad = max(1, (max(xs) - min(xs)) // 20)
@@ -167,17 +156,16 @@ def write_svg(scene: SceneRender, target: Union[str, IO[str]]) -> None:
     flip = y0 + y1
 
     def fx(v: Scalar) -> str:
-        return f"{float(v):.{p}f}"
+        return f"{float(v):.6f}"
 
     def fy(v: Scalar) -> str:
-        return f"{float(flip - v):.{p}f}"
+        return f"{float(flip - v):.6f}"
 
-    def path(points: Sequence[Point], close: bool = True) -> str:
+    def path(points: Sequence[Point]) -> str:
         cmds = [f"M {fx(points[0].x)} {fy(points[0].y)}"]
         for q in points[1:]:
             cmds.append(f"L {fx(q.x)} {fy(q.y)}")
-        if close:
-            cmds.append("Z")
+        cmds.append("Z")
         return " ".join(cmds)
 
     r_guard = float(max(x1 - x0, y1 - y0)) / 100
@@ -189,30 +177,16 @@ def write_svg(scene: SceneRender, target: Union[str, IO[str]]) -> None:
     audit = "exact: " + "; ".join(
         f"{v.x},{v.y}" for v in m.vertices)
     out.append(f"<!-- {audit} -->")
-    out.append(f'<path d="{path(list(m.vertices))}" style="{style["polygon"]}"/>')
-    for vp in scene.visibility_regions:
-        out.append(f'<path d="{path(list(vp.boundary))}" '
-                   f'style="{style["visibility"]}"/>')
-        es = vp.edges()
-        for i in vp.window_edges:
-            a, b = es[i]
-            out.append(
-                f'<line x1="{fx(a.x)}" y1="{fy(a.y)}" x2="{fx(b.x)}" '
-                f'y2="{fy(b.y)}" style="{style["window"]}"/>')
+    out.append(f'<path d="{path(list(m.vertices))}" '
+               f'style="{_STYLE["polygon"]}"/>')
     for region in scene.bad_regions:
         for w in region.wedges:
             poly = _wedge_clip_box(m, w)
             if len(poly) >= 3:
-                out.append(f'<path d="{path(poly)}" style="{style["bad"]}"/>')
-    for q in scene.grid_sample:
-        out.append(f'<circle cx="{fx(q.x)}" cy="{fy(q.y)}" '
-                   f'r="{r_guard / 2:.{p}f}" style="{style["grid"]}"/>')
-    for q in scene.witnesses:
-        out.append(f'<circle cx="{fx(q.x)}" cy="{fy(q.y)}" '
-                   f'r="{r_guard / 2:.{p}f}" style="{style["witness"]}"/>')
+                out.append(f'<path d="{path(poly)}" style="{_STYLE["bad"]}"/>')
     for q in scene.guards:
         out.append(f'<circle cx="{fx(q.x)}" cy="{fy(q.y)}" '
-                   f'r="{r_guard:.{p}f}" style="{style["guard"]}"/>')
+                   f'r="{r_guard:.6f}" style="{_STYLE["guard"]}"/>')
     out.append("</svg>")
     text = "\n".join(out) + "\n"
     _write_text(text, target)

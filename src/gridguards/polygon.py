@@ -63,9 +63,6 @@ class PolygonModel:
         vs = self.vertices
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
-    def vertex(self, i: int) -> Point:
-        return self.vertices[i % len(self.vertices)]
-
 
 @dataclass(frozen=True)
 class Extension:
@@ -81,7 +78,6 @@ class OppositeReflexPair:
 
     r1: int
     r2: int
-    line: Extension
 
 
 def load_polygon(vertex_list: Sequence) -> PolygonModel:
@@ -185,19 +181,16 @@ def _segment_inside(m: PolygonModel, a: Point, b: Point) -> bool:
     dx, dy = bx - ox, by - oy
     if not (dx or dy):
         return True
-    dd = dx * dx + dy * dy
     ts = [(0, 1), (1, 1)]   # (numerator, denominator) of each t in [0, 1]
     fx, fy = xs[-1] - ox, ys[-1] - oy
     for gx, gy in zip(xs, ys):
         gx, gy = gx - ox, gy - oy   # the edge f -> g, relative to a
         ex, ey = gx - fx, gy - fy
         den = dx * ey - dy * ex
-        if den == 0:
-            if dx * fy - dy * fx == 0:
-                # collinear: project the edge's ends onto the segment
-                ts += [(n, dd) for n in (fx * dx + fy * dy, gx * dx + gy * dy)
-                       if 0 <= n <= dd]
-        else:
+        # a parallel edge adds nothing: no two consecutive edges are
+        # collinear, so the edges on either side of a collinear one cross
+        # the segment's line at its ends and add those parameters
+        if den:
             tn, un = fx * ey - fy * ex, fx * dy - fy * dx
             if den < 0:
                 den, tn, un = -den, -tn, -un
@@ -273,9 +266,7 @@ def opposite_reflex_pairs(m: PolygonModel) -> List[OppositeReflexPair]:
                 continue
             if not segment_in_polygon(m, ri, rj):
                 continue
-            out.append(OppositeReflexPair(
-                r1=i, r2=j,
-                line=Extension(line=ell, defining_vertices=(i, j))))
+            out.append(OppositeReflexPair(r1=i, r2=j))
     return out
 
 
@@ -284,10 +275,6 @@ class GeneralPositionReport:
     collinear_triples: List[Tuple[int, int, int]] = field(default_factory=list)
     concurrent_extension_triples: List[Tuple[Point, Tuple]] = field(
         default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.collinear_triples and not self.concurrent_extension_triples
 
 
 def check_general_position(m: PolygonModel) -> GeneralPositionReport:

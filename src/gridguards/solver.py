@@ -53,7 +53,7 @@ class CombinatoricsBudgetExceeded(Exception):
 
 
 STRATEGY_FULL = "FullCellSample"
-STRATEGY_ADAPTIVE = "AdaptiveRefine"
+STRATEGY_VERTICES = "Vertices"
 
 WEIGHT_DOUBLING_CAP = 10 ** 6
 
@@ -212,20 +212,19 @@ def _prune(chosen: List[int], masks: Sequence[int], full: int) -> List[int]:
     return kept
 
 
-def eh_solve(m: PolygonModel, cfg: SolveConfig,
-             candidates: Optional[Sequence[Point]] = None) -> SolveResult:
-    """Iterative-reweighting set cover over grid candidates.
+def eh_solve(m: PolygonModel, cfg: SolveConfig) -> SolveResult:
+    """Iterative-reweighting set cover over the configured candidates: the
+    cell centres and vertices of ``default_candidates``, or the vertices.
 
     Guess-and-double on the cover size k; each round samples a weighted net
     of O(k log k) candidates and doubles the weights of every candidate
     seeing the first uncovered witness.  The result is the smaller of the
     pruned net cover and the greedy cover of the same masks, certified once.
     """
-    if candidates is None:
-        if cfg.candidate_strategy == STRATEGY_FULL:
-            candidates = default_candidates(m)
-        else:
-            candidates = m.vertices
+    if cfg.candidate_strategy == STRATEGY_FULL:
+        candidates = default_candidates(m)
+    else:
+        candidates = m.vertices
     inst = cover_instance(m, candidates)
     masks = inst.masks
     full = inst.full

@@ -20,7 +20,6 @@ from .geometry import (
     GeometryError,
     Point,
     Ray,
-    Scalar,
     Segment,
     cleared,
     cross,
@@ -39,19 +38,14 @@ from .polygon import (
 
 @dataclass(frozen=True)
 class VisibilityPolygon:
-    """Star-shaped region visible from ``viewpoint``, counterclockwise."""
+    """Star-shaped region visible from one point, counterclockwise."""
 
-    viewpoint: Point
     boundary: Tuple[Point, ...]
     window_edges: Tuple[int, ...]
 
     def edges(self) -> List[Tuple[Point, Point]]:
         b = self.boundary
         return [(b[i], b[(i + 1) % len(b)]) for i in range(len(b))]
-
-    def area(self) -> Scalar:
-        from .geometry import polygon_area
-        return polygon_area(self.boundary)
 
 
 def sees(m: PolygonModel, x: Point, y: Point) -> bool:
@@ -202,8 +196,7 @@ def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
     boundary = tuple(Point(Fraction(X * hw + hx, w * hw),
                            Fraction(Y * hw + hy, w * hw))
                      for hx, hy, hw in kept)
-    return VisibilityPolygon(viewpoint=x, boundary=boundary,
-                             window_edges=windows)
+    return VisibilityPolygon(boundary=boundary, window_edges=windows)
 
 
 def cone_of(x: Point, u: Point, v: Point) -> Cone:

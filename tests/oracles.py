@@ -433,4 +433,4 @@ def surrounding_grid_ref(spec, m, x: Point, alpha) -> SurroundingGrid:
             if dist_sq(x, r) <= limit]
     starred = m.vertices[min(near)[1]] if near else None
     return SurroundingGrid(center=x, case=case, points=tuple(points),
-                           starred=starred, inscribed_triangle=tri)
+                           starred=starred)

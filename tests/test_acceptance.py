@@ -20,7 +20,7 @@ from gridguards.generate import (
     random_polygon,
     triple_pairs,
 )
-from gridguards.geometry import Point, pt
+from gridguards.geometry import Point, polygon_area, pt
 from gridguards.grid import (
     Covered,
     GridSpec,
@@ -41,7 +41,7 @@ from gridguards.polygon import (
     triangulate,
 )
 from gridguards.solver import (
-    STRATEGY_ADAPTIVE,
+    STRATEGY_VERTICES,
     SolveConfig,
     brute_force_optimum,
     cover_instance,
@@ -86,7 +86,7 @@ def test_criterion_1_distance_bounds_on_random_polygons():
         for seed in range(100):
             n = 6 + (seed % 9)          # n in 6..14
             m = random_polygon(n, 50, seed=seed)
-            rep = check_distance_lemma(m, item7_samples=10, seed=seed)
+            rep = check_distance_lemma(m, seed=seed)
             assert rep.status == "Verified", rep.violations[:3]
             item7_total += 10
         assert item7_total == 1000
@@ -119,7 +119,8 @@ def test_criterion_2_grid_replacement_bound_and_coverage():
             n = 6 + (seed % 3)
             m = random_polygon(n, 10, seed=seed)
             seed += 1
-            if not check_general_position(m).ok:
+            gp = check_general_position(m)
+            if gp.collinear_triples or gp.concurrent_extension_triples:
                 continue
             cands = _offgrid_candidates(m)
             if not cands:
@@ -191,11 +192,13 @@ def test_criterion_5_no_triple_bad_region_intersections():
     concurrency-violating fixture reports a triple at inflated slope."""
     with Budget(5, 120):
         clean = triple_pairs()
-        assert check_general_position(clean).ok
+        gp = check_general_position(clean)
+        assert gp.collinear_triples == []
+        assert gp.concurrent_extension_triples == []
         assert len(opposite_reflex_pairs(clean)) >= 3
         report = check_no_triple_intersection(
             clean, Fraction(1, clean.L ** 9))
-        assert report.empty
+        assert report.triples == []
 
         dirty = concurrent_pairs()
         bad = check_no_triple_intersection(dirty, Fraction(1, 16))
@@ -213,7 +216,7 @@ def test_criterion_6_solver_soundness_and_quality():
         for m, cfg in ((square, SolveConfig(rng_seed=0)),
                        (m3, SolveConfig(rng_seed=0)),
                        (channel(), SolveConfig(
-                           candidate_strategy=STRATEGY_ADAPTIVE,
+                           candidate_strategy=STRATEGY_VERTICES,
                            rng_seed=0))):
             result = eh_solve(m, cfg)
             assert result.certified
@@ -247,7 +250,7 @@ def test_criterion_7_visibility_oracle_equivalence():
             seed += 1
             for x in _interior_points(triangulate(m), 3, rng):
                 vp = visibility_polygon(m, x)
-                assert vp.area() == visibility_area_oracle(
+                assert polygon_area(vp.boundary) == visibility_area_oracle(
                     list(m.vertices), x)
                 checked += 1
                 if checked == 200:

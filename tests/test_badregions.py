@@ -77,14 +77,13 @@ def test_no_triple_intersection_clean_fixture():
     m = triple_pairs()
     s = Fraction(1, m.L ** 9)
     report = check_no_triple_intersection(m, s)
-    assert report.empty
+    assert report.triples == []
     assert report.pair_count == 8
 
 
 def test_triple_intersection_detected_when_concurrent():
     m = concurrent_pairs()
     report = check_no_triple_intersection(m, Fraction(1, 16))
-    assert not report.empty
     assert report.triples == [(2, 4, 6)]
     assert report.pair_count == 9
 

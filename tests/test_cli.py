@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, determinism, output artifacts."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from gridguards.cli import (
@@ -50,17 +53,13 @@ def test_solve_missing_file():
     assert main(["solve", "/nonexistent/poly.txt"]) == EXIT_INPUT
 
 
-def test_solve_theory_mode_rejects_full_grid(poly_file):
-    code = main(["solve", poly_file, "--mode", "theory",
-                 "--strategy", "FullCellSample"])
-    assert code == EXIT_INPUT
-
-
-def test_solve_theory_mode_defaults_to_adaptive(tmp_path, poly_file):
+def test_solve_vertices_strategy(tmp_path, poly_file):
     code, text = run_to_file(tmp_path,
-                             ["solve", poly_file, "--mode", "theory"])
+                             ["solve", poly_file, "--strategy", "Vertices"])
     assert code == EXIT_OK
-    assert json.loads(text)["strategy"] == "AdaptiveRefine"
+    doc = json.loads(text)
+    assert doc["strategy"] == "Vertices"
+    assert doc["guards"] == [["9", "9"]]     # a vertex of the square
 
 
 def test_solve_round_budget(tmp_path):
@@ -179,12 +178,31 @@ def test_gg_threads_validated(monkeypatch, tmp_path, poly_file):
 
 
 @pytest.mark.parametrize("argv", [
+    ["solve", "x", "--mode", "theory"],
     ["verify-lemmas", "--fixture", "channel", "--mode", "theory"],
     ["generate", "--shape", "comb", "--svg", "x"],
     ["analyze", "x", "--seed", "1"],
-], ids=["verify-lemmas-mode", "generate-svg", "analyze-seed"])
+], ids=["solve-mode", "verify-lemmas-mode", "generate-svg", "analyze-seed"])
 def test_unread_options_rejected(argv):
     """Each subcommand parses only the options it reads."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def readme_commands():
+    """The lines of the README's *Command line* block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S)
+    return [shlex.split(line) for line in block.group(1).splitlines()]
+
+
+def test_readme_command_line_runs_as_written(tmp_path, monkeypatch):
+    """Each README command, run in one directory in order, exits with the
+    code the README gives: the last one is the bad-region probe."""
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert all(argv[0] == "gridguards" for argv in commands)
+    codes = [main(argv[1:]) for argv in commands]
+    assert codes == [EXIT_OK] * 4 + [EXIT_VIOLATION]

@@ -25,9 +25,9 @@ from gridguards.generate import (
 )
 from gridguards.geometry import (
     Point,
-    Segment,
     orient,
     point_on_segment,
+    polygon_area,
     pt,
     ray_segment_params,
     segment_intersection_point,
@@ -89,12 +89,13 @@ def test_point_value_semantics():
 
 def test_point_coordinates_stay_fractions():
     a, b = Point(1, 2), Point(4, 7)
+    mid = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
     results = [a, a + b, a - b, a.scaled(3), a.scaled(Fraction(1, 3)),
-               Segment(a, b).midpoint(), Point(a.x / 3, b.y / 2)]
+               mid, Point(a.x / 3, b.y / 2)]
     for p in results:
         assert type(p.x) is Fraction and type(p.y) is Fraction
     # integer division of coordinates stays exact, never a float
-    assert Segment(a, b).midpoint() == pt("5/2", "9/2")
+    assert mid == pt("5/2", "9/2")
     assert Point(a.x / 3, 0).x == Fraction(1, 3)
 
 
@@ -232,9 +233,10 @@ def test_visibility_from_boundary_matches_area_oracle(n, seed, data):
     i = data.draw(st.integers(0, k - 1))
     t = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2),
                                    Fraction(1, 3)]))
-    x = along(m.vertex(i), m.vertex(i + 1), t)
+    x = along(*m.edges()[i], t)
     vp = visibility_polygon(m, x)
-    assert vp.area() == visibility_area_oracle(list(m.vertices), x)
+    assert polygon_area(vp.boundary) == visibility_area_oracle(
+        list(m.vertices), x)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +248,7 @@ def draw_endpoint(data, m, cells, grazing):
     a cell centre in P, a point of ``grazing`` (visibility-polygon
     vertices), or a lattice point of the bounding box (quarter steps); the
     last two kinds and the edge lines also fall outside P."""
-    i = data.draw(st.integers(0, m.n - 1))
-    a, b = m.vertex(i), m.vertex(i + 1)
+    a, b = m.edges()[data.draw(st.integers(0, m.n - 1))]
     kind = data.draw(st.sampled_from(
         ["vertex", "edge", "line", "cell", "grazing", "lattice"]))
     if kind == "vertex":
@@ -287,9 +288,8 @@ def check_sees(m, data, extra=()):
                 min_value=1, max_value=4, max_denominator=7)))
         elif mode == "line":
             # both ends on one edge's line: collinear overlaps
-            i = data.draw(st.integers(0, m.n - 1))
-            p, q = (along(m.vertex(i), m.vertex(i + 1), data.draw(params))
-                    for _ in range(2))
+            a, b = m.edges()[data.draw(st.integers(0, m.n - 1))]
+            p, q = (along(a, b, data.draw(params)) for _ in range(2))
         outside = [e for e in (p, q) if not winding_inside(verts, e)]
         if outside:
             with pytest.raises(PointOutsidePolygon) as err:
@@ -344,7 +344,11 @@ def test_sees_through_a_notch_corner(k):
              ((2, 2), (10, 3), True),              # ends at the corner
              ((2, 2), (12, Fraction(5, 2)), True),  # passes below it
              ((2, 3), (19, 3), True),              # along the notch floor
-             ((5, 5), (15, 5), False)]             # across the notch
+             ((5, 5), (15, 5), False),             # across the notch
+             # along the top walls, across the notch's mouth: from a point
+             # partway along one wall, and covering both walls whole
+             ((5, 10), (15, 10), False),
+             ((1, 10), (20, 10), False)]
     for (p, q, expected) in cases:
         p, q = pt(*p), pt(*q)
         assert naive_sees(list(m.vertices), p, q) == expected

@@ -90,24 +90,11 @@ def test_cone_property_counterexample_polygon():
     assert rep.instances_checked > 0
 
 
-def test_cone_property_rejects_bad_slope():
-    with pytest.raises(ValueError):
-        check_cone_property(channel(), s=2)
-
-
 def test_grid_outside_bad_channel():
     rep = check_grid_outside_bad(channel(), samples=40, seed=0)
     assert rep.status == "Verified"
     assert rep.instances_checked > 0
     assert rep.violations == []
-
-
-def test_grid_outside_bad_skips_wrong_regime():
-    m = channel()
-    rep = check_grid_outside_bad(m, samples=10, s=Fraction(1, 2),
-                                 alpha=Fraction(1, 4))
-    assert rep.status == "Skipped"
-    assert rep.instances_checked == 0
 
 
 def test_local_visibility_holds_away_from_bad_region():

@@ -141,9 +141,10 @@ def test_opposite_pairs_triple_fixture():
 
 
 def test_general_position_fixtures():
-    assert check_general_position(triple_pairs()).ok
+    clean = check_general_position(triple_pairs())
+    assert clean.collinear_triples == []
+    assert clean.concurrent_extension_triples == []
     rep = check_general_position(concurrent_pairs())
-    assert not rep.ok
     # the three spike-pair lines are concurrent at one interior point
     pts = [p for p, _ in rep.concurrent_extension_triples]
     assert pt(105, 20) in pts

@@ -18,8 +18,8 @@ from gridguards.geometry import Point, pt
 from gridguards.grid import Covered, guard_set, verify_coverage
 from gridguards.polygon import load_polygon, point_in_polygon
 from gridguards.solver import (
-    STRATEGY_ADAPTIVE,
     STRATEGY_FULL,
+    STRATEGY_VERTICES,
     CombinatoricsBudgetExceeded,
     InfeasibleWitness,
     RoundLimitExceeded,
@@ -101,7 +101,8 @@ def test_brute_force_cover_is_a_cover(fixture):
 
 def test_infeasible_witness_raised():
     m = comb(3)
-    # a single base corner cannot see into every prong
+    # a single base corner cannot see into every prong; eh_solve's own
+    # candidates include every vertex, which together see all of P
     with pytest.raises(InfeasibleWitness):
         cover_instance(m, [m.vertices[0]])
 
@@ -123,9 +124,9 @@ def test_eh_solve_comb3():
 
 def test_eh_solve_deterministic_under_seed():
     m = channel()
-    cands = list(m.vertices) + [pt(2, 5), pt(10, 5), pt(6, 2), pt(6, 9)]
-    a = eh_solve(m, SolveConfig(rng_seed=11), candidates=cands)
-    b = eh_solve(m, SolveConfig(rng_seed=11), candidates=cands)
+    cfg = SolveConfig(candidate_strategy=STRATEGY_VERTICES, rng_seed=11)
+    a = eh_solve(m, cfg)
+    b = eh_solve(m, cfg)
     assert a.certified and b.certified
     assert a.guards == b.guards
     assert a.rounds == b.rounds
@@ -133,7 +134,7 @@ def test_eh_solve_deterministic_under_seed():
 
 def test_eh_solve_adaptive_strategy_uses_vertices():
     m = channel()
-    result = eh_solve(m, SolveConfig(candidate_strategy=STRATEGY_ADAPTIVE,
+    result = eh_solve(m, SolveConfig(candidate_strategy=STRATEGY_VERTICES,
                                      rng_seed=0))
     assert result.certified
     assert all(g in m.vertices for g in result.guards.guards)
@@ -143,12 +144,6 @@ def test_eh_solve_round_budget():
     m = comb(3)
     with pytest.raises(RoundLimitExceeded):
         eh_solve(m, SolveConfig(max_rounds=1, rng_seed=0))
-
-
-def test_eh_solve_infeasible_candidates():
-    m = comb(3)
-    with pytest.raises(InfeasibleWitness):
-        eh_solve(m, SolveConfig(), candidates=[m.vertices[0]])
 
 
 @given(st.integers(5, 8), st.integers(0, 10 ** 6), st.data())
