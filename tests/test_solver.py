@@ -21,6 +21,7 @@ from gridguards.solver import (
     STRATEGY_FULL,
     STRATEGY_VERTICES,
     CombinatoricsBudgetExceeded,
+    CoverInstance,
     InfeasibleWitness,
     RoundLimitExceeded,
     SolveConfig,
@@ -105,6 +106,20 @@ def test_infeasible_witness_raised():
     # candidates include every vertex, which together see all of P
     with pytest.raises(InfeasibleWitness):
         cover_instance(m, [m.vertices[0]])
+
+
+def test_eh_solve_infeasible_candidates():
+    """eh_solve picks its own candidates now; the greedy pass it runs still
+    refuses an instance whose candidates (here one base corner) miss a
+    witness, instead of looping on it."""
+    m = comb(3)
+    inst = cover_instance(m, m.vertices)
+    corner = inst.candidates.index(m.vertices[0])
+    single = CoverInstance((inst.candidates[corner],), inst.witnesses,
+                           (inst.masks[corner],))
+    assert single.masks[0] != single.full
+    with pytest.raises(InfeasibleWitness):
+        greedy_cover(m, single)
 
 
 def test_eh_solve_square():
