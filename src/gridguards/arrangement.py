@@ -13,7 +13,9 @@ the walk into the face stays inside it up to its first hit on those
 edges; each bounded face's representative is the midpoint of that stretch.
 The ray is shot on integers: the walk's triples and those of the other
 components are brought over the lcm of their W, and one Point is built
-per representative.
+per representative.  Each edge also records the bounded face on either
+side of it and the input segments that contain it, so callers can walk
+the faces' dual graph.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ class Arrangement:
     edges: List[Tuple[Key, Key]]
     face_cycles: List[List[Point]]      # bounded faces, outer cycles, CCW
     representatives: List[Point]        # one interior point per bounded face
+    # per edge (u, v): the bounded face left of u -> v and left of v -> u,
+    # or -1 where that side's walk bounds no face (the outer walk, or a
+    # hole's boundary seen from the face around it)
+    edge_faces: List[Tuple[int, int]]
+    # per edge: the indices of the input segments that contain it
+    edge_segments: List[Tuple[int, ...]]
 
 
 def _split_points(segs: List[Tuple[Tuple[int, int], Tuple[int, int]]]
@@ -121,20 +129,29 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
     # (X, Y) / (W s); each segment once, from its smaller endpoint
     s, cs = cleared(*[c for ab in segments for p in ab for c in (p.x, p.y)])
     ends = iter(zip(cs[0::2], cs[1::2]))
-    splits = _split_points(sorted({(min(p, q), max(p, q))
-                                   for p, q in zip(ends, ends) if p != q}))
+    merged: Dict[Tuple[Tuple[int, int], Tuple[int, int]], Tuple[int, ...]] = {}
+    for k, (p, q) in enumerate(zip(ends, ends)):
+        if p != q:
+            pq = (min(p, q), max(p, q))
+            merged[pq] = merged.get(pq, ()) + (k,)
+    segs = sorted(merged)
+    splits = _split_points(segs)
     points = {t: Point(Fraction(t[0], t[2] * s), Fraction(t[1], t[2] * s))
               for on in splits for t in on}
     # nodes are numbered in key order, so ids compare as keys do
     triples = sorted(points, key=lambda t: points[t].key())
     nodes = [points[t] for t in triples]
     index = {t: i for i, t in enumerate(triples)}
-    edge_set = set()
-    for on in splits:
+    # each edge's input segments; segments merged above, or collinear ones
+    # that overlap, hold disjoint index sets, so concatenation is a union
+    owners: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    for pq, on in zip(segs, splits):
         # the points of one segment lie along it in key order
         ids = sorted({index[t] for t in on})
-        edge_set.update(zip(ids, ids[1:]))
-    edges = sorted(edge_set)
+        ks = merged[pq]
+        for e in zip(ids, ids[1:]):
+            owners[e] = owners.get(e, ()) + ks
+    edges = sorted(owners)
 
     # each node's walls counterclockwise, and each neighbour's slot in them
     adj: List[List[int]] = [[] for _ in nodes]
@@ -174,16 +191,16 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
     axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     fans: Dict[int, List[Tuple[int, int]]] = {}  # walls and axes, by node
     half_edges = sorted(edges + [(v, u) for u, v in edges])
-    visited = set()
+    face_of: Dict[Tuple[int, int], int] = {}  # by half-edge, once walked
     face_cycles: List[List[Point]] = []
     reps: List[Point] = []
     for start in half_edges:
-        if start in visited:
+        if start in face_of:
             continue
         walk: List[Tuple[int, int]] = []
         h = start
-        while h not in visited:
-            visited.add(h)
+        while h not in face_of:
+            face_of[h] = -1
             walk.append(h)
             # next half-edge: rotate clockwise at the head node
             u, v = h
@@ -198,6 +215,7 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
         if sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
                in zip(xy, xy[1:] + xy[:1])) <= 0:
             continue  # outer face or hole boundary
+        face_of.update(dict.fromkeys(walk, len(face_cycles)))
         face_cycles.append([nodes[u] for u, _ in walk])
         # representative: from the lexicographically smallest cycle vertex
         # along the bisector of the first gap counterclockwise of its
@@ -235,4 +253,6 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
 
     return Arrangement(
         nodes=nodes, edges=[(nodes[u].key(), nodes[v].key()) for u, v in edges],
-        face_cycles=face_cycles, representatives=reps)
+        face_cycles=face_cycles, representatives=reps,
+        edge_faces=[(face_of[(u, v)], face_of[(v, u)]) for u, v in edges],
+        edge_segments=[owners[e] for e in edges])

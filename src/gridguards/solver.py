@@ -5,6 +5,11 @@ with every candidate's window chords; each face lies in the polygon.  A
 candidate covers a face exactly when the face lies in its visibility
 polygon, so its bitmask holds the witnesses in its closed visibility
 polygon, and every solver below is finite set cover over those bitmasks.
+Every edge of a visibility polygon is in the overlay, so crossing an
+overlay edge inside P flips membership exactly for the candidates whose
+window chords contain it (the edge's owners): one face's seers are found
+by membership, and every other face's by a breadth-first walk over the
+faces that XORs in the owners of each edge it crosses.
 ``cover_instance`` is the one place that instance is built: it computes
 each candidate's visibility polygon once, which gives both its chords and
 its bitmask, and checks that every witness is seen.  The solvers only read
@@ -23,7 +28,7 @@ from itertools import accumulate, combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .arrangement import build_arrangement
-from .geometry import Point
+from .geometry import GeometryError, Point
 from .grid import (
     Covered,
     GuardSet,
@@ -31,7 +36,7 @@ from .grid import (
     guard_set,
     verify_coverage,
 )
-from .polygon import PolygonModel, point_in_cycle, point_in_polygon
+from .polygon import PolygonModel, _in_int_cycle, point_in_cycle
 from .visibility import (
     VisibilityPolygon,
     overlay_segments,
@@ -88,12 +93,48 @@ class CoverInstance:
         return (1 << len(self.witnesses)) - 1
 
 
-def build_witnesses(m: PolygonModel,
-                    polygons: Sequence[VisibilityPolygon]) -> Tuple[Point, ...]:
-    """One representative per face of the overlay of the polygon with the
-    window chords of the candidates' visibility polygons."""
+def build_witnesses(m: PolygonModel, polygons: Sequence[VisibilityPolygon]
+                    ) -> Tuple[Tuple[Point, int], ...]:
+    """One (representative, seers) pair per face of the overlay of the
+    polygon with the window chords of the candidates' visibility polygons,
+    in face order; seers is the bitmask of the polygons that hold the face.
+
+    Face 0's seers come from membership of its representative in every
+    polygon.  The walk then crosses each edge with a bounded face on both
+    sides and XORs in the bits of the edge's owners; an overlay segment
+    at or past the polygon's edges is a window chord of one polygon, in
+    ``overlay_segments`` order.  Raises GeometryError if a face is reached
+    with two different seer sets or not at all.
+    """
     arr = build_arrangement(overlay_segments(m, polygons))
-    return tuple(arr.representatives)
+    bits = [0] * m.n + [1 << i for i, vp in enumerate(polygons)
+                        for _ in vp.window_edges]
+    across: List[List[Tuple[int, int]]] = [[] for _ in arr.representatives]
+    for (f, g), ks in zip(arr.edge_faces, arr.edge_segments):
+        if f >= 0 and g >= 0:
+            flip = 0
+            for k in ks:
+                flip ^= bits[k]
+            across[f].append((g, flip))
+            across[g].append((f, flip))
+    rep = arr.representatives[0]
+    seers: List[Optional[int]] = [None] * len(across)
+    seers[0] = sum(1 << i for i, vp in enumerate(polygons)
+                   if point_in_cycle(vp.boundary, rep))
+    queue = [0]
+    for f in queue:
+        for g, flip in across[f]:
+            s = seers[f] ^ flip
+            if seers[g] is None:
+                seers[g] = s
+                queue.append(g)
+            elif seers[g] != s:
+                raise GeometryError(
+                    f"face {g} reached with two different seer sets")
+    if len(queue) != len(across):
+        raise GeometryError(
+            f"{len(across) - len(queue)} faces not reached from face 0")
+    return tuple(zip(arr.representatives, seers))
 
 
 def cover_instance(m: PolygonModel,
@@ -105,23 +146,16 @@ def cover_instance(m: PolygonModel,
     Raises InfeasibleWitness if some witness is seen by no candidate.
     """
     cands = tuple(sorted(set(candidates), key=Point.key))
-    polygons = [visibility_polygon(m, c) for c in cands]
-    witnesses = build_witnesses(m, polygons)
-    masks = []
-    seen_any = 0
-    for vp in polygons:
-        mask = 0
-        for i, w in enumerate(witnesses):
-            if point_in_cycle(vp.boundary, w):
-                mask |= 1 << i
-        masks.append(mask)
-        seen_any |= mask
-    inst = CoverInstance(cands, witnesses, tuple(masks))
-    if seen_any != inst.full:
-        missing = next(w for i, w in enumerate(witnesses)
-                       if not (seen_any >> i) & 1)
+    faces = build_witnesses(m, [visibility_polygon(m, c) for c in cands])
+    missing = next((w for w, seers in faces if not seers), None)
+    if missing is not None:
         raise InfeasibleWitness(f"witness {missing} seen by no candidate")
-    return inst
+    # the seers as binary digits, last face first: candidate c's digits are
+    # every n-th one from n - 1 - c, most significant first
+    n = len(cands)
+    digits = "".join(format(seers, f"0{n}b") for _, seers in reversed(faces))
+    return CoverInstance(cands, tuple(w for w, _ in faces),
+                         tuple(int(digits[n - 1 - c::n], 2) for c in range(n)))
 
 
 def _greedy(masks: Sequence[int], full: int) -> List[int]:
@@ -185,12 +219,13 @@ def default_candidates(m: PolygonModel) -> List[Point]:
     out = list(m.vertices)
     xs = [int(v.x) for v in m.vertices]
     ys = [int(v.y) for v in m.vertices]
+    # the polygon doubled, so the centre of cell (i, j) is (2i + 1, 2j + 1)
+    x2, y2 = [2 * x for x in xs], [2 * y for y in ys]
     half = Fraction(1, 2)
     for i in range(min(xs), max(xs) + 1):
         for j in range(min(ys), max(ys) + 1):
-            c = Point(i + half, j + half)
-            if point_in_polygon(m, c):
-                out.append(c)
+            if _in_int_cycle(x2, y2, 2 * i + 1, 2 * j + 1):
+                out.append(Point(i + half, j + half))
     return sorted(set(out), key=Point.key)
 
 

@@ -33,7 +33,11 @@ from gridguards.grid import (
     SurroundingGrid,
     Uncovered,
 )
-from gridguards.polygon import PointOutsidePolygon, point_in_polygon
+from gridguards.polygon import (
+    PointOutsidePolygon,
+    point_in_cycle,
+    point_in_polygon,
+)
 from gridguards.visibility import overlay_segments, sees, visibility_polygon
 
 
@@ -201,6 +205,21 @@ def verify_coverage_ref(m, g):
         if not any(sees(m, x, wpt) for x in g.guards):
             return Uncovered(witness=wpt)
     return Covered()
+
+
+def masks_ref(m, candidates, witnesses):
+    """Per candidate, the bitmask of the witnesses in its closed visibility
+    polygon, by one membership test per candidate and witness: the masks
+    ``solver.cover_instance`` builds by walking the overlay's faces."""
+    masks = []
+    for c in candidates:
+        vp = visibility_polygon(m, c)
+        mask = 0
+        for i, w in enumerate(witnesses):
+            if point_in_cycle(vp.boundary, w):
+                mask |= 1 << i
+        masks.append(mask)
+    return tuple(masks)
 
 
 # Brute-force reference for gridguards.arrangement: every pairwise

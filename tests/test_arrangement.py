@@ -103,6 +103,15 @@ def assert_matches_reference(segs):
     assert arr.nodes == nodes
     assert arr.edges == edges
     assert arr.face_cycles == cycles
+    # each side of an edge: the cycle that runs along it that way, if any
+    left = {(p, q): f for f, cycle in enumerate(cycles)
+            for p, q in zip(cycle, cycle[1:] + cycle[:1])}
+    for (a, b), sides, ks in zip(arr.edges, arr.edge_faces,
+                                 arr.edge_segments):
+        a, b = Point(*a), Point(*b)
+        assert sides == (left.get((a, b), -1), left.get((b, a), -1))
+        assert sorted(ks) == [k for k, (p, q) in enumerate(segs) if p != q
+                              and on_segment(a, p, q) and on_segment(b, p, q)]
     assert len(arr.representatives) == len(cycles)
     for f, (cycle, rep) in enumerate(zip(cycles, arr.representatives)):
         assert winding_inside(cycle, rep)

@@ -168,15 +168,6 @@ def test_generate_rejects_tiny_n():
     assert main(["generate", "--shape", "random", "--n", "2"]) == EXIT_INPUT
 
 
-def test_gg_threads_validated(monkeypatch, tmp_path, poly_file):
-    monkeypatch.setenv("GG_THREADS", "garbage")
-    code, _ = run_to_file(tmp_path, ["solve", poly_file])
-    assert code == EXIT_OK
-    monkeypatch.setenv("GG_THREADS", "4")
-    code, _ = run_to_file(tmp_path, ["solve", poly_file])
-    assert code == EXIT_OK
-
-
 @pytest.mark.parametrize("argv", [
     ["solve", "x", "--mode", "theory"],
     ["verify-lemmas", "--fixture", "channel", "--mode", "theory"],

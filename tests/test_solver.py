@@ -14,7 +14,7 @@ from gridguards.generate import (
     counterexample_polygon,
     random_polygon,
 )
-from gridguards.geometry import Point, pt
+from gridguards.geometry import GeometryError, Point, pt
 from gridguards.grid import Covered, guard_set, verify_coverage
 from gridguards.polygon import load_polygon, point_in_polygon
 from gridguards.solver import (
@@ -34,13 +34,16 @@ from gridguards.solver import (
 )
 from gridguards.visibility import visibility_polygon
 
+from oracles import masks_ref
+
 
 def square():
     return load_polygon([(1, 1), (9, 1), (9, 9), (1, 9)])
 
 
 def witnesses_of(m, cands):
-    return build_witnesses(m, [visibility_polygon(m, c) for c in cands])
+    return tuple(w for w, _ in build_witnesses(
+        m, [visibility_polygon(m, c) for c in cands]))
 
 
 def test_default_candidates_square():
@@ -50,6 +53,22 @@ def test_default_candidates_square():
     assert Point(Fraction(3, 2), Fraction(3, 2)) in cands  # cell centers
     assert all(c == sorted(set(cands), key=Point.key)[i]
                for i, c in enumerate(cands))       # sorted, deduplicated
+
+
+@given(st.integers(4, 10), st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_default_candidates_match_point_in_polygon(n, seed):
+    """The cell centres tested on the doubled integer polygon are those
+    point_in_polygon keeps, in the same order."""
+    m = random_polygon(n, 12, seed=seed)
+    xs = [int(v.x) for v in m.vertices]
+    ys = [int(v.y) for v in m.vertices]
+    half = Fraction(1, 2)
+    centres = [Point(i + half, j + half)
+               for i in range(min(xs), max(xs) + 1)
+               for j in range(min(ys), max(ys) + 1)]
+    expected = set(m.vertices) | {c for c in centres if point_in_polygon(m, c)}
+    assert default_candidates(m) == sorted(expected, key=Point.key)
 
 
 def test_greedy_square_one_guard():
@@ -184,10 +203,91 @@ def test_witnesses_are_inside_fixture_polygons(fixture):
     assert all(point_in_polygon(m, p) for p in ws)
 
 
+@given(st.integers(5, 8), st.integers(0, 10 ** 6), st.data())
+@settings(max_examples=25, deadline=None)
+def test_masks_match_reference(n, seed, data):
+    """The face walk gives every face the seers that one membership test
+    per candidate and face gives it, faces that no candidate sees too;
+    cover_instance's masks are those seers, transposed, or it refuses."""
+    m = random_polygon(n, 8, seed=seed)
+    views = sorted(data.draw(st.lists(st.sampled_from(default_candidates(m)),
+                                      min_size=1, max_size=8, unique=True)),
+                   key=Point.key)
+    faces = build_witnesses(m, [visibility_polygon(m, c) for c in views])
+    ref = masks_ref(m, views, [w for w, _ in faces])
+    assert [seers for _, seers in faces] == [
+        sum(1 << c for c, mask in enumerate(ref) if mask >> f & 1)
+        for f in range(len(faces))]
+    if all(seers for _, seers in faces):
+        assert cover_instance(m, views).masks == ref
+    else:
+        with pytest.raises(InfeasibleWitness):
+            cover_instance(m, views)
+
+
+@pytest.mark.parametrize("fixture", [
+    lambda: comb(3), channel, counterexample_polygon,
+    lambda: blocking_fixture()[0]],
+    ids=["comb3", "channel", "deshpande", "blocking"])
+def test_masks_match_reference_on_fixtures(fixture):
+    m = fixture()
+    inst = cover_instance(m, default_candidates(m))
+    assert inst.masks == masks_ref(m, inst.candidates, inst.witnesses)
+
+
+def _drop_one_owner(arr):
+    """Drop one chord from the owners of an edge with an end off the
+    polygon's boundary: the faces around that end form a cycle, so the
+    walk reaches one of them along two paths that now disagree."""
+    on_boundary = {p for e, sides in zip(arr.edges, arr.edge_faces)
+                   if min(sides) < 0 for p in e}
+    i = next(i for i, (e, sides) in enumerate(zip(arr.edges, arr.edge_faces))
+             if min(sides) >= 0 and e[0] not in on_boundary)
+    arr.edge_segments[i] = arr.edge_segments[i][1:]
+
+
+def _cut_off_last_face(arr):
+    """Mark every side of the last face as unbounded, so no walk enters it."""
+    last = len(arr.face_cycles) - 1
+    arr.edge_faces[:] = [tuple(-1 if f == last else f for f in sides)
+                         for sides in arr.edge_faces]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_one_owner, "two different seer sets"),
+    (_cut_off_last_face, "not reached")],
+    ids=["dropped-owner", "unreached-face"])
+def test_walk_refuses_an_inconsistent_arrangement(monkeypatch, corrupt,
+                                                  message):
+    from gridguards import solver
+
+    inner = solver.build_arrangement
+
+    def corrupted(segments):
+        arr = inner(segments)
+        corrupt(arr)
+        return arr
+    monkeypatch.setattr(solver, "build_arrangement", corrupted)
+    m = comb(3)
+    with pytest.raises(GeometryError, match=message):
+        cover_instance(m, default_candidates(m))
+
+
+@pytest.mark.parametrize("fixture, witnesses, k", [
+    (counterexample_polygon, 3708, 2),
+    (lambda: blocking_fixture()[0], 3809, 3)],
+    ids=["deshpande", "blocking"])
+def test_eh_solve_large_fixtures(fixture, witnesses, k):
+    result = eh_solve(fixture(), SolveConfig(rng_seed=0))
+    assert result.certified
+    assert result.witness_count == witnesses
+    assert len(result.guards) == k
+
+
 def test_eh_solve_call_counts(monkeypatch):
     """One solve computes each candidate's visibility polygon once, builds
-    two arrangements (witnesses, certification) and decides its masks by
-    membership alone, without a call to sees()."""
+    two arrangements (witnesses, certification), decides its masks without
+    a call to sees(), and tests membership only for the first face."""
     from gridguards import arrangement, grid, solver, visibility
 
     m = comb(3)
@@ -209,8 +309,10 @@ def test_eh_solve_call_counts(monkeypatch):
     # verify_coverage calls grid's binding of sees, which stays uncounted
     count(solver, "sees")
     count(visibility, "sees")
+    count(solver, "point_in_cycle")
     result = eh_solve(m, SolveConfig(rng_seed=0))
     assert result.certified and len(result.guards) == 3
     assert calls["visibility_polygon"] == len(cands) + len(result.guards)
     assert calls["build_arrangement"] == 2
     assert calls["sees"] == 0
+    assert calls["point_in_cycle"] == len(cands)

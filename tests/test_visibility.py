@@ -47,6 +47,18 @@ def test_sees_rejects_outside_points():
         sees(m, pt(2, 2), pt(6, 6))
 
 
+@pytest.mark.parametrize("x", [
+    pt(6, 6), Point(Fraction(9, 2), Fraction(41, 10)), pt(8, 2)])
+def test_visibility_polygon_rejects_outside_points(x):
+    m = l_shape()
+    with pytest.raises(PointOutsidePolygon) as err:
+        visibility_polygon(m, x)
+    assert str(err.value) == f"{x} outside polygon"
+    # the boundary is inside: the reflex corner and a point on an edge
+    for y in (pt(4, 4), Point(Fraction(4), Fraction(11, 2))):
+        assert point_in_polygon(m, y) and visibility_polygon(m, y)
+
+
 def test_sees_known_cases():
     m = l_shape()
     assert sees(m, pt(2, 2), pt(6, 2))
