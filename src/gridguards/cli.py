@@ -54,7 +54,6 @@ from .polygon import (
 from .solver import (
     STRATEGY_FULL,
     STRATEGY_VERTICES,
-    InfeasibleWitness,
     RoundLimitExceeded,
     SolveConfig,
     eh_solve,
@@ -99,9 +98,6 @@ def cmd_solve(args) -> int:
     except RoundLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except InfeasibleWitness as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     doc = {
         "guards": [[str(g.x), str(g.y)]
                    for g in result.guards.guards],

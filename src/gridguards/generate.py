@@ -130,20 +130,6 @@ def random_points(rng: random.Random, n: int, m: int) -> List[Tuple[int, int]]:
     return sorted(pts)
 
 
-def _is_simple(verts: List[Point]) -> bool:
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        if a == b:
-            return False
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if segments_intersect(a, b, verts[j], verts[(j + 1) % n]):
-                return False
-    return True
-
-
 _BUDGET = 20000  # samples drawn, and 2-opt moves per sample
 
 
@@ -170,7 +156,8 @@ def random_polygon(n: int, m: int, seed: int) -> PolygonModel:
 
 
 def _untangle(verts: List[Point]) -> bool:
-    """2-opt: reverse the span between any two crossing edges."""
+    """2-opt: reverse the span between any two crossing edges; True once a
+    full scan finds no crossing."""
     n = len(verts)
     for _ in range(_BUDGET):
         crossing = None
@@ -185,7 +172,7 @@ def _untangle(verts: List[Point]) -> bool:
             if crossing:
                 break
         if crossing is None:
-            return _is_simple(verts)
+            return True
         i, j = crossing
         lo, hi = i + 1, j
         verts[lo:hi + 1] = reversed(verts[lo:hi + 1])

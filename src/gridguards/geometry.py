@@ -1,9 +1,8 @@
 """Exact rational planar primitives and predicates.
 
 Kernel invariant: coordinates are ``fractions.Fraction`` at every API
-boundary and no float is ever used.  The predicates ``orient``,
-``point_on_segment``, ``ray_segment_params`` and
-``segment_intersection_point`` decide on integers obtained by clearing the
+boundary and no float is ever used.  The predicates ``orient`` and
+``point_on_segment`` decide on integers obtained by clearing the
 denominators of the few coordinates involved; they serve input
 validation, the bound checks and the test oracles, and once its input
 polygon is validated a solve or a coverage check calls none of them.  The
@@ -14,10 +13,10 @@ overlay constructions, ``visibility.visibility_polygon`` and
 ``arrangement.build_arrangement``, which each clear their whole input
 once and keep constructed points as reduced homogeneous triples.  Scaling
 every coordinate by the same positive integer keeps every sign, order and
-parameter ratio, so the integer decisions are exact; only a returned
-parameter or point is built as a Fraction again.  Distances are kept
-squared so that no square root is ever taken; angle comparisons use
-cross/dot ratios for the same reason.
+parameter ratio, so the integer decisions are exact; only a returned point
+is built as a Fraction again.  Distances are kept squared so that no
+square root is ever taken; angle comparisons use cross/dot ratios for the
+same reason.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Scalar = Fraction
 CoordLike = Union[int, str, Fraction]
@@ -275,60 +274,6 @@ def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
     if o4 == 0 and point_on_segment(b, c, d):
         return True
     return False
-
-
-def segment_intersection_point(a: Point, b: Point, c: Point,
-                               d: Point) -> Optional[Point]:
-    """Intersection point of segments ab and cd when it is unique, else None.
-
-    Collinear overlaps (non-unique intersection) return None.
-    """
-    s, (ax, ay, bx, by, cx, cy, dx, dy) = cleared(
-        a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
-    ux, uy = bx - ax, by - ay
-    vx, vy = dx - cx, dy - cy
-    denom = ux * vy - uy * vx
-    if denom == 0:
-        return None
-    fx, fy = cx - ax, cy - ay
-    tn = fx * vy - fy * vx
-    un = fx * uy - fy * ux
-    if denom < 0:
-        denom, tn, un = -denom, -tn, -un
-    if 0 <= tn <= denom and 0 <= un <= denom:
-        # a + t (b - a) with t = tn / denom, one Fraction per coordinate
-        w = s * denom
-        return Point(Fraction(ax * denom + ux * tn, w),
-                     Fraction(ay * denom + uy * tn, w))
-    return None
-
-
-def ray_segment_params(apex: Point, direction: Point, a: Point,
-                       b: Point) -> list:
-    """Parameters t >= 0 where apex + t*direction meets segment ab.
-
-    Returns at most two values; collinear overlap contributes both overlap
-    endpoints' parameters.
-    """
-    _, (ox, oy, dx, dy, ax, ay, bx, by) = cleared(
-        apex.x, apex.y, direction.x, direction.y, a.x, a.y, b.x, b.y)
-    ex, ey = bx - ax, by - ay
-    fx, fy = ax - ox, ay - oy
-    denom = dx * ey - dy * ex
-    if denom == 0:
-        if dx * fy - dy * fx != 0:
-            return []
-        # collinear: project endpoints onto the ray
-        dd = dx * dx + dy * dy
-        ns = (fx * dx + fy * dy, (bx - ox) * dx + (by - oy) * dy)
-        return sorted(Fraction(n, dd) for n in ns if n >= 0)
-    tn = fx * ey - fy * ex
-    un = fx * dy - fy * dx
-    if denom < 0:
-        denom, tn, un = -denom, -tn, -un
-    if tn >= 0 and 0 <= un <= denom:
-        return [Fraction(tn, denom)]
-    return []
 
 
 def polygon_signed_area2(vertices: Sequence[Point]) -> Scalar:

@@ -32,6 +32,7 @@ from .polygon import (
     OppositeReflexPair,
     PolygonModel,
     _line_key,
+    extensions,
     opposite_reflex_pairs,
     point_in_polygon,
     reflex_vertices,
@@ -128,14 +129,7 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
             rep.check(dist_sq(verts[i], verts[j]) >= 1,
                       f"item1 v{i} v{j}", str(dist_sq(verts[i], verts[j])))
 
-    lines = []
-    seen = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = _line_key(verts[i], verts[j])
-            if key not in seen:
-                seen[key] = True
-                lines.append(key)
+    lines = [_line_key(e.line.a, e.line.b) for e in extensions(m)]
 
     # item 2: vertex to extension not through it, distance >= L^-1
     L2 = L * L

@@ -269,7 +269,9 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig) -> SolveResult:
     rounds = 0
     solution: Optional[List[int]] = None
     k = 1
-    while solution is None and k <= n:
+    # ends: once net_size reaches n the net is every candidate, which covers
+    # every witness because cover_instance found a seer for each
+    while solution is None:
         weights = [1] * n
         net_size = max(1, min(n, 4 * k * max(1, math.ceil(math.log2(k + 1)))))
         attempts = max(1, 8 * k * max(1, math.ceil(math.log2(n + 1))))
@@ -296,9 +298,6 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig) -> SolveResult:
                     weights[i] *= 2
         else:
             k *= 2
-
-    if solution is None:
-        raise RoundLimitExceeded("no covering net found")
 
     solution = _prune(solution, masks, full)
     greedy = _greedy(masks, full)

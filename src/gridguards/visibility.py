@@ -5,6 +5,8 @@ the whole pipeline reasons about closed regions.  The visibility polygon is
 computed by an angular sweep over wedges between consecutive critical
 directions (all vertex directions plus the four axes); inside each open wedge
 the blocking edge is constant, so one exact mid-ray shot per wedge suffices.
+The visible part of a polygon edge is read off the same polygon's
+boundary rather than swept separately.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .geometry import (
     Segment,
     cleared,
     cross,
+    dot,
     orient,
-    ray_segment_params,
     sort_directions_ccw,
 )
 from .polygon import (
@@ -33,7 +35,6 @@ from .polygon import (
     _in_int_cycle,
     _segment_inside,
     point_in_polygon,
-    segment_in_polygon,
 )
 
 
@@ -210,47 +211,30 @@ def cone_of(x: Point, u: Point, v: Point) -> Cone:
 
 def visible_subsegments(m: PolygonModel, g: Point, u: Point,
                         v: Point) -> List[Segment]:
-    """Maximal closed sub-segments of seg(u, v) visible from g.
+    """The maximal closed sub-segments of the polygon edge uv visible from
+    g, oriented from u to v.
 
-    Breakpoints are placed wherever the swept segment g-w(t) passes a polygon
-    vertex or seg(u, v) crosses an edge; visibility is constant in between.
+    Vis(g) lies in P and uv on its boundary, so the visible part of uv is
+    where uv meets the boundary of Vis(g): the boundary edges of
+    ``visibility_polygon(m, g)``, window chords included, that lie on uv's
+    line, clipped to uv.  P has no holes, so if g sees two points of uv it
+    sees the triangle they span with g: the visible part is one segment or
+    nothing.  Raises ValueError when uv is not an edge of P.
     """
-    if not point_in_polygon(m, g):
-        raise PointOutsidePolygon(f"{g} outside polygon")
-    if u == v:
-        return []
+    edges = m.edges()
+    if (u, v) not in edges and (v, u) not in edges:
+        raise ValueError(f"{u}-{v} is not an edge of the polygon")
     d = v - u
-    ts = {Fraction(0), Fraction(1)}
-    for w in m.vertices:
-        if w == g:
-            continue
-        dd = w - g
-        denom = cross(dd, d)
-        if denom == 0:
-            continue
-        t = -cross(dd, u - g) / denom
-        if 0 < t < 1:
-            ts.add(t)
-    for a, b in m.edges():
-        for t in ray_segment_params(u, d, a, b):
-            if 0 <= t <= 1:
-                ts.add(t)
-    ordered = sorted(ts)
-    flags = []
-    for t0, t1 in zip(ordered, ordered[1:]):
-        probe = u + d.scaled((t0 + t1) / 2)
-        ok = point_in_polygon(m, probe) and segment_in_polygon(m, g, probe)
-        flags.append((t0, t1, ok))
-    out: List[Segment] = []
-    run_start = None
-    for t0, t1, ok in flags + [(None, None, False)]:
-        if ok and run_start is None:
-            run_start = t0
-        elif not ok and run_start is not None:
-            a = u + d.scaled(run_start)
-            b = u + d.scaled(prev_t1)
-            out.append(Segment(a, b))
-            run_start = None
-        prev_t1 = t1
-    return out
-
+    dd = dot(d, d)
+    runs = []
+    for p, q in visibility_polygon(m, g).edges():
+        if cross(d, p - u) == 0 and cross(d, q - u) == 0:
+            t0, t1 = sorted((dot(p - u, d) / dd, dot(q - u, d) / dd))
+            t0, t1 = max(t0, 0), min(t1, 1)
+            if t0 < t1:
+                runs.append((t0, t1))
+    if not runs:
+        return []
+    lo = min(t0 for t0, _ in runs)
+    hi = max(t1 for _, t1 in runs)
+    return [Segment(u + d.scaled(lo), u + d.scaled(hi))]

@@ -15,13 +15,12 @@ from typing import List, Tuple
 from gridguards.arrangement import build_arrangement
 from gridguards.geometry import (
     Point,
+    Segment,
     cross,
     dist_sq,
     dot,
     orient,
     pt,
-    ray_segment_params,
-    segment_intersection_point,
     segments_intersect,
 )
 from gridguards.grid import (
@@ -37,6 +36,7 @@ from gridguards.polygon import (
     PointOutsidePolygon,
     point_in_cycle,
     point_in_polygon,
+    segment_in_polygon,
 )
 from gridguards.visibility import overlay_segments, sees, visibility_polygon
 
@@ -176,14 +176,14 @@ def segment_intersection_ref(a: Point, b: Point, c: Point, d: Point):
 
 def segment_inside_ref(m, a: Point, b: Point) -> bool:
     """``polygon._segment_inside`` on Fraction points, for endpoints in P:
-    every edge's hit parameters from ``ray_segment_params``, and each gap's
-    midpoint built as a Point and tested by ``point_in_polygon``."""
+    every edge's hit parameters from ``ray_segment_params_ref``, and each
+    gap's midpoint built as a Point and tested by ``point_in_polygon``."""
     if a == b:
         return True
     d = b - a
     ts = {Fraction(0), Fraction(1)}
     for c, e in m.edges():
-        for t in ray_segment_params(a, d, c, e):
+        for t in ray_segment_params_ref(a, d, c, e):
             if 0 <= t <= 1:
                 ts.add(t)
     ordered = sorted(ts)
@@ -192,6 +192,45 @@ def segment_inside_ref(m, a: Point, b: Point) -> bool:
         if not point_in_polygon(m, mid):
             return False
     return True
+
+
+def visible_subsegments_ref(m, g: Point, u: Point, v: Point):
+    """``visibility.visible_subsegments`` by a breakpoint sweep along any
+    segment uv: cut uv wherever the swept segment from g passes a vertex or
+    uv meets an edge, and keep the maximal runs of gaps whose midpoint lies
+    in P and is seen from g."""
+    if not point_in_polygon(m, g):
+        raise PointOutsidePolygon(f"{g} outside polygon")
+    if u == v:
+        return []
+    d = v - u
+    ts = {Fraction(0), Fraction(1)}
+    for w in m.vertices:
+        if w == g:
+            continue
+        dd = w - g
+        denom = cross(dd, d)
+        if denom == 0:
+            continue
+        t = -cross(dd, u - g) / denom
+        if 0 < t < 1:
+            ts.add(t)
+    for a, b in m.edges():
+        for t in ray_segment_params_ref(u, d, a, b):
+            if 0 <= t <= 1:
+                ts.add(t)
+    ordered = sorted(ts)
+    out, start = [], None
+    for t0, t1 in zip(ordered, ordered[1:]):
+        probe = u + d.scaled((t0 + t1) / 2)
+        if point_in_polygon(m, probe) and segment_in_polygon(m, g, probe):
+            start = t0 if start is None else start
+        elif start is not None:
+            out.append(Segment(u + d.scaled(start), u + d.scaled(t0)))
+            start = None
+    if start is not None:
+        out.append(Segment(u + d.scaled(start), v))
+    return out
 
 
 def verify_coverage_ref(m, g):
@@ -437,9 +476,9 @@ def surrounding_grid_ref(spec, m, x: Point, alpha) -> SurroundingGrid:
     if case != CASE_INTERIOR:
         for a, b in m.edges():
             for c, d in tri_edges:
-                p = segment_intersection_point(a, b, c, d)
+                p = segment_intersection_ref(a, b, c, d)
                 if p is not None:
-                    defining.append(p)
+                    defining.append(pt(*p))
     points = []
     for p in defining:
         g = round_to_grid_ref(spec, m, p)

@@ -17,8 +17,6 @@ from gridguards.geometry import (
     polygon_area,
     polygon_signed_area2,
     pt,
-    ray_segment_params,
-    segment_intersection_point,
     segments_intersect,
     sort_directions_ccw,
 )
@@ -78,21 +76,6 @@ def test_segments_intersect_cases():
     assert segments_intersect(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 5))
     assert segments_intersect(pt(0, 0), pt(3, 0), pt(1, 0), pt(5, 0))
     assert not segments_intersect(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1))
-
-
-@given(points, points, points, points)
-def test_segment_intersection_point_lies_on_both(a, b, c, d):
-    p = segment_intersection_point(a, b, c, d)
-    if p is not None:
-        assert point_on_segment(p, a, b)
-        assert point_on_segment(p, c, d)
-
-
-def test_ray_segment_params_cases():
-    # crossing, miss, collinear overlap clipped at the apex
-    assert ray_segment_params(pt(0, 0), pt(1, 0), pt(2, -1), pt(2, 1)) == [2]
-    assert ray_segment_params(pt(0, 0), pt(1, 0), pt(-1, -1), pt(-1, 1)) == []
-    assert ray_segment_params(pt(0, 0), pt(1, 0), pt(-2, 0), pt(3, 0)) == [3]
 
 
 def test_polygon_area_square():

@@ -29,8 +29,6 @@ from gridguards.geometry import (
     point_on_segment,
     polygon_area,
     pt,
-    ray_segment_params,
-    segment_intersection_point,
 )
 from gridguards.lemmas import build_counterexample
 from gridguards.polygon import (
@@ -46,9 +44,7 @@ from oracles import (
     naive_sees,
     on_segment,
     orient_ref,
-    ray_segment_params_ref,
     segment_inside_ref,
-    segment_intersection_ref,
     visibility_area_oracle,
     winding_inside,
 )
@@ -133,65 +129,6 @@ def test_point_on_segment_collinear(a, b, t):
     if a != b:
         assert point_on_segment(p, a, b) == (0 <= t <= 1)
     assert point_on_segment(a, a, b) and point_on_segment(b, a, b)
-
-
-# ---------------------------------------------------------------------------
-# ray_segment_params and segment_intersection_point
-
-
-@given(points, points, points, points)
-def test_ray_segment_params_matches_reference(apex, d, a, b):
-    if d == Point(0, 0):
-        return
-    got = ray_segment_params(apex, d, a, b)
-    assert got == ray_segment_params_ref(apex, d, a, b)
-    assert all(type(t) is Fraction for t in got)
-
-
-@given(points, points, points, params, params)
-def test_ray_segment_params_degenerate(apex, d, off, s1, s2):
-    if d == Point(0, 0):
-        return
-    # collinear overlap: the segment lies on the ray's line
-    a, b = apex + d.scaled(s1), apex + d.scaled(s2)
-    assert ray_segment_params(apex, d, a, b) == sorted(
-        t for t in (s1, s2) if t >= 0)
-    assert ray_segment_params(apex, d, a, b) == ray_segment_params_ref(
-        apex, d, a, b)
-    # parallel to the ray, on another line or the same one
-    a2, b2 = a + off, b + off
-    assert ray_segment_params(apex, d, a2, b2) == ray_segment_params_ref(
-        apex, d, a2, b2)
-    # through a segment endpoint
-    c = apex + d.scaled(s1)
-    assert ray_segment_params(apex, d, c, c + off) == ray_segment_params_ref(
-        apex, d, c, c + off)
-
-
-@given(points, points, points, points)
-def test_segment_intersection_matches_reference(a, b, c, d):
-    p = segment_intersection_point(a, b, c, d)
-    ref = segment_intersection_ref(a, b, c, d)
-    assert (p is None) == (ref is None)
-    if p is not None:
-        assert p.key() == ref
-        assert type(p.x) is Fraction and type(p.y) is Fraction
-
-
-@given(points, points, points, unit, unit, params)
-def test_segment_intersection_degenerate(a, b, off, s, t, u):
-    # crossing at a vertex or an interior point of both segments
-    p = along(a, b, s)
-    c, d = p - off.scaled(t), p + off.scaled(1 - t)
-    got = segment_intersection_point(a, b, c, d)
-    assert (None if got is None else got.key()) == \
-        segment_intersection_ref(a, b, c, d)
-    if a != b and off != Point(0, 0) and orient(a, b, p + off) != 0:
-        assert got == p
-    # parallel and collinear-overlapping segments have no unique point
-    assert segment_intersection_point(a, b, a + off, b + off) is None
-    assert segment_intersection_point(a, b, along(a, b, u),
-                                      along(a, b, s)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from gridguards.generate import (
     blocking_fixture,
     channel,
+    comb,
     counterexample_polygon,
     random_polygon,
 )
 from gridguards.geometry import Point, cross, dot, polygon_area, pt
+from gridguards.lemmas import build_counterexample
 from gridguards.polygon import (
     PointOutsidePolygon,
     load_polygon,
@@ -31,6 +33,7 @@ from oracles import (
     naive_sees,
     visibility_area_oracle,
     visibility_polygon_ref,
+    visible_subsegments_ref,
     winding_inside,
 )
 
@@ -221,6 +224,10 @@ def test_visible_subsegments_full_edge():
     segs = visible_subsegments(m, pt(2, 2), pt(7, 1), pt(7, 4))
     assert len(segs) == 1
     assert (segs[0].a, segs[0].b) == (pt(7, 1), pt(7, 4))
+    # from the vertex (4, 7) the window (4, 1)-(4, 7) runs along the
+    # vertex's own edge, which it sees whole
+    segs = visible_subsegments(m, pt(4, 7), pt(4, 4), pt(4, 7))
+    assert [(s.a, s.b) for s in segs] == [(pt(4, 4), pt(4, 7))]
 
 
 def test_visible_subsegments_occluded_split():
@@ -247,6 +254,30 @@ def test_visible_subsegments_pinhole_interval():
     lo, hi = sorted((above[0].a.y, above[0].b.y))
     assert lo == 6 + 5 * d / 3 == Fraction(3025, 504)
     assert hi == 6 + 3 * d == Fraction(1681, 280)
+
+
+@pytest.mark.parametrize("name", ["l_shape", "comb3", "deshpande"])
+def test_visible_subsegments_match_sweep_reference(name):
+    """Every edge, in both orientations, from every default candidate of
+    the L-shape and comb 3 and from the pinhole fixture's approach points:
+    the pieces read off the visibility polygon equal the breakpoint sweep's.
+    """
+    if name == "deshpande":
+        fix = build_counterexample(5)
+        m, xs = fix.polygon, fix.approach_points
+    else:
+        m = l_shape() if name == "l_shape" else comb(3)
+        xs = default_candidates(m)
+    for x in xs:
+        for a, b in m.edges():
+            for u, v in ((a, b), (b, a)):
+                assert visible_subsegments(m, x, u, v) == \
+                    visible_subsegments_ref(m, x, u, v), (x, u, v)
+
+
+def test_visible_subsegments_rejects_a_chord():
+    with pytest.raises(ValueError):
+        visible_subsegments(l_shape(), pt(2, 2), pt(1, 1), pt(7, 4))
 
 
 def test_pinhole_intervals_disjoint_and_shrinking():
