@@ -120,10 +120,8 @@ def _wedge_halfplanes(w: Wedge) -> List[Tuple[DirectedLine, int]]:
 
 
 def _wedge_clip_box(m: PolygonModel, w: Wedge) -> List[Point]:
-    xs = [v.x for v in m.vertices]
-    ys = [v.y for v in m.vertices]
-    box = [pt(min(xs), min(ys)), pt(max(xs), min(ys)),
-           pt(max(xs), max(ys)), pt(min(xs), max(ys))]
+    x0, y0, x1, y1 = min(m.xs), min(m.ys), max(m.xs), max(m.ys)
+    box = [pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)]
     poly = box
     for ell, side in _wedge_halfplanes(w):
         poly = clip_convex_by_halfplane(poly, ell, side)

@@ -115,7 +115,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.certified else EXIT_BUDGET
 
 
-def _lemma_reports(m, args) -> Optional[List[LemmaReport]]:
+def _lemma_reports(m, args) -> List[LemmaReport]:
     L = m.L
     which = args.check
     reports: List[LemmaReport] = []
@@ -148,12 +148,7 @@ def _lemma_reports(m, args) -> Optional[List[LemmaReport]]:
 
 def cmd_verify_lemmas(args) -> int:
     if args.fixture:
-        maker = _FIXTURES.get(args.fixture)
-        if maker is None:
-            print(f"error: unknown fixture {args.fixture!r}",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        m = maker()
+        m = _FIXTURES[args.fixture]()
     else:
         if not args.input:
             print("error: need a polygon file or --fixture",
@@ -213,14 +208,8 @@ def cmd_generate(args) -> int:
             m = comb(args.prongs)
         elif args.shape == "channel":
             m = channel()
-        elif args.shape == "random":
-            if args.n < 3:
-                print("error: need at least 3 vertices", file=sys.stderr)
-                return EXIT_INPUT
-            m = random_polygon(args.n, args.M, seed=args.seed)
         else:
-            print(f"error: unknown shape {args.shape!r}", file=sys.stderr)
-            return EXIT_INPUT
+            m = random_polygon(args.n, args.M, seed=args.seed)
     except GenerationBudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

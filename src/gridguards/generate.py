@@ -2,7 +2,8 @@
 
 All generators return validated PolygonModel instances with positive integer
 coordinates.  Random generation is seeded and untangles a random vertex
-permutation with 2-opt moves until the polygon is simple.
+permutation with 2-opt moves until the polygon is simple, on the same
+integer crossing scan that ``load_polygon`` validates with.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import random
 from fractions import Fraction
 from typing import List, Tuple
 
-from .geometry import Point, pt, segments_intersect
-from .polygon import PolygonModel, PolygonError, load_polygon
+from .geometry import Point
+from .polygon import PolygonModel, PolygonError, first_crossing, load_polygon
 
 
 class GenerationBudgetExceeded(Exception):
@@ -137,6 +138,9 @@ def random_polygon(n: int, m: int, seed: int) -> PolygonModel:
     """Random simple polygon with n vertices in [1, m]^2 via 2-opt untangling."""
     if n < 3:
         raise ValueError("need at least 3 vertices")
+    if n > m * m:
+        raise ValueError(f"cannot draw {n} distinct vertices from the "
+                         f"{m * m} points of [1, {m}]^2")
     rng = random.Random(seed)
     spent = 0
     while True:
@@ -144,36 +148,26 @@ def random_polygon(n: int, m: int, seed: int) -> PolygonModel:
         if spent > _BUDGET:
             raise GenerationBudgetExceeded(
                 f"no valid polygon after {_BUDGET} attempts")
-        verts = [pt(x, y) for x, y in random_points(rng, n, m)]
+        verts = random_points(rng, n, m)
         rng.shuffle(verts)
-        if not _untangle(verts):
+        xs, ys = [x for x, _ in verts], [y for _, y in verts]
+        if not _untangle(xs, ys):
             continue
         try:
-            model = load_polygon(verts)
+            model = load_polygon(list(zip(xs, ys)))
         except PolygonError:
             continue
         return model
 
 
-def _untangle(verts: List[Point]) -> bool:
-    """2-opt: reverse the span between any two crossing edges; True once a
-    full scan finds no crossing."""
-    n = len(verts)
+def _untangle(xs: List[int], ys: List[int]) -> bool:
+    """2-opt: reverse the span between the first two crossing edges, in
+    place; True once the cycle has no crossing."""
     for _ in range(_BUDGET):
-        crossing = None
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                if segments_intersect(a, b, verts[j], verts[(j + 1) % n]):
-                    crossing = (i, j)
-                    break
-            if crossing:
-                break
+        crossing = first_crossing(xs, ys)
         if crossing is None:
             return True
         i, j = crossing
-        lo, hi = i + 1, j
-        verts[lo:hi + 1] = reversed(verts[lo:hi + 1])
+        xs[i + 1:j + 1] = reversed(xs[i + 1:j + 1])
+        ys[i + 1:j + 1] = reversed(ys[i + 1:j + 1])
     return False

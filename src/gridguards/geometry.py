@@ -3,16 +3,16 @@
 Kernel invariant: coordinates are ``fractions.Fraction`` at every API
 boundary and no float is ever used.  The predicates ``orient`` and
 ``point_on_segment`` decide on integers obtained by clearing the
-denominators of the few coordinates involved; they serve input
-validation, the bound checks and the test oracles, and once its input
-polygon is validated a solve or a coverage check calls none of them.  The
-hot code works in integer frames of its own: ``polygon._in_int_cycle``,
-the even-odd core of every membership test, ``polygon._segment_inside``
-behind ``segment_in_polygon`` and ``visibility.sees``, and the two
-overlay constructions, ``visibility.visibility_polygon`` and
-``arrangement.build_arrangement``, which each clear their whole input
-once and keep constructed points as reduced homogeneous triples.  Scaling
-every coordinate by the same positive integer keeps every sign, order and
+denominators of the few coordinates involved; they serve the bound
+checks, the triangulation and the test oracles, and a solve or a
+coverage check calls none of them.  The polygon's own vertices never pass
+through them: ``polygon.load_polygon`` stores the vertices as integers
+once and validates the polygon on them, and the polygon's predicates
+scale them by their query point's denominator.  The other hot code works
+in integer frames of its own: the two overlay constructions,
+``visibility.visibility_polygon`` and ``arrangement.build_arrangement``,
+keep constructed points as reduced homogeneous triples.  Scaling every
+coordinate by the same positive integer keeps every sign, order and
 parameter ratio, so the integer decisions are exact; only a returned point
 is built as a Fraction again.  Distances are kept squared so that no
 square root is ever taken; angle comparisons use cross/dot ratios for the
@@ -255,25 +255,6 @@ def point_on_segment(p: Point, a: Point, b: Point) -> bool:
             and min(ay, by) <= py <= max(ay, by)):
         return False
     return (bx - ax) * (py - ay) == (by - ay) * (px - ax)
-
-
-def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff closed segments ab and cd share at least one point."""
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and point_on_segment(c, a, b):
-        return True
-    if o2 == 0 and point_on_segment(d, a, b):
-        return True
-    if o3 == 0 and point_on_segment(a, c, d):
-        return True
-    if o4 == 0 and point_on_segment(b, c, d):
-        return True
-    return False
 
 
 def polygon_signed_area2(vertices: Sequence[Point]) -> Scalar:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
+from .arrangement import build_arrangement
 from .badregions import bad_region, in_bad_region
 from .geometry import Point, Scalar, cleared, dist_sq, pt
 from .polygon import (
@@ -117,8 +118,7 @@ def round_to_grid(spec: GridSpec, m: PolygonModel, x: Point) -> Point:
     D = spec.L ** spec.E
     d, (X, Y) = cleared(x.x, x.y)
     X, Y = X * D, Y * D
-    xs = [int(v.x) * D for v in m.vertices]
-    ys = [int(v.y) * D for v in m.vertices]
+    xs, ys = m.scaled(D)
     iu, iv = X // d, Y // d
     best = None  # (squared distance times (d D)^2, i, j)
     for ring in range(_RING_CAP):
@@ -174,8 +174,7 @@ def surrounding_grid(spec: GridSpec, m: PolygonModel, x: Point,
     tri = _triangle(x, alpha)
     d, cs = cleared(x.x, x.y, *[c for p in tri for c in (p.x, p.y)])
     X, Y = cs[0], cs[1]
-    xs = [int(v.x) * d for v in m.vertices]
-    ys = [int(v.y) * d for v in m.vertices]
+    xs, ys = m.scaled(d)
     if not _in_int_cycle(xs, ys, X, Y):
         raise PointOutsidePolygon(f"{x} outside polygon")
     corners = list(zip(cs[2::2], cs[3::2]))
@@ -307,7 +306,6 @@ def verify_coverage(m: PolygonModel, g: GuardSet) -> CoverageResult:
     order is fixed, so the result, and the uncovered witness it names, are
     those of a scan in any fixed guard order.
     """
-    from .arrangement import build_arrangement
     if not g.guards:
         return Uncovered(witness=m.vertices[0])
     arr = build_arrangement(

@@ -129,14 +129,14 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
             rep.check(dist_sq(verts[i], verts[j]) >= 1,
                       f"item1 v{i} v{j}", str(dist_sq(verts[i], verts[j])))
 
-    lines = [_line_key(e.line.a, e.line.b) for e in extensions(m)]
+    lines = [_line_key(m, *e.defining_vertices) for e in extensions(m)]
 
     # item 2: vertex to extension not through it, distance >= L^-1
     L2 = L * L
     for a, b, c in lines:
         nn = a * a + b * b
-        for i, v in enumerate(verts):
-            r = a * int(v.x) + b * int(v.y) - c
+        for i, (vx, vy) in enumerate(zip(m.xs, m.ys)):
+            r = a * vx + b * vy - c
             if r == 0:
                 continue
             rep.check(r * r * L2 >= nn,

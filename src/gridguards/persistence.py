@@ -113,14 +113,9 @@ def write_polygon(m: PolygonModel, target: Union[str, IO[str]],
                   fmt: str = FORMAT_TEXT) -> None:
     """Serialize the polygon's exact coordinates to a path or stream."""
     if fmt == FORMAT_TEXT:
-        lines = [f"{v.x} {v.y}" for v in m.vertices]
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{x} {y}\n" for x, y in zip(m.xs, m.ys))
     elif fmt == FORMAT_JSON:
-        verts = []
-        for v in m.vertices:
-            verts.append([
-                int(v.x) if v.x.denominator == 1 else str(v.x),
-                int(v.y) if v.y.denominator == 1 else str(v.y)])
+        verts = [list(v) for v in zip(m.xs, m.ys)]
         text = json.dumps({"vertices": verts}, separators=(",", ":")) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -148,8 +143,7 @@ def write_svg(scene: SceneRender, target: Union[str, IO[str]]) -> None:
     """Render the scene as standalone SVG 1.1 with deterministic bytes,
     every coordinate with 6 decimals."""
     m = scene.polygon
-    xs = [v.x for v in m.vertices]
-    ys = [v.y for v in m.vertices]
+    xs, ys = m.xs, m.ys
     pad = max(1, (max(xs) - min(xs)) // 20)
     x0, y0 = min(xs) - pad, min(ys) - pad
     x1, y1 = max(xs) + pad, max(ys) + pad
@@ -174,8 +168,7 @@ def write_svg(scene: SceneRender, target: Union[str, IO[str]]) -> None:
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{fx(x0)} {fx(Fraction(0))} {fx(x1 - x0)} {fx(y1 - y0)}">')
-    audit = "exact: " + "; ".join(
-        f"{v.x},{v.y}" for v in m.vertices)
+    audit = "exact: " + "; ".join(f"{x},{y}" for x, y in zip(xs, ys))
     out.append(f"<!-- {audit} -->")
     out.append(f'<path d="{path(list(m.vertices))}" '
                f'style="{_STYLE["polygon"]}"/>')

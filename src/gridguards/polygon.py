@@ -1,15 +1,19 @@
 """Validated simple-polygon model with structural queries.
 
-Vertices are positive integers after loading (rational inputs are rescaled
-by the lcm of their denominators).  The derived constant L = 20 * M, where M
-is the largest coordinate, drives every distance bound downstream.
+``load_polygon``, the model's only constructor, rescales rational inputs
+by the lcm of their denominators and keeps the integer vertices as ``xs``
+and ``ys``; it validates on them, simplicity by ``first_crossing``, the
+scan the random generator's untangling shares.  The predicates scale
+those integers by their query's denominator.  The derived constant
+L = 20 * M, where M is the largest coordinate, drives every distance bound
+downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
     DirectedLine,
@@ -17,9 +21,7 @@ from .geometry import (
     cleared,
     line_intersection,
     orient,
-    polygon_signed_area2,
     pt,
-    segments_intersect,
 )
 
 
@@ -49,9 +51,12 @@ class PointOutsidePolygon(PolygonError):
 
 @dataclass(frozen=True)
 class PolygonModel:
-    """Simple polygon with positive integer vertices in counterclockwise order."""
+    """Simple polygon with positive integer vertices in counterclockwise
+    order; ``xs`` and ``ys`` are the vertices' coordinates as ints."""
 
     vertices: Tuple[Point, ...]
+    xs: Tuple[int, ...]
+    ys: Tuple[int, ...]
     M: int
     L: int
 
@@ -62,6 +67,12 @@ class PolygonModel:
     def edges(self) -> List[Tuple[Point, Point]]:
         vs = self.vertices
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+    def scaled(self, d: int) -> Tuple[Sequence[int], Sequence[int]]:
+        """The vertex coordinates times d, a query's denominator."""
+        if d == 1:
+            return self.xs, self.ys
+        return [x * d for x in self.xs], [y * d for y in self.ys]
 
 
 @dataclass(frozen=True)
@@ -80,47 +91,84 @@ class OppositeReflexPair:
     r2: int
 
 
+def _turn(xs: Sequence[int], ys: Sequence[int], i: int, j: int,
+          k: int) -> int:
+    """``orient`` of the vertices i, j and k of an integer cycle: +1 for a
+    left turn, -1 for a right turn, 0 when collinear."""
+    c = ((xs[j] - xs[i]) * (ys[k] - ys[i])
+         - (ys[j] - ys[i]) * (xs[k] - xs[i]))
+    return (c > 0) - (c < 0)
+
+
+def _segments_meet(xs: Sequence[int], ys: Sequence[int], a: int, b: int,
+                   c: int, d: int) -> bool:
+    """True iff the closed segments v_a v_b and v_c v_d share a point: they
+    cross properly, or an end of one lies on the other."""
+    o1, o2 = _turn(xs, ys, a, b, c), _turn(xs, ys, a, b, d)
+    o3, o4 = _turn(xs, ys, c, d, a), _turn(xs, ys, c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    # an end p on the line of segment ef lies on it iff it is in its box
+    return any(o == 0 and min(xs[e], xs[f]) <= xs[p] <= max(xs[e], xs[f])
+               and min(ys[e], ys[f]) <= ys[p] <= max(ys[e], ys[f])
+               for o, p, e, f in ((o1, c, a, b), (o2, d, a, b),
+                                  (o3, a, c, d), (o4, b, c, d)))
+
+
+def first_crossing(xs: Sequence[int],
+                   ys: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first pair (i, j), i < j, of non-adjacent edges of the integer
+    cycle that share a point, scanning i and then j upward, or None when
+    the cycle is simple.  Edge i runs from vertex i to vertex i + 1."""
+    n = len(xs)
+    for i in range(n):
+        # edge n - 1 is adjacent to edge 0
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            if _segments_meet(xs, ys, i, (i + 1) % n, j, (j + 1) % n):
+                return i, j
+    return None
+
+
 def load_polygon(vertex_list: Sequence) -> PolygonModel:
     """Validate and normalize a polygon from raw coordinate pairs or Points."""
     raw = [v if isinstance(v, Point) else pt(v[0], v[1]) for v in vertex_list]
     if len(raw) < 3:
         raise PolygonError("polygon needs at least 3 vertices")
 
-    scale = lcm(*[c.denominator for v in raw for c in (v.x, v.y)])
-    verts = [Point(v.x * scale, v.y * scale) for v in raw]
+    _, cs = cleared(*[c for v in raw for c in (v.x, v.y)])
+    xs, ys = cs[0::2], cs[1::2]
+    n = len(xs)
 
-    for v in verts:
-        if v.x <= 0 or v.y <= 0:
-            raise NonPositiveCoordinates(f"vertex {v} not strictly positive")
-    if len(set((v.x, v.y) for v in verts)) != len(verts):
+    for x, y in zip(xs, ys):
+        if x <= 0 or y <= 0:
+            raise NonPositiveCoordinates(
+                f"vertex {Point(x, y)} not strictly positive")
+    if len(set(zip(xs, ys))) != n:
         raise DuplicateVertex("repeated vertex coordinates")
 
-    n = len(verts)
     for i in range(n):
-        if orient(verts[i - 1], verts[i], verts[(i + 1) % n]) == 0:
+        if _turn(xs, ys, i - 1, i, (i + 1) % n) == 0:
             raise CollinearTripleConsecutive(
                 f"consecutive vertices around index {i} are collinear")
 
-    # simplicity: non-adjacent edges must be disjoint
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = verts[j], verts[(j + 1) % n]
-            if segments_intersect(a, b, c, d):
-                raise NotSimple(f"edges {i} and {j} intersect")
+    crossing = first_crossing(xs, ys)
+    if crossing is not None:
+        raise NotSimple("edges %d and %d intersect" % crossing)
 
-    if polygon_signed_area2(verts) < 0:
-        verts.reverse()
+    # twice the signed (shoelace) area is negative for a clockwise cycle
+    if sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(n)) < 0:
+        xs.reverse()
+        ys.reverse()
 
-    M = max(int(c) for v in verts for c in (v.x, v.y))
-    return PolygonModel(vertices=tuple(verts), M=M, L=20 * M)
+    M = max(max(xs), max(ys))
+    return PolygonModel(vertices=tuple(map(Point, xs, ys)), xs=tuple(xs),
+                        ys=tuple(ys), M=M, L=20 * M)
 
 
 def point_in_polygon(m: PolygonModel, p: Point) -> bool:
     """Closed-polygon membership: boundary points count as inside."""
-    return point_in_cycle(m.vertices, p)
+    d, (px, py) = cleared(p.x, p.y)
+    return _in_int_cycle(*m.scaled(d), px, py)
 
 
 def point_in_cycle(vertices: Sequence[Point], p: Point) -> bool:
@@ -164,17 +212,15 @@ def _segment_inside(m: PolygonModel, a: Point, b: Point) -> bool:
     """True iff the closed segment ab lies in the closed polygon; raises
     PointOutsidePolygon naming the first endpoint outside it.
 
-    a, b and the vertices are scaled once to integers.  Every point where
-    ab meets an edge is a + t (b - a) with t an integer ratio; between
-    consecutive such t the segment is either inside or outside, so it
-    stays in P iff every gap's midpoint does.  With all t over one common
-    denominator q, each midpoint is an integer point once the cycle is
-    scaled by 2 q.
+    a and b are scaled once to integers, and the vertices by the same
+    denominator.  Every point where ab meets an edge is a + t (b - a) with
+    t an integer ratio; between consecutive such t the segment is either
+    inside or outside, so it stays in P iff every gap's midpoint does.
+    With all t over one common denominator q, each midpoint is an integer
+    point once the cycle is scaled by 2 q.
     """
-    _, cs = cleared(a.x, a.y, b.x, b.y,
-                    *[c for v in m.vertices for c in (v.x, v.y)])
-    ox, oy, bx, by = cs[:4]
-    xs, ys = cs[4::2], cs[5::2]
+    d, (ox, oy, bx, by) = cleared(a.x, a.y, b.x, b.y)
+    xs, ys = m.scaled(d)
     for p, px, py in ((a, ox, oy), (b, bx, by)):
         if not _in_int_cycle(xs, ys, px, py):
             raise PointOutsidePolygon(f"{p} outside polygon")
@@ -208,20 +254,18 @@ def _segment_inside(m: PolygonModel, a: Point, b: Point) -> bool:
 
 def reflex_vertices(m: PolygonModel) -> List[int]:
     """Indices of vertices whose interior angle exceeds pi."""
-    vs = m.vertices
     n = m.n
     return [i for i in range(n)
-            if orient(vs[i - 1], vs[i], vs[(i + 1) % n]) < 0]
+            if _turn(m.xs, m.ys, i - 1, i, (i + 1) % n) < 0]
 
 
-def _line_key(a: Point, b: Point) -> Tuple[int, int, int]:
-    """Canonical integer (A, B, C) for the line Ax + By = C through a, b.
-
-    Assumes integer vertex coordinates (guaranteed after load_polygon).
-    """
-    A = int(b.y - a.y)
-    B = int(a.x - b.x)
-    C = A * int(a.x) + B * int(a.y)
+def _line_key(m: PolygonModel, i: int, j: int) -> Tuple[int, int, int]:
+    """Canonical integer (A, B, C) for the line Ax + By = C through
+    vertices i and j."""
+    ax, ay, bx, by = m.xs[i], m.ys[i], m.xs[j], m.ys[j]
+    A = by - ay
+    B = ax - bx
+    C = A * ax + B * ay
     g = gcd(gcd(abs(A), abs(B)), abs(C))
     A, B, C = A // g, B // g, C // g
     if A < 0 or (A == 0 and B < 0):
@@ -236,7 +280,7 @@ def extensions(m: PolygonModel) -> List[Extension]:
     n = m.n
     for i in range(n):
         for j in range(i + 1, n):
-            key = _line_key(m.vertices[i], m.vertices[j])
+            key = _line_key(m, i, j)
             if key in seen:
                 continue
             seen[key] = True
@@ -251,20 +295,19 @@ def opposite_reflex_pairs(m: PolygonModel) -> List[OppositeReflexPair]:
     and the connecting segment inside the polygon."""
     refl = reflex_vertices(m)
     out: List[OppositeReflexPair] = []
-    n = m.n
+    n, xs, ys = m.n, m.xs, m.ys
     for ii, i in enumerate(refl):
         for j in refl[ii + 1:]:
-            ri, rj = m.vertices[i], m.vertices[j]
-            ell = DirectedLine(ri, rj)
-            side_i = {ell.side_of(m.vertices[i - 1]),
-                      ell.side_of(m.vertices[(i + 1) % n])}
-            side_j = {ell.side_of(m.vertices[j - 1]),
-                      ell.side_of(m.vertices[(j + 1) % n])}
+            # the sides of the line from vertex i to vertex j
+            side_i = {_turn(xs, ys, i, j, i - 1),
+                      _turn(xs, ys, i, j, (i + 1) % n)}
+            side_j = {_turn(xs, ys, i, j, j - 1),
+                      _turn(xs, ys, i, j, (j + 1) % n)}
             if 0 in side_i or 0 in side_j:
                 continue
             if len(side_i) != 1 or len(side_j) != 1 or side_i == side_j:
                 continue
-            if not segment_in_polygon(m, ri, rj):
+            if not segment_in_polygon(m, m.vertices[i], m.vertices[j]):
                 continue
             out.append(OppositeReflexPair(r1=i, r2=j))
     return out
@@ -282,15 +325,14 @@ def check_general_position(m: PolygonModel) -> GeneralPositionReport:
     non-vertex point of the polygon."""
     report = GeneralPositionReport()
     n = m.n
-    vs = m.vertices
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if orient(vs[i], vs[j], vs[k]) == 0:
+                if _turn(m.xs, m.ys, i, j, k) == 0:
                     report.collinear_triples.append((i, j, k))
 
     exts = extensions(m)
-    vertex_set = set((v.x, v.y) for v in vs)
+    vertex_set = set(zip(m.xs, m.ys))
     meets = {}
     for i in range(len(exts)):
         for j in range(i + 1, len(exts)):

@@ -217,13 +217,11 @@ def default_candidates(m: PolygonModel) -> List[Point]:
     Cell centers are on the grid for every exponent since L = 20M is even.
     """
     out = list(m.vertices)
-    xs = [int(v.x) for v in m.vertices]
-    ys = [int(v.y) for v in m.vertices]
     # the polygon doubled, so the centre of cell (i, j) is (2i + 1, 2j + 1)
-    x2, y2 = [2 * x for x in xs], [2 * y for y in ys]
+    x2, y2 = m.scaled(2)
     half = Fraction(1, 2)
-    for i in range(min(xs), max(xs) + 1):
-        for j in range(min(ys), max(ys) + 1):
+    for i in range(min(m.xs), max(m.xs) + 1):
+        for j in range(min(m.ys), max(m.ys) + 1):
             if _in_int_cycle(x2, y2, 2 * i + 1, 2 * j + 1):
                 out.append(Point(i + half, j + half))
     return sorted(set(out), key=Point.key)

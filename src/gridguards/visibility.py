@@ -155,11 +155,11 @@ def _edges_through(rel: List[Tuple[int, int]], p: Triple) -> int:
 def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
     """Exact visibility polygon of x inside the closed polygon."""
     # x and the vertices scaled to integers; rel[i] = w * (vertex i - x)
-    w, cs = cleared(x.x, x.y, *[c for v in m.vertices for c in (v.x, v.y)])
-    X, Y = cs[0], cs[1]
-    if not _in_int_cycle(cs[2::2], cs[3::2], X, Y):
+    w, (X, Y) = cleared(x.x, x.y)
+    xs, ys = m.scaled(w)
+    if not _in_int_cycle(xs, ys, X, Y):
         raise PointOutsidePolygon(f"{x} outside polygon")
-    rel = [(vx - X, vy - Y) for vx, vy in zip(cs[2::2], cs[3::2])]
+    rel = [(vx - X, vy - Y) for vx, vy in zip(xs, ys)]
 
     dirs = {(1, 0), (0, 1), (-1, 0), (0, -1)}
     for rx, ry in rel:

@@ -9,19 +9,18 @@ computation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 from typing import List, Tuple
 
 from gridguards.arrangement import build_arrangement
 from gridguards.geometry import (
     Point,
     Segment,
+    cleared,
     cross,
     dist_sq,
     dot,
-    orient,
     pt,
-    segments_intersect,
 )
 from gridguards.grid import (
     CASE_BOUNDARY,
@@ -34,7 +33,7 @@ from gridguards.grid import (
 )
 from gridguards.polygon import (
     PointOutsidePolygon,
-    point_in_cycle,
+    _in_int_cycle,
     point_in_polygon,
     segment_in_polygon,
 )
@@ -160,6 +159,17 @@ def ray_segment_params_ref(apex: Point, d: Point, a: Point, b: Point) -> list:
     return [t] if t >= 0 and 0 <= u <= 1 else []
 
 
+def segments_intersect_ref(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """True iff the closed segments ab and cd share a point: they cross
+    properly, or an end of one lies on the other."""
+    o1, o2 = orient_ref(a, b, c), orient_ref(a, b, d)
+    o3, o4 = orient_ref(c, d, a), orient_ref(c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return (on_segment(c, a, b) or on_segment(d, a, b)
+            or on_segment(a, c, d) or on_segment(b, c, d))
+
+
 def segment_intersection_ref(a: Point, b: Point, c: Point, d: Point):
     ux, uy = b.x - a.x, b.y - a.y
     vx, vy = d.x - c.x, d.y - c.y
@@ -249,13 +259,25 @@ def verify_coverage_ref(m, g):
 def masks_ref(m, candidates, witnesses):
     """Per candidate, the bitmask of the witnesses in its closed visibility
     polygon, by one membership test per candidate and witness: the masks
-    ``solver.cover_instance`` builds by walking the overlay's faces."""
+    ``solver.cover_instance`` builds by walking the overlay's faces.
+
+    Each boundary is cleared to integers once, and scaled once more for
+    each distinct witness denominator, so that every test is an integer
+    even-odd test of one witness against the whole boundary."""
+    ws = [cleared(w.x, w.y) for w in witnesses]
     masks = []
     for c in candidates:
-        vp = visibility_polygon(m, c)
+        b = visibility_polygon(m, c).boundary
+        d, cs = cleared(*[v for p in b for v in (p.x, p.y)])
+        frames = {}   # witness denominator e -> (D / e, boundary over D)
         mask = 0
-        for i, w in enumerate(witnesses):
-            if point_in_cycle(vp.boundary, w):
+        for i, (e, (wx, wy)) in enumerate(ws):
+            if e not in frames:
+                D = lcm(d, e)
+                frames[e] = (D // e, [x * (D // d) for x in cs[0::2]],
+                             [y * (D // d) for y in cs[1::2]])
+            k, xs, ys = frames[e]
+            if _in_int_cycle(xs, ys, wx * k, wy * k):
                 mask |= 1 << i
         masks.append(mask)
     return tuple(masks)
@@ -460,10 +482,10 @@ def surrounding_grid_ref(spec, m, x: Point, alpha) -> SurroundingGrid:
     tri_edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
 
     def in_triangle(p: Point) -> bool:
-        return all(orient(a, b, p) >= 0 for a, b in tri_edges)
+        return all(orient_ref(a, b, p) >= 0 for a, b in tri_edges)
 
     enclosed = [v for v in m.vertices if in_triangle(v)]
-    crossing = any(segments_intersect(a, b, c, d)
+    crossing = any(segments_intersect_ref(a, b, c, d)
                    for a, b in m.edges() for c, d in tri_edges)
     inside_edge_end = any(in_triangle(a) for a, _ in m.edges())
     if enclosed:

@@ -164,8 +164,17 @@ def test_generate_random_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
-def test_generate_rejects_tiny_n():
+def test_generate_rejects_tiny_n(capsys):
     assert main(["generate", "--shape", "random", "--n", "2"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: need at least 3 vertices\n"
+
+
+def test_generate_rejects_more_vertices_than_lattice_points(capsys):
+    """10 distinct vertices cannot be drawn from the 9 points of [1, 3]^2:
+    an input error, not a generator that never returns."""
+    assert main(["generate", "--shape", "random", "--n", "10",
+                 "--M", "3"]) == EXIT_INPUT
+    assert "cannot draw 10 distinct vertices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

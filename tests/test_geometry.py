@@ -17,7 +17,6 @@ from gridguards.geometry import (
     polygon_area,
     polygon_signed_area2,
     pt,
-    segments_intersect,
     sort_directions_ccw,
 )
 
@@ -68,14 +67,6 @@ def test_line_intersection_on_both_lines(a, b, c, d):
 def test_point_on_segment_parameterized(a, b, t):
     p = a + (b - a).scaled(t)
     assert point_on_segment(p, a, b)
-
-
-def test_segments_intersect_cases():
-    # proper crossing, shared endpoint, collinear overlap, disjoint
-    assert segments_intersect(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
-    assert segments_intersect(pt(0, 0), pt(1, 0), pt(1, 0), pt(2, 5))
-    assert segments_intersect(pt(0, 0), pt(3, 0), pt(1, 0), pt(5, 0))
-    assert not segments_intersect(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1))
 
 
 def test_polygon_area_square():

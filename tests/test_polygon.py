@@ -24,6 +24,7 @@ from gridguards.polygon import (
     PolygonError,
     check_general_position,
     extensions,
+    first_crossing,
     load_polygon,
     opposite_reflex_pairs,
     point_in_polygon,
@@ -32,7 +33,7 @@ from gridguards.polygon import (
     triangulate,
 )
 
-from oracles import winding_inside
+from oracles import segments_intersect_ref, winding_inside
 
 
 def square():
@@ -60,6 +61,22 @@ def test_load_polygon_orients_ccw():
     cw = [(1, 1), (1, 5), (5, 5), (5, 1)]
     m = load_polygon(cw)
     assert orient(m.vertices[0], m.vertices[1], m.vertices[2]) > 0
+
+
+def test_load_polygon_keeps_the_integer_coordinates():
+    """xs and ys are the vertices as ints, after the rational rescale and
+    the turn to counterclockwise order."""
+    m = load_polygon([(Fraction(1, 2), Fraction(1, 2)),
+                      (Fraction(1, 2), Fraction(5, 3)),
+                      (Fraction(5, 2), Fraction(5, 3)),
+                      (Fraction(5, 2), Fraction(1, 2))])
+    # scaled by 6 and, being clockwise, reversed
+    assert m.xs == (15, 15, 3, 3) and m.ys == (3, 10, 10, 3)
+    for f in (channel, counterexample_polygon, triple_pairs,
+              lambda: blocking_fixture()[0]):
+        m = f()
+        assert m.vertices == tuple(Point(x, y) for x, y in zip(m.xs, m.ys))
+        assert all(type(c) is int for c in m.xs + m.ys)
 
 
 def test_load_polygon_rejections():
@@ -166,6 +183,40 @@ def test_triangulate_partitions_area():
         assert total == polygon_area(list(m.vertices))
 
 
+def meet(a, b, c, d):
+    """Whether the closed segments ab and cd share a point, read off the
+    scan of the cycle a, b, c, d: it tests that pair of edges first."""
+    xs, ys = zip(a, b, c, d)
+    return first_crossing(xs, ys) == (0, 2)
+
+
+def test_first_crossing_cases():
+    # proper crossing, shared endpoint, collinear overlap, disjoint
+    assert meet((0, 0), (2, 2), (0, 2), (2, 0))
+    assert meet((0, 0), (1, 0), (1, 0), (2, 5))
+    assert meet((0, 0), (3, 0), (1, 0), (5, 0))
+    assert not meet((0, 0), (1, 0), (0, 1), (1, 1))
+    assert first_crossing((0, 1, 1, 0), (0, 0, 1, 1)) is None
+
+
+small = st.integers(min_value=0, max_value=6)
+
+
+@given(st.lists(st.tuples(small, small), min_size=3, max_size=9))
+@settings(max_examples=300)
+def test_first_crossing_matches_pairwise_oracle(cycle):
+    """The scan names the first non-adjacent edge pair, in row order, that
+    the Fraction oracle finds meeting."""
+    n = len(cycle)
+    ps = [pt(x, y) for x, y in cycle]
+    ref = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                if j > i + 1 and not (i == 0 and j == n - 1)
+                and segments_intersect_ref(ps[i], ps[(i + 1) % n],
+                                           ps[j], ps[(j + 1) % n])), None)
+    xs, ys = zip(*cycle)
+    assert first_crossing(xs, ys) == ref
+
+
 @given(st.integers(min_value=0, max_value=30))
 @settings(max_examples=10, deadline=None)
 def test_random_polygon_is_valid(seed):
@@ -175,6 +226,14 @@ def test_random_polygon_is_valid(seed):
     # determinism under the seed
     m2 = random_polygon(8, 30, seed=seed)
     assert m.vertices == m2.vertices
+
+
+def test_random_polygon_rejects_more_vertices_than_lattice_points():
+    """[1, 3]^2 has 9 points, so 10 distinct vertices cannot be drawn;
+    n = m^2 may still be."""
+    with pytest.raises(ValueError, match="cannot draw 10 distinct"):
+        random_polygon(10, 3, seed=0)
+    assert random_polygon(4, 2, seed=0).n == 4
 
 
 def test_comb_needs_k_guards_structure():
