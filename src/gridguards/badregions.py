@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
 from typing import List, Tuple
 
 from .geometry import (
@@ -162,7 +163,6 @@ def check_no_triple_intersection(m: PolygonModel,
         return report
     tris = triangulate(m)
     k = len(regions)
-    from itertools import combinations, product
     for i, j, l in combinations(range(k), 3):
         found = False
         for wi, wj, wl in product(regions[i].wedges, regions[j].wedges,

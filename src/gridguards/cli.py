@@ -33,7 +33,7 @@ from .lemmas import (
     check_limited_blocking,
     check_local_visibility,
 )
-from .badregions import check_no_triple_intersection
+from .badregions import bad_region, check_no_triple_intersection
 from .persistence import (
     FORMAT_JSON,
     FORMAT_TEXT,
@@ -173,8 +173,10 @@ def cmd_analyze(args) -> int:
     except (ParseError, IoError, PolygonError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    s = Fraction(1, m.L ** args.s_exponent) if args.s_exponent else Fraction(
-        1, m.L ** 3)
+    if args.s_exponent < 0:
+        print("error: --s-exponent must be at least 0", file=sys.stderr)
+        return EXIT_INPUT
+    s = Fraction(1, m.L ** args.s_exponent)
     pairs = opposite_reflex_pairs(m)
     gp = check_general_position(m)
     triple = check_no_triple_intersection(m, s)
@@ -196,7 +198,6 @@ def cmd_analyze(args) -> int:
     }
     _emit_json(doc, args.output)
     if args.svg:
-        from .badregions import bad_region
         regions = tuple(bad_region(m, p, s) for p in pairs)
         write_svg(SceneRender(polygon=m, bad_regions=regions), args.svg)
     return EXIT_OK
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--svg", default=None,
                     help="also write an SVG rendering to this path")
     pa.add_argument("input")
-    pa.add_argument("--s-exponent", type=int, default=None)
+    pa.add_argument("--s-exponent", type=int, default=3)
     pa.set_defaults(func=cmd_analyze)
 
     pg = sub.add_parser("generate", help="emit a fixture polygon")

@@ -4,19 +4,20 @@ Kernel invariant: coordinates are ``fractions.Fraction`` at every API
 boundary and no float is ever used.  The predicates ``orient`` and
 ``point_on_segment`` decide on integers obtained by clearing the
 denominators of the few coordinates involved; they serve the bound
-checks, the triangulation and the test oracles, and a solve or a
-coverage check calls none of them.  The polygon's own vertices never pass
-through them: ``polygon.load_polygon`` stores the vertices as integers
-once and validates the polygon on them, and the polygon's predicates
-scale them by their query point's denominator.  The other hot code works
-in integer frames of its own: the two overlay constructions,
-``visibility.visibility_polygon`` and ``arrangement.build_arrangement``,
-keep constructed points as reduced homogeneous triples.  Scaling every
-coordinate by the same positive integer keeps every sign, order and
-parameter ratio, so the integer decisions are exact; only a returned point
-is built as a Fraction again.  Distances are kept squared so that no
-square root is ever taken; angle comparisons use cross/dot ratios for the
-same reason.
+checks' cone tests and bad-region clipping and the test oracles, and a
+solve or a coverage check calls none of them.  The polygon's own vertices
+never pass through them: ``polygon.load_polygon`` stores the vertices as
+integers once and validates the polygon on them; its triangulation,
+extension lines and general-position check work on those integers, and
+its predicates scale them by their query point's denominator.  The other
+hot code works in integer frames of its own: the two overlay
+constructions, ``visibility.visibility_polygon`` and
+``arrangement.build_arrangement``, keep constructed points as reduced
+homogeneous triples.  Scaling every coordinate by the same positive
+integer keeps every sign, order and parameter ratio, so the integer
+decisions are exact; only a returned point is built as a Fraction again.
+Distances are kept squared so that no square root is ever taken; angle
+comparisons use cross/dot ratios for the same reason.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ CoordLike = Union[int, str, Fraction]
 
 class GeometryError(Exception):
     """Base class for geometric construction errors."""
-
-
-class DegenerateConeError(GeometryError):
-    """Cone construction from collinear apex and boundary points."""
 
 
 class Point:
@@ -110,9 +107,6 @@ def cleared(*cs: Fraction) -> Tuple[int, List[int]]:
     return d, [n * (d // q) for n, q in ratios]
 
 
-ORIGIN = pt(0, 0)
-
-
 def cross(u: Point, v: Point) -> Scalar:
     return u.x * v.y - u.y * v.x
 
@@ -166,19 +160,6 @@ class Segment:
             raise GeometryError("degenerate segment: endpoints coincide")
 
 
-@dataclass(frozen=True)
-class Ray:
-    apex: Point
-    through: Point
-
-    def __post_init__(self):
-        if self.apex == self.through:
-            raise GeometryError("degenerate ray: apex equals through-point")
-
-    def direction(self) -> Point:
-        return self.through - self.apex
-
-
 class Parallel:
     """Classification result: distinct parallel lines."""
 
@@ -211,37 +192,6 @@ def line_intersection(l1: DirectedLine, l2: DirectedLine) -> LineMeet:
         return IDENTICAL if l1.contains(l2.a) else PARALLEL
     t = cross(l2.a - l1.a, d2) / denom
     return l1.a + d1.scaled(t)
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Closed convex cone (interior angle < pi) with apex and two boundary rays.
-
-    Normalized so that boundary_ray_1 -> boundary_ray_2 turns counterclockwise.
-    """
-
-    apex: Point
-    boundary_ray_1: Ray
-    boundary_ray_2: Ray
-
-    def __post_init__(self):
-        r1, r2 = self.boundary_ray_1, self.boundary_ray_2
-        if r1.apex != self.apex or r2.apex != self.apex:
-            raise GeometryError("cone rays must share the apex")
-        c = cross(r1.direction(), r2.direction())
-        if c < 0:
-            object.__setattr__(self, "boundary_ray_1", r2)
-            object.__setattr__(self, "boundary_ray_2", r1)
-        elif c == 0 and dot(r1.direction(), r2.direction()) < 0:
-            raise DegenerateConeError("cone spans an angle of exactly pi")
-
-    def contains(self, p: Point) -> bool:
-        v = p - self.apex
-        if v == ORIGIN:
-            return True
-        d1 = self.boundary_ray_1.direction()
-        d2 = self.boundary_ray_2.direction()
-        return cross(d1, v) >= 0 and cross(v, d2) >= 0
 
 
 # ---------------------------------------------------------------------------

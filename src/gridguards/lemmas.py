@@ -9,14 +9,16 @@ are counted as skipped, never as verified, so vacuous passes are visible.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arrangement import build_arrangement
+from .generate import counterexample_polygon
 from .geometry import (
-    DegenerateConeError,
     DirectedLine,
     Point,
     Scalar,
@@ -31,8 +33,8 @@ from .geometry import (
 from .polygon import (
     OppositeReflexPair,
     PolygonModel,
-    _line_key,
     extensions,
+    line_meets,
     opposite_reflex_pairs,
     point_in_polygon,
     reflex_vertices,
@@ -41,7 +43,6 @@ from .polygon import (
 from .grid import GridSpec, surrounding_grid
 from .badregions import bad_region, in_bad_region
 from .visibility import (
-    cone_of,
     overlay_segments,
     sees,
     visibility_polygon,
@@ -83,28 +84,6 @@ class LemmaReport:
         }
 
 
-def _homogeneous_intersections(lines: List[Tuple[int, int, int]]):
-    """Deduplicated intersection points (X, Y, W) of the integer lines.
-
-    Each point is the exact rational (X/W, Y/W) with W > 0 and gcd 1.
-    """
-    points = {}
-    for i in range(len(lines)):
-        a1, b1, c1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            a2, b2, c2 = lines[j]
-            w = a1 * b2 - a2 * b1
-            if w == 0:
-                continue
-            x = c1 * b2 - c2 * b1
-            y = a1 * c2 - a2 * c1
-            if w < 0:
-                x, y, w = -x, -y, -w
-            g = gcd(gcd(abs(x), abs(y)), w)
-            points[(x // g, y // g, w // g)] = True
-    return list(points)
-
-
 def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
     """Exhaustive exact verification of the separation bounds.
 
@@ -129,7 +108,7 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
             rep.check(dist_sq(verts[i], verts[j]) >= 1,
                       f"item1 v{i} v{j}", str(dist_sq(verts[i], verts[j])))
 
-    lines = [_line_key(m, *e.defining_vertices) for e in extensions(m)]
+    lines = extensions(m)
 
     # item 2: vertex to extension not through it, distance >= L^-1
     L2 = L * L
@@ -163,7 +142,7 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
                 rep.check(abs(det) * L2 >= 8 * abs(dd),
                           f"item6 lines {i},{j}", f"det={det} dot={dd}")
 
-    pts = _homogeneous_intersections(lines)
+    pts = list(line_meets(lines))
 
     # item 3: intersection point to extension not through it >= L^-5
     L10 = L ** 10
@@ -233,31 +212,23 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
     return rep
 
 
-def _interior_points(tris: Sequence[Tuple[Point, Point, Point]], count: int,
-                     rng: random.Random) -> List[Point]:
+def _interior_points(tris: Sequence[Tuple[Point, Point, Point]],
+                     rng: random.Random) -> Iterator[Point]:
     """Seeded random points in the triangles (a triangulation of P) via
-    area-weighted triangle sampling."""
+    area-weighted triangle sampling, drawn from rng one point at a time."""
     areas = [abs(cross(b - a, c - a)) for a, b, c in tris]
     den = lcm(*[w.denominator for w in areas])
-    weights = [int(w * den) for w in areas]
-    total = sum(weights)
-    out = []
-    for _ in range(count):
+    prefix = list(accumulate(int(w * den) for w in areas))
+    total = prefix[-1]
+    while True:
         r = rng.randrange(total) if total > 1 else 0
-        acc = 0
-        tri = tris[-1]
-        for t, wgt in zip(tris, weights):
-            acc += wgt
-            if r < acc:
-                tri = t
-                break
+        # bisect_right finds the first triangle with r < its prefix sum
+        a, b, c = tris[bisect_right(prefix, r)]
         u = Fraction(rng.randint(1, 97), 100)
         v = Fraction(rng.randint(1, 97), 100)
         if u + v >= 1:
             u, v = 1 - u, 1 - v
-        a, b, c = tri
-        out.append(a + (b - a).scaled(u) + (c - a).scaled(v))
-    return out
+        yield a + (b - a).scaled(u) + (c - a).scaled(v)
 
 
 def _grid_exponent(L: int, alpha: Scalar) -> int:
@@ -266,6 +237,12 @@ def _grid_exponent(L: int, alpha: Scalar) -> int:
     while Fraction(1, L ** exponent) > alpha:
         exponent += 1
     return exponent
+
+
+def _in_cone(x: Point, u: Point, v: Point, q: Point) -> bool:
+    """Whether q lies in the closed convex cone with apex x that turns
+    counterclockwise from the ray through u to the ray through v."""
+    return orient(x, u, q) >= 0 and orient(x, q, v) >= 0
 
 
 def _cone_side(m: PolygonModel, x: Point, pair: OppositeReflexPair,
@@ -308,7 +285,8 @@ def check_limited_blocking(m: PolygonModel, samples: int = 100,
     inv_l_sq = Fraction(1, L) ** 2
     inv_l4 = Fraction(1, L) ** 4
     rng = random.Random(seed)
-    xs = list(extra_points) + _interior_points(triangulate(m), samples, rng)
+    xs = list(extra_points) + list(
+        islice(_interior_points(triangulate(m), rng), samples))
     for x in xs:
         if not point_in_polygon(m, x):
             rep.skipped += 1
@@ -317,26 +295,25 @@ def check_limited_blocking(m: PolygonModel, samples: int = 100,
         for pair in pairs:
             r1 = m.vertices[pair.r1]
             r2 = m.vertices[pair.r2]
-            try:
-                cone_x = cone_of(x, r1, r2)
-            except DegenerateConeError:
+            # cone(x) is degenerate when x is on the line of r1 and r2
+            turn = orient(x, r1, r2)
+            if turn == 0:
                 rep.skipped += 1
                 continue
+            xu, xv = (r1, r2) if turn > 0 else (r2, r1)
             if sg is None:
                 sg = surrounding_grid(spec, m, x, alpha)
             for g in sg.points:
-                if cone_x.contains(g):
+                # cone(g) is degenerate when g is on the line of r1 and r2
+                if (_in_cone(x, xu, xv, g)
+                        or (turn := orient(g, r1, r2)) == 0):
                     rep.skipped += 1
                     continue
-                try:
-                    cone_g = cone_of(g, r1, r2)
-                except DegenerateConeError:
-                    rep.skipped += 1
-                    continue
+                gu, gv = (r1, r2) if turn > 0 else (r2, r1)
                 for qi in refl:
                     q = m.vertices[qi]
-                    if (cone_x.contains(q)
-                            or not cone_g.contains(q)
+                    if (_in_cone(x, xu, xv, q)
+                            or not _in_cone(g, gu, gv, q)
                             or dist_sq(x, q) <= inv_l_sq):
                         rep.skipped += 1
                         continue
@@ -392,6 +369,7 @@ def check_cone_property(m: PolygonModel, samples: int = 100,
     pairs = opposite_reflex_pairs(m)
     tris = triangulate(m)
     rng = random.Random(seed)
+    points = _interior_points(tris, rng)
     quarter = s / 4
     for pair in pairs:
         region = bad_region(m, pair, s, embiggened=True)
@@ -399,7 +377,7 @@ def check_cone_property(m: PolygonModel, samples: int = 100,
         r2 = m.vertices[pair.r2]
         p1, p2 = region.apex_offsets
         for _ in range(samples):
-            g1 = _interior_points(tris, 1, rng)[0]
+            g1 = next(points)
             # offset with |dx| + |dy| <= s/4 bounds the Euclidean distance
             num = rng.randint(-16, 16)
             den = rng.randint(-16, 16)
@@ -489,7 +467,6 @@ def build_counterexample(i_max: int) -> CounterexampleFixture:
     """
     if i_max < 1:
         raise ValueError("need at least one approach point")
-    from .generate import counterexample_polygon
     m = counterexample_polygon()
     L = m.L
     t = pt(1, 6)
@@ -576,7 +553,7 @@ def check_grid_outside_bad(m: PolygonModel, samples: int = 100,
     regions = [(pair, bad_region(m, pair, s),
                 bad_region(m, pair, s / 2, embiggened=True))
                for pair in pairs]
-    for x in _interior_points(triangulate(m), samples, rng):
+    for x in islice(_interior_points(triangulate(m), rng), samples):
         sg = None  # built on first use, once per x
         for pair, region, half in regions:
             r1 = m.vertices[pair.r1]

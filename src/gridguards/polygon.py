@@ -3,26 +3,25 @@
 ``load_polygon``, the model's only constructor, rescales rational inputs
 by the lcm of their denominators and keeps the integer vertices as ``xs``
 and ``ys``; it validates on them, simplicity by ``first_crossing``, the
-scan the random generator's untangling shares.  The predicates scale
-those integers by their query's denominator.  The derived constant
-L = 20 * M, where M is the largest coordinate, drives every distance bound
+scan the random generator's untangling shares.  The structural queries
+work on the same integers: reflex vertices, opposite pairs and the ear
+clipping of ``triangulate`` turn by ``_turn``, the extension lines are
+canonical integer triples (A, B, C), and ``line_meets`` gives their
+meeting points as reduced homogeneous triples, for the general-position
+check here and for the distance bounds.  The predicates scale the
+integers by their query's denominator.  The derived constant L = 20 * M,
+where M is the largest coordinate, drives every distance bound
 downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .geometry import (
-    DirectedLine,
-    Point,
-    cleared,
-    line_intersection,
-    orient,
-    pt,
-)
+from .geometry import Point, cleared, pt
 
 
 class PolygonError(Exception):
@@ -73,14 +72,6 @@ class PolygonModel:
         if d == 1:
             return self.xs, self.ys
         return [x * d for x in self.xs], [y * d for y in self.ys]
-
-
-@dataclass(frozen=True)
-class Extension:
-    """Line through two polygon vertices."""
-
-    line: DirectedLine
-    defining_vertices: Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -259,35 +250,48 @@ def reflex_vertices(m: PolygonModel) -> List[int]:
             if _turn(m.xs, m.ys, i - 1, i, (i + 1) % n) < 0]
 
 
-def _line_key(m: PolygonModel, i: int, j: int) -> Tuple[int, int, int]:
-    """Canonical integer (A, B, C) for the line Ax + By = C through
-    vertices i and j."""
-    ax, ay, bx, by = m.xs[i], m.ys[i], m.xs[j], m.ys[j]
-    A = by - ay
-    B = ax - bx
-    C = A * ax + B * ay
-    g = gcd(gcd(abs(A), abs(B)), abs(C))
-    A, B, C = A // g, B // g, C // g
-    if A < 0 or (A == 0 and B < 0):
-        A, B, C = -A, -B, -C
-    return (A, B, C)
+Line = Tuple[int, int, int]
 
 
-def extensions(m: PolygonModel) -> List[Extension]:
-    """All distinct lines through pairs of vertices (deduplicated)."""
-    seen = {}
-    out: List[Extension] = []
-    n = m.n
+def extensions(m: PolygonModel) -> List[Line]:
+    """The distinct lines through pairs of vertices, as canonical integer
+    (A, B, C) of A x + B y = C: the gcd of the three is 1, and A > 0, or
+    A = 0 and B > 0.  In the order of each line's first vertex pair."""
+    xs, ys, n = m.xs, m.ys, m.n
+    lines: Dict[Line, None] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            key = _line_key(m, i, j)
-            if key in seen:
+            A, B = ys[j] - ys[i], xs[i] - xs[j]
+            C = A * xs[i] + B * ys[i]
+            g = gcd(A, B, C)
+            if A < 0 or (A == 0 and B < 0):
+                g = -g
+            lines.setdefault((A // g, B // g, C // g))
+    return list(lines)
+
+
+def line_meets(lines: Sequence[Line]) -> Dict[Line, Set[int]]:
+    """Where the integer lines meet, with the indices of the lines through
+    each meeting point.
+
+    Each point is the reduced homogeneous triple (X, Y, W), the exact
+    rational (X / W, Y / W) with W > 0 and gcd 1, in the order of the
+    first pair of lines that meets there; parallel lines meet nowhere.
+    """
+    meets: Dict[Line, Set[int]] = {}
+    for i, (a1, b1, c1) in enumerate(lines):
+        for j in range(i + 1, len(lines)):
+            a2, b2, c2 = lines[j]
+            w = a1 * b2 - a2 * b1
+            if w == 0:
                 continue
-            seen[key] = True
-            out.append(Extension(
-                line=DirectedLine(m.vertices[i], m.vertices[j]),
-                defining_vertices=(i, j)))
-    return out
+            x = c1 * b2 - c2 * b1
+            y = a1 * c2 - a2 * c1
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = gcd(x, y, w)
+            meets.setdefault((x // g, y // g, w // g), set()).update((i, j))
+    return meets
 
 
 def opposite_reflex_pairs(m: PolygonModel) -> List[OppositeReflexPair]:
@@ -324,65 +328,44 @@ def check_general_position(m: PolygonModel) -> GeneralPositionReport:
     """Report collinear vertex triples and extension triples concurrent at a
     non-vertex point of the polygon."""
     report = GeneralPositionReport()
-    n = m.n
+    xs, ys, n = m.xs, m.ys, m.n
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if _turn(m.xs, m.ys, i, j, k) == 0:
+                if _turn(xs, ys, i, j, k) == 0:
                     report.collinear_triples.append((i, j, k))
 
-    exts = extensions(m)
-    vertex_set = set(zip(m.xs, m.ys))
-    meets = {}
-    for i in range(len(exts)):
-        for j in range(i + 1, len(exts)):
-            p = line_intersection(exts[i].line, exts[j].line)
-            if not isinstance(p, Point):
-                continue
-            key = (p.x, p.y)
-            meets.setdefault(key, set()).update([i, j])
-    for (x, y), idxs in meets.items():
-        if len(idxs) < 3:
+    vertex_set = set(zip(xs, ys))
+    for (x, y, w), idxs in line_meets(extensions(m)).items():
+        # a vertex is an integer point: W = 1
+        if len(idxs) < 3 or (w == 1 and (x, y) in vertex_set):
             continue
-        p = Point(x, y)
-        if (x, y) in vertex_set:
-            continue
-        if point_in_polygon(m, p):
+        if _in_int_cycle(*m.scaled(w), x, y):
             report.concurrent_extension_triples.append(
-                (p, tuple(sorted(idxs))))
+                (Point(Fraction(x, w), Fraction(y, w)), tuple(sorted(idxs))))
     return report
 
 
 def triangulate(m: PolygonModel) -> List[Tuple[Point, Point, Point]]:
-    """Ear-clipping triangulation with exact predicates."""
-    verts = list(m.vertices)
+    """Ear-clipping triangulation on the vertex indices: each pass clips
+    the first convex corner whose closed triangle holds no other vertex
+    left."""
+    vs, xs, ys = m.vertices, m.xs, m.ys
+    left = list(range(m.n))
     tris: List[Tuple[Point, Point, Point]] = []
-    guard = 0
-    while len(verts) > 3:
-        guard += 1
-        if guard > 10 * m.n * m.n:
-            raise PolygonError("triangulation failed to converge")
-        n = len(verts)
-        clipped = False
-        for i in range(n):
-            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-            if orient(a, b, c) <= 0:
-                continue
-            # ear test: no other vertex inside the candidate triangle
-            ok = True
-            for q in verts:
-                if q in (a, b, c):
-                    continue
-                if (orient(a, b, q) >= 0 and orient(b, c, q) >= 0
-                        and orient(c, a, q) >= 0):
-                    ok = False
-                    break
-            if ok:
-                tris.append((a, b, c))
-                del verts[i]
-                clipped = True
+    while len(left) > 3:
+        k = len(left)
+        for i in range(k):
+            a, b, c = left[i - 1], left[i], left[(i + 1) % k]
+            if _turn(xs, ys, a, b, c) > 0 and not any(
+                    _turn(xs, ys, a, b, q) >= 0 and _turn(xs, ys, b, c, q) >= 0
+                    and _turn(xs, ys, c, a, q) >= 0
+                    for q in left if q not in (a, b, c)):
+                tris.append((vs[a], vs[b], vs[c]))
+                del left[i]
                 break
-        if not clipped:
+        else:
             raise PolygonError("no ear found; polygon not simple?")
-    tris.append((verts[0], verts[1], verts[2]))
+    a, b, c = left
+    tris.append((vs[a], vs[b], vs[c]))
     return tris

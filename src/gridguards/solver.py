@@ -228,20 +228,20 @@ def default_candidates(m: PolygonModel) -> List[Point]:
 
 
 def _prune(chosen: List[int], masks: Sequence[int], full: int) -> List[int]:
-    """Drop redundant guards, scanning in deterministic order."""
+    """Drop redundant guards in one pass, in the given order.
+
+    Dropping a guard only shrinks what the others cover, so a guard kept
+    once stays needed, and one pass keeps what rescanning from the start
+    after every drop would keep.
+    """
     kept = list(chosen)
-    changed = True
-    while changed:
-        changed = False
-        for i in list(kept):
-            rest = 0
-            for j in kept:
-                if j != i:
-                    rest |= masks[j]
-            if rest == full:
-                kept.remove(i)
-                changed = True
-                break
+    for i in chosen:
+        rest = 0
+        for j in kept:
+            if j != i:
+                rest |= masks[j]
+        if rest == full:
+            kept.remove(i)
     return kept
 
 

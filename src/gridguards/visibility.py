@@ -17,16 +17,12 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
-    Cone,
-    DegenerateConeError,
     GeometryError,
     Point,
-    Ray,
     Segment,
     cleared,
     cross,
     dot,
-    orient,
     sort_directions_ccw,
 )
 from .polygon import (
@@ -198,15 +194,6 @@ def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
                            Fraction(Y * hw + hy, w * hw))
                      for hx, hy, hw in kept)
     return VisibilityPolygon(boundary=boundary, window_edges=windows)
-
-
-def cone_of(x: Point, u: Point, v: Point) -> Cone:
-    """Convex cone with apex x bounded by ray(x, u) and ray(x, v)."""
-    if x == u or x == v or u == v:
-        raise DegenerateConeError("cone needs three distinct points")
-    if orient(x, u, v) == 0:
-        raise DegenerateConeError("apex collinear with u and v")
-    return Cone(apex=x, boundary_ray_1=Ray(x, u), boundary_ray_2=Ray(x, v))
 
 
 def visible_subsegments(m: PolygonModel, g: Point, u: Point,

@@ -204,6 +204,80 @@ def segment_inside_ref(m, a: Point, b: Point) -> bool:
     return True
 
 
+# Fraction references for the integer structure queries of
+# gridguards.polygon and the cone test of gridguards.lemmas, on Points and
+# orient_ref.
+
+
+def triangulate_ref(verts):
+    """Ear clipping on the counterclockwise Points: each pass clips the
+    first convex corner whose closed triangle holds no other vertex."""
+    verts = list(verts)
+    tris = []
+    while len(verts) > 3:
+        n = len(verts)
+        for i in range(n):
+            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
+            if orient_ref(a, b, c) > 0 and not any(
+                    orient_ref(a, b, q) >= 0 and orient_ref(b, c, q) >= 0
+                    and orient_ref(c, a, q) >= 0
+                    for q in verts if q not in (a, b, c)):
+                tris.append((a, b, c))
+                del verts[i]
+                break
+        else:
+            raise AssertionError("no ear found")
+    tris.append(tuple(verts))
+    return tris
+
+
+def extension_pairs_ref(verts):
+    """The first vertex pair (i, j) of every distinct line through two
+    vertices, in pair order: the pair whose line holds no vertex before j
+    other than i."""
+    n = len(verts)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if not any(orient_ref(verts[i], verts[j], verts[k]) == 0
+                       for k in range(j) if k != i)]
+
+
+def general_position_ref(verts):
+    """``polygon.check_general_position`` on Points: the collinear vertex
+    triples, and each point where three or more extension lines meet that
+    is no vertex and lies in the closed polygon (winding number), with the
+    indices of the lines through it.  Every pair of lines is intersected
+    by Cramer's rule on Fractions."""
+    n = len(verts)
+    collinear = [(i, j, k) for i in range(n) for j in range(i + 1, n)
+                 for k in range(j + 1, n)
+                 if orient_ref(verts[i], verts[j], verts[k]) == 0]
+    lines = [(verts[i], verts[j]) for i, j in extension_pairs_ref(verts)]
+    meets = {}
+    for i, (a, b) in enumerate(lines):
+        for j in range(i + 1, len(lines)):
+            c, d = lines[j]
+            den = cross(b - a, d - c)
+            if den != 0:
+                p = a + (b - a).scaled(cross(c - a, d - c) / den)
+                meets.setdefault(p, set()).update((i, j))
+    concurrent = [(p, tuple(sorted(idxs))) for p, idxs in meets.items()
+                  if len(idxs) >= 3 and p not in verts
+                  and winding_inside(verts, p)]
+    return collinear, concurrent
+
+
+def in_cone_ref(x: Point, u: Point, v: Point, q: Point) -> bool:
+    """Whether q lies in the closed convex cone with apex x bounded by the
+    rays through u and v, in either order and not collinear with x: the
+    directions are put in counterclockwise order, and q - x must turn
+    left from the first, or not at all, and right to the second."""
+    d1, d2 = u - x, v - x
+    if orient_ref(x, u, v) < 0:
+        d1, d2 = d2, d1
+    w = q - x
+    return cross(d1, w) >= 0 and cross(w, d2) >= 0
+
+
 def visible_subsegments_ref(m, g: Point, u: Point, v: Point):
     """``visibility.visible_subsegments`` by a breakpoint sweep along any
     segment uv: cut uv wherever the swept segment from g passes a vertex or

@@ -140,6 +140,27 @@ def test_analyze_svg_output(tmp_path):
     assert "</svg>" in svg.read_text()
 
 
+def test_analyze_s_exponent_zero_is_used(tmp_path):
+    """K = 0 gives s = L^0 = 1; it is not read as unset and replaced by
+    the default K = 3 (s = 1/120^3 on comb 2)."""
+    poly = tmp_path / "comb2.txt"
+    main(["generate", "--shape", "comb", "--prongs", "2", "-o", str(poly)])
+    code, text = run_to_file(tmp_path, ["analyze", str(poly),
+                                        "--s-exponent", "0"])
+    assert code == EXIT_OK
+    assert json.loads(text)["s"] == "1"
+    _, text = run_to_file(tmp_path, ["analyze", str(poly)])
+    assert json.loads(text)["s"] == "1/1728000"
+
+
+def test_analyze_rejects_negative_s_exponent(tmp_path, capsys):
+    poly = tmp_path / "comb2.txt"
+    main(["generate", "--shape", "comb", "--prongs", "2", "-o", str(poly)])
+    assert main(["analyze", str(poly), "--s-exponent", "-1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: --s-exponent must be at least 0\n")
+
+
 def test_generate_comb_roundtrip(tmp_path):
     out = tmp_path / "comb.txt"
     assert main(["generate", "--shape", "comb", "--prongs", "3",

@@ -18,6 +18,10 @@ benchmark cases at seeds 1-3, rebuilt here from the same placement and
 cell-centre recipe, and every single-vertex and the all-vertex guard set
 on comb 3, channel and the pinhole polygon.
 
+``golden/analyze-*.json`` pins the ``analyze`` reports of comb 3 and the
+two general-position fixtures as the Fraction extension lines, their
+Fraction intersections and the Fraction ear clipping wrote them.
+
 ``golden/arrangement-digests.json`` pins the arrangement of five
 visibility overlays (the four ``certify`` benchmark inputs at seed 0 and
 the comb-3 solve overlay) by a sha256 of its nodes, edges, face cycles
@@ -37,8 +41,10 @@ from gridguards.cli import main
 from gridguards.generate import (
     channel,
     comb,
+    concurrent_pairs,
     counterexample_polygon,
     random_polygon,
+    triple_pairs,
 )
 from gridguards.geometry import pt
 from gridguards.grid import Covered, guard_set, verify_coverage
@@ -83,6 +89,23 @@ def test_bad_region_probe_matches_golden(tmp_path):
                  "--check", "local-visibility", "--at", "bad-region",
                  "--seed", "1", "-o", str(out)]) == 4
     expected = GOLDEN / "lemmas-bad-region-probe-seed1.json"
+    assert out.read_bytes() == expected.read_bytes()
+
+
+ANALYZE_FIXTURES = {
+    "comb3": lambda: comb(3),
+    "concurrent-pairs": concurrent_pairs,
+    "triple-pairs": triple_pairs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_FIXTURES))
+def test_analyze_json_matches_golden(tmp_path, name):
+    poly = tmp_path / f"{name}.txt"
+    write_polygon(ANALYZE_FIXTURES[name](), str(poly))
+    out = tmp_path / "analyze.json"
+    assert main(["analyze", str(poly), "-o", str(out)]) == 0
+    expected = GOLDEN / f"analyze-{name}.json"
     assert out.read_bytes() == expected.read_bytes()
 
 

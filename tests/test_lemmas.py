@@ -1,17 +1,27 @@
 """Executable checks of the geometric separation and stability bounds."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gridguards.generate import (
     blocking_fixture,
     channel,
+    comb,
+    concurrent_pairs,
     counterexample_polygon,
     random_polygon,
+    triple_pairs,
 )
-from gridguards.geometry import Point, dist_sq, pt
+from gridguards.geometry import Point, dist_sq, orient, pt
 from gridguards.lemmas import (
     LemmaReport,
+    _in_cone,
+    _interior_points,
     build_counterexample,
     check_cone_property,
     check_distance_lemma,
@@ -21,8 +31,14 @@ from gridguards.lemmas import (
     missed_interval,
 )
 from gridguards.grid import GridSpec, surrounding_grid
-from gridguards.polygon import opposite_reflex_pairs
+from gridguards.polygon import (
+    opposite_reflex_pairs,
+    reflex_vertices,
+    triangulate,
+)
 from gridguards.visibility import sees
+
+from oracles import in_cone_ref
 
 
 def test_report_status_transitions():
@@ -76,6 +92,56 @@ def test_limited_blocking_random_sampling_no_violations():
     rep = check_limited_blocking(m, samples=20, seed=1)
     assert rep.status in ("Verified", "Skipped")
     assert rep.violations == []
+
+
+def assert_cones_match_reference(m, apexes):
+    """``_in_cone`` with its rays put in counterclockwise order, as
+    ``check_limited_blocking`` puts them, against ``in_cone_ref`` for every
+    apex, every pair of reflex vertices as the rays' ends (pairs collinear
+    with the apex skipped, as the check skips them), and every apex and
+    vertex as the tested point."""
+    points = list(m.vertices) + list(apexes)
+    refl = [m.vertices[i] for i in reflex_vertices(m)]
+    for x in apexes:
+        for u, v in combinations(refl, 2):
+            turn = orient(x, u, v)
+            if turn == 0:
+                continue
+            a, b = (u, v) if turn > 0 else (v, u)
+            for q in points:
+                assert _in_cone(x, a, b, q) == in_cone_ref(x, u, v, q)
+
+
+CONE_FIXTURES = {
+    "blocking": lambda: blocking_fixture()[0],
+    "channel": channel,
+    "comb4": lambda: comb(4),
+    "concurrent-pairs": concurrent_pairs,
+    "deshpande": counterexample_polygon,
+    "triple-pairs": triple_pairs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONE_FIXTURES))
+def test_in_cone_matches_reference(name):
+    m = CONE_FIXTURES[name]()
+    samples = _interior_points(triangulate(m), random.Random(0))
+    assert_cones_match_reference(m, list(islice(samples, 6))
+                                 + list(m.vertices[:4]))
+
+
+def test_in_cone_matches_reference_at_blocking_viewpoint():
+    m, x = blocking_fixture()
+    assert_cones_match_reference(m, [x])
+
+
+@given(st.integers(5, 9), st.integers(8, 30), st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_in_cone_matches_reference_on_random_polygons(n, M, seed):
+    m = random_polygon(n, M, seed=seed)
+    samples = _interior_points(triangulate(m), random.Random(seed))
+    assert_cones_match_reference(m, list(islice(samples, 4))
+                                 + list(m.vertices))
 
 
 def test_cone_property_channel():

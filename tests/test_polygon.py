@@ -1,6 +1,7 @@
 """Polygon model: loading, containment, reflex structure, triangulation."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,13 @@ from gridguards.polygon import (
     triangulate,
 )
 
-from oracles import segments_intersect_ref, winding_inside
+from oracles import (
+    extension_pairs_ref,
+    general_position_ref,
+    segments_intersect_ref,
+    triangulate_ref,
+    winding_inside,
+)
 
 
 def square():
@@ -129,15 +136,19 @@ def test_reflex_vertices_known():
 
 def test_extensions_deduplicated():
     m = square()
-    exts = extensions(m)
-    # 4 choose 2 = 6 vertex pairs, all on distinct lines here
-    assert len(exts) == 6
-    keys = set()
-    for e in exts:
-        a, b = e.defining_vertices
-        assert a < b
-        keys.add((e.line.a, e.line.b))
-    assert len(keys) == 6
+    lines = extensions(m)
+    # 4 choose 2 = 6 vertex pairs, all on distinct lines here, in pair order
+    assert len(set(lines)) == len(lines) == 6
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    for (A, B, C), (i, j) in zip(lines, pairs):
+        assert A > 0 or (A == 0 and B > 0)
+        assert gcd(A, B, C) == 1
+        # the line passes through both of its vertices: A x + B y = C
+        for v in (m.vertices[i], m.vertices[j]):
+            assert A * v.x + B * v.y == C
+    # vertices 0, 2 and 3 on y = x: their three pairs give one line
+    m = load_polygon([(1, 1), (5, 1), (9, 9), (5, 5), (1, 9)])
+    assert len(extensions(m)) == 10 - 2
 
 
 def test_opposite_pairs_channel():
@@ -181,6 +192,45 @@ def test_triangulate_partitions_area():
         assert len(tris) == m.n - 2
         total = sum(polygon_area([a, b, c]) for a, b, c in tris)
         assert total == polygon_area(list(m.vertices))
+
+
+STRUCTURE_FIXTURES = {
+    "blocking": lambda: blocking_fixture()[0],
+    "channel": channel,
+    "comb4": lambda: comb(4),
+    "concurrent-pairs": concurrent_pairs,
+    "deshpande": counterexample_polygon,
+    "triple-pairs": triple_pairs,
+}
+
+
+def assert_structure_matches_reference(m):
+    """The integer triangulation, extension lines and general-position
+    report against the Fraction references on the Points."""
+    verts = list(m.vertices)
+    assert triangulate(m) == triangulate_ref(verts)
+    lines = extensions(m)
+    pairs = extension_pairs_ref(verts)
+    assert len(lines) == len(pairs)
+    for (A, B, C), (i, j) in zip(lines, pairs):
+        assert all(A * v.x + B * v.y == C for v in (verts[i], verts[j]))
+    rep = check_general_position(m)
+    assert (rep.collinear_triples,
+            rep.concurrent_extension_triples) == general_position_ref(verts)
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_FIXTURES))
+def test_structure_matches_reference(name):
+    rep = assert_structure_matches_reference(STRUCTURE_FIXTURES[name]())
+    if name == "concurrent-pairs":
+        assert pt(105, 20) in [p for p, _ in rep.concurrent_extension_triples]
+
+
+@given(st.integers(5, 9), st.integers(8, 30), st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_structure_matches_reference_on_random_polygons(n, M, seed):
+    assert_structure_matches_reference(random_polygon(n, M, seed=seed))
 
 
 def meet(a, b, c, d):
