@@ -13,9 +13,13 @@ its predicates scale them by their query point's denominator.  The other
 hot code works in integer frames of its own: the two overlay
 constructions, ``visibility.visibility_polygon`` and
 ``arrangement.build_arrangement``, keep constructed points as reduced
-homogeneous triples.  Scaling every coordinate by the same positive
-integer keeps every sign, order and parameter ratio, so the integer
-decisions are exact; only a returned point is built as a Fraction again.
+homogeneous triples.  A visibility polygon keeps them as its result and
+builds its boundary Points only when they are read; its membership test,
+its visible edge pieces and the overlay read the triples, so the overlay
+gets Points only for window-chord ends.  Scaling every coordinate by the
+same positive integer keeps every sign, order and parameter ratio, so the
+integer decisions are exact; only a returned point is built as a Fraction
+again.
 Distances are kept squared so that no square root is ever taken; angle
 comparisons use cross/dot ratios for the same reason.
 """

@@ -162,20 +162,14 @@ def point_in_polygon(m: PolygonModel, p: Point) -> bool:
     return _in_int_cycle(*m.scaled(d), px, py)
 
 
-def point_in_cycle(vertices: Sequence[Point], p: Point) -> bool:
-    """Membership of p in the closed simple polygon with these vertices.
-
-    Boundary points count as inside.  The interior test is exact even-odd
-    ray casting with the half-open vertex rule (no epsilon, no perturbation
-    of inputs), on the cycle and p scaled once to integers.
-    """
-    _, cs = cleared(p.x, p.y, *[c for v in vertices for c in (v.x, v.y)])
-    return _in_int_cycle(cs[2::2], cs[3::2], cs[0], cs[1])
-
-
 def _in_int_cycle(xs: Sequence[int], ys: Sequence[int], px: int,
                  py: int) -> bool:
-    """``point_in_cycle`` on a cycle and a point already scaled to integers."""
+    """Membership of (px, py) in the closed simple polygon with these
+    integer vertices; boundary points count as inside.
+
+    Exact even-odd ray casting with the half-open vertex rule: no epsilon,
+    no perturbation of inputs.
+    """
     inside = False
     ax, ay = xs[-1], ys[-1]
     for bx, by in zip(xs, ys):

@@ -8,8 +8,9 @@ polygon, and every solver below is finite set cover over those bitmasks.
 Every edge of a visibility polygon is in the overlay, so crossing an
 overlay edge inside P flips membership exactly for the candidates whose
 window chords contain it (the edge's owners): one face's seers are found
-by membership, and every other face's by a breadth-first walk over the
-faces that XORs in the owners of each edge it crosses.
+by membership, decided on each polygon's integer triples by
+``in_visibility_polygon``, and every other face's by a breadth-first walk
+over the faces that XORs in the owners of each edge it crosses.
 ``cover_instance`` is the one place that instance is built: it computes
 each candidate's visibility polygon once, which gives both its chords and
 its bitmask, and checks that every witness is seen.  The solvers only read
@@ -36,9 +37,10 @@ from .grid import (
     guard_set,
     verify_coverage,
 )
-from .polygon import PolygonModel, _in_int_cycle, point_in_cycle
+from .polygon import PolygonModel, _in_int_cycle
 from .visibility import (
     VisibilityPolygon,
+    in_visibility_polygon,
     overlay_segments,
     sees,  # noqa: F401  kept bound: perfbench's --selfcheck wraps solver.sees
     visibility_polygon,
@@ -100,11 +102,12 @@ def build_witnesses(m: PolygonModel, polygons: Sequence[VisibilityPolygon]
     in face order; seers is the bitmask of the polygons that hold the face.
 
     Face 0's seers come from membership of its representative in every
-    polygon.  The walk then crosses each edge with a bounded face on both
-    sides and XORs in the bits of the edge's owners; an overlay segment
-    at or past the polygon's edges is a window chord of one polygon, in
-    ``overlay_segments`` order.  Raises GeometryError if a face is reached
-    with two different seer sets or not at all.
+    polygon, tested on the polygon's triples.  The walk then crosses each
+    edge with a bounded face on both sides and XORs in the bits of the
+    edge's owners; an overlay segment at or past the polygon's edges is a
+    window chord of one polygon, in ``overlay_segments`` order.  Raises
+    GeometryError if a face is reached with two different seer sets or not
+    at all.
     """
     arr = build_arrangement(overlay_segments(m, polygons))
     bits = [0] * m.n + [1 << i for i, vp in enumerate(polygons)
@@ -120,7 +123,7 @@ def build_witnesses(m: PolygonModel, polygons: Sequence[VisibilityPolygon]
     rep = arr.representatives[0]
     seers: List[Optional[int]] = [None] * len(across)
     seers[0] = sum(1 << i for i, vp in enumerate(polygons)
-                   if point_in_cycle(vp.boundary, rep))
+                   if in_visibility_polygon(vp, rep))
     queue = [0]
     for f in queue:
         for g, flip in across[f]:

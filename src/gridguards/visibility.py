@@ -3,17 +3,27 @@
 Visibility is closed: a segment that grazes the boundary still counts, since
 the whole pipeline reasons about closed regions.  The visibility polygon is
 computed by an angular sweep over wedges between consecutive critical
-directions (all vertex directions plus the four axes); inside each open wedge
-the blocking edge is constant, so one exact mid-ray shot per wedge suffices.
-The visible part of a polygon edge is read off the same polygon's
-boundary rather than swept separately.
+directions: the directions from the viewpoint to the vertices, plus (1, 0)
+where the boundary starts.  The blocking edge changes only at a vertex
+direction, so inside each open wedge it is constant and one exact mid-ray
+shot per wedge finds it; a gap of pi or more, which has no mid-ray, is split
+by quarter turns.  A viewpoint on the boundary decides a wedge that leaves P
+at once by the cone of P at the viewpoint, without a shot.  Each boundary
+point is where a wedge's edge meets its bounding ray, so it lies on that
+edge, and on the neighbouring edge too when it is the edge's end vertex; a
+boundary edge is a window chord unless one polygon edge holds both its ends.
+The polygon is kept in the viewpoint's integer frame, as reduced triples;
+its ``boundary`` Points are built only when read, and membership, the
+overlay's window chords and the visible part of a polygon edge are read
+off the triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
@@ -21,8 +31,6 @@ from .geometry import (
     Point,
     Segment,
     cleared,
-    cross,
-    dot,
     sort_directions_ccw,
 )
 from .polygon import (
@@ -30,16 +38,37 @@ from .polygon import (
     PolygonModel,
     _in_int_cycle,
     _segment_inside,
-    point_in_polygon,
 )
+
+Triple = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class VisibilityPolygon:
-    """Star-shaped region visible from one point, counterclockwise."""
+    """Star-shaped region visible from one point x = (X / w, Y / w).
 
-    boundary: Tuple[Point, ...]
+    ``triples`` are its boundary points p, counterclockwise, each as the
+    reduced triple (hx, hy, hw) with hw > 0 of w * (p - x) = (hx / hw,
+    hy / hw); boundary edge i runs from point i to point i + 1, and
+    ``window_edges`` are the indices of the window chords among them.
+    """
+
+    w: int
+    X: int
+    Y: int
+    triples: Tuple[Triple, ...]
     window_edges: Tuple[int, ...]
+
+    def point(self, i: int) -> Point:
+        """Boundary point i as a Point."""
+        hx, hy, hw = self.triples[i]
+        d = self.w * hw
+        return Point(Fraction(self.X * hw + hx, d),
+                     Fraction(self.Y * hw + hy, d))
+
+    @cached_property
+    def boundary(self) -> Tuple[Point, ...]:
+        return tuple(map(self.point, range(len(self.triples))))
 
     def edges(self) -> List[Tuple[Point, Point]]:
         b = self.boundary
@@ -54,98 +83,94 @@ def sees(m: PolygonModel, x: Point, y: Point) -> bool:
     return _segment_inside(m, x, y)
 
 
+def in_visibility_polygon(vp: VisibilityPolygon, p: Point) -> bool:
+    """Membership of p in the closed visibility polygon, boundary included.
+
+    p is brought into the polygon's frame and, with the triples, over the
+    lcm of their denominators, where the even-odd test runs on integers.
+    """
+    d, (px, py) = cleared(p.x, p.y)
+    tri = vp.triples
+    q = lcm(d, *[hw for _, _, hw in tri])
+    s = q // d
+    return _in_int_cycle([hx * (q // hw) for hx, _, hw in tri],
+                         [hy * (q // hw) for _, hy, hw in tri],
+                         (vp.w * px - vp.X * d) * s,
+                         (vp.w * py - vp.Y * d) * s)
+
+
 def overlay_segments(m: PolygonModel, polygons: Sequence[VisibilityPolygon]
                      ) -> List[Tuple[Point, Point]]:
     """Polygon edges plus every window chord of every visibility polygon."""
     segs = list(m.edges())
     for vp in polygons:
-        es = vp.edges()
-        segs.extend(es[i] for i in vp.window_edges)
+        k = len(vp.triples)
+        segs.extend((vp.point(i), vp.point((i + 1) % k))
+                    for i in vp.window_edges)
     return segs
 
 
-def _blocking_edge(m: PolygonModel, X: int, Y: int, w: int,
-                   rel: List[Tuple[int, int]], mx: int,
-                   my: int) -> Optional[int]:
-    """Index of the edge through which the ray from x in direction (mx, my)
-    leaves P, or None when it leaves P at x itself.
+# An edge record (i, ax, ay, bx, by, c): edge i runs from vertex i - 1 to
+# vertex i, at w * (vertex - x) = (ax, ay) and (bx, by), and
+# c = (ax, ay) x (bx, by) is not 0: the edge's line misses x.
+EdgeRecord = Tuple[int, int, int, int, int, int]
+# The cone of P at a boundary viewpoint x: (nx, ny) and (px, py) point from
+# x along the boundary forwards and backwards, and P near x is the
+# counterclockwise angle from the first to the second, reflex or not.
+Cone = Tuple[int, int, int, int, bool]
 
-    x is (X / w, Y / w), ``rel[i]`` is w * (vertex i - x), and edge i runs
-    from vertex i - 1 to vertex i.  The ray passes through no vertex, so it
-    meets edges only transversally at interior points: the smallest
-    positive hit is where it leaves P, and its edge is the blocking edge.
+
+def _blocking_edge(edges: Sequence[EdgeRecord], cone: Optional[Cone],
+                   mx: int, my: int) -> Optional[EdgeRecord]:
+    """The edge through which the ray from x in direction (mx, my) leaves
+    P, or None when it leaves P at x itself.
+
+    The ray passes through no vertex.  If x is on the boundary, the ray
+    leaves at x exactly when it starts outside the cone of P at x.  Else it
+    meets edges only transversally at interior points, and the first such
+    hit is where it leaves P; an edge whose line holds x is met, if at
+    all, only at x or along a vertex direction, so ``edges`` leaves it out.
     """
-    best = None          # (s_num, s_den, edge) of the smallest positive hit
-    tie = False
-    at_x = False         # some edge contains x: x is on the boundary
-    ax, ay = rel[-1]
-    for i, (bx, by) in enumerate(rel):
-        ex, ey = bx - ax, by - ay
-        den = mx * ey - my * ex
-        un = ax * my - ay * mx
-        if den == 0:
-            if un == 0:
-                # collinear: an edge ending at x behind it only touches x
-                reach = max(ax * mx + ay * my, bx * mx + by * my)
-                if reach > 0:
-                    raise GeometryError(
-                        "exit point not on any transversal edge")
-                at_x = at_x or reach == 0
-        else:
-            sn = ax * ey - ay * ex
-            if den < 0:
-                den, sn, un = -den, -sn, -un
-            if sn >= 0 and 0 <= un <= den:
-                if sn == 0:
-                    at_x = True
-                elif best is None or sn * best[1] < best[0] * den:
-                    best, tie = (sn, den, i), False
-                elif sn * best[1] == best[0] * den:
-                    tie = True
-        ax, ay = bx, by
-    if best is None:
-        return None
-    if at_x:
-        # no edge crosses the open stretch from x to the first hit, so one
-        # probe at its middle tells whether the ray leaves P at x already
-        sn, sd, _ = best
-        q = 2 * sd * w
-        probe = Point(Fraction(2 * sd * X + sn * mx, q),
-                      Fraction(2 * sd * Y + sn * my, q))
-        if not point_in_polygon(m, probe):
+    if cone is not None:
+        nx, ny, px, py, reflex = cone
+        after, before = nx * my - ny * mx > 0, mx * py - my * px > 0
+        if not (after or before if reflex else after and before):
             return None
+    best = None
+    best_n = best_d = 0      # the hit's ray parameter is best_n / best_d
+    tie = False
+    for e in edges:
+        _, ax, ay, bx, by, c = e
+        # the ray meets the closed edge iff it lies in the angle the edge
+        # spans from x, which is less than pi and turns with the sign of c
+        ua, ub = ax * my - ay * mx, mx * by - my * bx
+        if c > 0:
+            if ua < 0 or ub < 0:
+                continue
+            sn, sd = c, ua + ub
+        else:
+            if ua > 0 or ub > 0:
+                continue
+            sn, sd = -c, -ua - ub
+        if best is None or sn * best_d < best_n * sd:
+            best, best_n, best_d, tie = e, sn, sd, False
+        elif sn * best_d == best_n * sd:
+            tie = True
+    if best is None:
+        raise GeometryError("ray from inside the polygon meets no edge")
     if tie:
         raise GeometryError("ambiguous blocking edge; mid-ray hit a vertex")
-    return best[2]
+    return best
 
 
-Triple = Tuple[int, int, int]
-
-
-def _ray_meets_line(d: Tuple[int, int], a: Tuple[int, int],
-                    b: Tuple[int, int]) -> Triple:
-    """Where the ray from x in the primitive direction d meets line(a, b),
-    to which it is not parallel, as the reduced triple (hx, hy, hw) with
-    hw > 0 of w * (point - x) = (hx / hw, hy / hw); a and b are
-    w * (vertex - x).
-    """
+def _hit(d: Tuple[int, int], e: EdgeRecord) -> Triple:
+    """Where the ray from x in the primitive direction d meets the line of
+    edge e, to which it is not parallel, as a reduced triple."""
     dx, dy = d
-    ex, ey = b[0] - a[0], b[1] - a[1]
-    den = dx * ey - dy * ex
-    sn = a[0] * ey - a[1] * ex
-    g = gcd(sn, den) if den > 0 else -gcd(sn, den)  # d primitive: reduces
-    return (dx * sn // g, dy * sn // g, den // g)
-
-
-def _edges_through(rel: List[Tuple[int, int]], p: Triple) -> int:
-    """Bitmask of the polygon edges whose closed segment holds p (edge i
-    from vertex i - 1 to vertex i, ``rel`` as in ``_blocking_edge``)."""
-    hx, hy, hw = p
-    return sum(1 << i for i, ((ax, ay), (bx, by))
-               in enumerate(zip(rel[-1:] + rel[:-1], rel))
-               if min(ax, bx) * hw <= hx <= max(ax, bx) * hw
-               and min(ay, by) * hw <= hy <= max(ay, by) * hw
-               and (bx - ax) * (hy - ay * hw) == (by - ay) * (hx - ax * hw))
+    _, ax, ay, bx, by, c = e
+    den = dx * (by - ay) - dy * (bx - ax)
+    g = gcd(c, den) if den > 0 else -gcd(c, den)  # d primitive: reduces
+    return (dx * c // g, dy * c // g, den // g)
 
 
 def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
@@ -156,44 +181,84 @@ def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
     if not _in_int_cycle(xs, ys, X, Y):
         raise PointOutsidePolygon(f"{x} outside polygon")
     rel = [(vx - X, vy - Y) for vx, vy in zip(xs, ys)]
+    n = len(rel)
 
-    dirs = {(1, 0), (0, 1), (-1, 0), (0, -1)}
-    for rx, ry in rel:
-        if rx or ry:
-            g = gcd(rx, ry)
-            dirs.add((rx // g, ry // g))
+    dirs = {(1, 0)}
+    edges: List[EdgeRecord] = []
+    cone: Optional[Cone] = None
+    on_x = 0                 # bitmask of the polygon edges that hold x
+    ax, ay = rel[-1]
+    for i, (bx, by) in enumerate(rel):
+        if bx or by:
+            g = gcd(bx, by)
+            dirs.add((bx // g, by // g))
+        else:                # x is vertex i, on edges i and i + 1
+            on_x = 1 << i | 1 << (i + 1) % n
+            (nx, ny), (px, py) = rel[(i + 1) % n], rel[i - 1]
+            cone = (nx, ny, px, py, nx * py - ny * px < 0)
+        c = ax * by - ay * bx
+        if c:
+            edges.append((i, ax, ay, bx, by, c))
+        elif ax * bx + ay * by < 0:      # x lies inside edge i
+            on_x = 1 << i
+            cone = (bx, by, ax, ay, False)
+        ax, ay = bx, by
+
+    rays = []
     order = sort_directions_ccw(dirs)
-
-    # the boundary as triples of w * (point - x), x itself being (0, 0, 1)
-    pts: List[Triple] = []
     for d1, d2 in zip(order, order[1:] + order[:1]):
-        edge = _blocking_edge(m, X, Y, w, rel, d1[0] + d2[0], d1[1] + d2[1])
-        hits = [(0, 0, 1)] if edge is None else [
-            _ray_meets_line(d, rel[edge - 1], rel[edge]) for d in (d1, d2)]
-        for p in hits:
+        rays.append(d1)
+        while d1[0] * d2[1] - d1[1] * d2[0] <= 0:    # a gap of pi or more
+            d1 = (-d1[1], d1[0])
+            rays.append(d1)
+
+    # the boundary as triples of w * (point - x), x itself being (0, 0, 1),
+    # each with the bitmask of the polygon edges that hold it
+    pts: List[Triple] = []
+    on: List[int] = []
+    prev = None
+    for d1, d2 in zip(rays, rays[1:] + rays[:1]):
+        e = _blocking_edge(edges, cone, d1[0] + d2[0], d1[1] + d2[1])
+        if e is None:
+            hits = [((0, 0, 1), on_x)]
+        else:
+            # a hit on d1 along the previous wedge's edge is already there
+            i, ax, ay, bx, by, _ = e
+            hits = []
+            for d in (d2,) if e is prev else (d1, d2):
+                p = _hit(d, e)
+                mask = 1 << i
+                if p == (ax, ay, 1):
+                    mask |= 1 << (i - 1) % n
+                elif p == (bx, by, 1):
+                    mask |= 1 << (i + 1) % n
+                hits.append((p, mask))
+        prev = e
+        for p, mask in hits:
             if not pts or pts[-1] != p:
                 pts.append(p)
+                on.append(mask)
 
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
+        on.pop()
     # drop collinear middle vertices (neighbors taken from the raw cycle,
     # which is correct for collinear runs along a single line); with every
     # hw > 0 the determinant has the sign of orient
-    kept = [q for p, q, r in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
+    keep = [k for k, (p, q, r) in enumerate(zip(pts[-1:] + pts[:-1], pts,
+                                                pts[1:] + pts[:1]))
             if p[0] * (q[1] * r[2] - r[1] * q[2])
             - p[1] * (q[0] * r[2] - r[0] * q[2])
             + p[2] * (q[0] * r[1] - r[0] * q[1])]
-    if len(kept) < 3:
+    nb = len(keep)
+    if nb < 3:
         raise GeometryError("degenerate visibility region")
-
     # a boundary edge is a window unless one polygon edge holds both ends
-    on = [_edges_through(rel, p) for p in kept]
-    nb = len(kept)
-    windows = tuple(i for i in range(nb) if not on[i] & on[(i + 1) % nb])
-    boundary = tuple(Point(Fraction(X * hw + hx, w * hw),
-                           Fraction(Y * hw + hy, w * hw))
-                     for hx, hy, hw in kept)
-    return VisibilityPolygon(boundary=boundary, window_edges=windows)
+    windows = tuple(j for j in range(nb)
+                    if not on[keep[j]] & on[keep[(j + 1) % nb]])
+    return VisibilityPolygon(w=w, X=X, Y=Y,
+                             triples=tuple(pts[k] for k in keep),
+                             window_edges=windows)
 
 
 def visible_subsegments(m: PolygonModel, g: Point, u: Point,
@@ -207,21 +272,31 @@ def visible_subsegments(m: PolygonModel, g: Point, u: Point,
     line, clipped to uv.  P has no holes, so if g sees two points of uv it
     sees the triangle they span with g: the visible part is one segment or
     nothing.  Raises ValueError when uv is not an edge of P.
+
+    The test runs in the polygon's frame: u is a vertex, so w * (u - g) is
+    an integer point, and the boundary points come over the lcm q of their
+    denominators; a point's parameter along uv is then an integer over
+    q * w * |v - u|^2.  Points are built only for the returned segment.
     """
     edges = m.edges()
     if (u, v) not in edges and (v, u) not in edges:
         raise ValueError(f"{u}-{v} is not an edge of the polygon")
-    d = v - u
-    dd = dot(d, d)
-    runs = []
-    for p, q in visibility_polygon(m, g).edges():
-        if cross(d, p - u) == 0 and cross(d, q - u) == 0:
-            t0, t1 = sorted((dot(p - u, d) / dd, dot(q - u, d) / dd))
-            t0, t1 = max(t0, 0), min(t1, 1)
-            if t0 < t1:
-                runs.append((t0, t1))
+    vp = visibility_polygon(m, g)
+    w = vp.w
+    ux, uy = int(u.x) * w - vp.X, int(u.y) * w - vp.Y
+    dx, dy = int(v.x - u.x), int(v.y - u.y)
+    q = lcm(*[hw for _, _, hw in vp.triples])
+    ts: List[Optional[int]] = []
+    for hx, hy, hw in vp.triples:
+        rx, ry = (hx - ux * hw) * (q // hw), (hy - uy * hw) * (q // hw)
+        ts.append(rx * dx + ry * dy if dx * ry == dy * rx else None)
+    top = q * w * (dx * dx + dy * dy)       # the parameter of v
+    runs = [(max(min(s, t), 0), min(max(s, t), top))
+            for s, t in zip(ts, ts[1:] + ts[:1])
+            if s is not None and t is not None]
+    runs = [(s, t) for s, t in runs if s < t]
     if not runs:
         return []
-    lo = min(t0 for t0, _ in runs)
-    hi = max(t1 for _, t1 in runs)
-    return [Segment(u + d.scaled(lo), u + d.scaled(hi))]
+    d = v - u
+    return [Segment(u + d.scaled(Fraction(min(s for s, _ in runs), top)),
+                    u + d.scaled(Fraction(max(t for _, t in runs), top)))]

@@ -64,6 +64,22 @@ def winding_inside(verts, p: Point) -> bool:
     return winding != 0
 
 
+def point_in_cycle(verts, p: Point) -> bool:
+    """Closed membership of p in the simple polygon with these vertices, in
+    Fractions: even-odd ray casting with the half-open vertex rule, the
+    rule of ``polygon._in_int_cycle`` and so of the visibility-polygon
+    membership test."""
+    verts = list(verts)
+    inside = False
+    for a, b in zip(verts[-1:] + verts[:-1], verts):
+        if on_segment(p, a, b):
+            return True
+        if (a.y > p.y) != (b.y > p.y) and (cross(a - p, b - a) > 0) == (
+                b.y > a.y):
+            inside = not inside
+    return inside
+
+
 def naive_sees(verts, x: Point, y: Point) -> bool:
     """Segment visibility by exhaustive breakpoint-midpoint containment."""
     if x == y:

@@ -1,8 +1,8 @@
 """Differential tests of the integer kernel against Fraction references.
 
-The predicates in gridguards.geometry, polygon.point_in_cycle and
-visibility.sees (polygon._segment_inside) decide on denominator-cleared
-integers.  Each is checked here against the same
+The predicates in gridguards.geometry, visibility.in_visibility_polygon
+and visibility.sees (polygon._segment_inside) decide on
+denominator-cleared integers.  Each is checked here against the same
 formula computed directly in Fraction arithmetic (tests/oracles.py), on
 integer, half-integer and mixed-denominator coordinates, with forced
 degeneracies: collinear points, points on vertices and edges, parallel
@@ -34,16 +34,20 @@ from gridguards.lemmas import build_counterexample
 from gridguards.polygon import (
     PointOutsidePolygon,
     load_polygon,
-    point_in_cycle,
     segment_in_polygon,
 )
 from gridguards.solver import default_candidates
-from gridguards.visibility import sees, visibility_polygon
+from gridguards.visibility import (
+    in_visibility_polygon,
+    sees,
+    visibility_polygon,
+)
 
 from oracles import (
     naive_sees,
     on_segment,
     orient_ref,
+    point_in_cycle,
     segment_inside_ref,
     visibility_area_oracle,
     winding_inside,
@@ -132,28 +136,36 @@ def test_point_on_segment_collinear(a, b, t):
 
 
 # ---------------------------------------------------------------------------
-# point_in_cycle, on the rational boundaries it meets in the solver
+# membership in a visibility polygon, on the rational boundaries it meets
+# in the solver
+
+box = st.fractions(min_value=0, max_value=9, max_denominator=12)
 
 
 @given(st.integers(4, 7), st.integers(0, 10 ** 6), st.data())
 @settings(max_examples=30, deadline=None)
 def test_point_in_cycle_matches_winding(n, seed, data):
+    """``in_visibility_polygon``, decided on the polygon's triples, and the
+    Fraction even-odd reference ``point_in_cycle`` on its boundary Points
+    both match the winding number, from cell centres and from points
+    inside edges, whose boundaries mix denominators."""
     m = random_polygon(n, 8, seed=seed)
-    x = data.draw(st.sampled_from(default_candidates(m)))
-    scale = data.draw(st.fractions(min_value=Fraction(1, 5), max_value=3,
-                                   max_denominator=6).filter(bool))
-    shift = data.draw(points)
-    cycle = [v.scaled(scale) + shift
-             for v in visibility_polygon(m, x).boundary]
+    a, b = m.edges()[data.draw(st.integers(0, m.n - 1))]
+    x = data.draw(st.sampled_from(default_candidates(m) + [
+        along(a, b, Fraction(1, 3)), along(a, b, Fraction(2, 7))]))
+    vp = visibility_polygon(m, x)
+    cycle = list(vp.boundary)
     k = len(cycle)
     probes = list(cycle) + [
         along(cycle[i], cycle[(i + 1) % k], data.draw(params))
         for i in range(k)]
-    probes += [data.draw(points) for _ in range(8)]
+    probes += [Point(data.draw(box), data.draw(box)) for _ in range(8)]
     # at the height of a vertex, where the half-open rule decides
-    probes += [Point(data.draw(coords), v.y) for v in cycle]
+    probes += [Point(data.draw(box), v.y) for v in cycle]
     for p in probes:
-        assert point_in_cycle(cycle, p) == winding_inside(cycle, p), p
+        inside = winding_inside(cycle, p)
+        assert point_in_cycle(cycle, p) == inside, p
+        assert in_visibility_polygon(vp, p) == inside, p
 
 
 # ---------------------------------------------------------------------------

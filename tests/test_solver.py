@@ -309,10 +309,10 @@ def test_eh_solve_call_counts(monkeypatch):
     # verify_coverage calls grid's binding of sees, which stays uncounted
     count(solver, "sees")
     count(visibility, "sees")
-    count(solver, "point_in_cycle")
+    count(solver, "in_visibility_polygon")
     result = eh_solve(m, SolveConfig(rng_seed=0))
     assert result.certified and len(result.guards) == 3
     assert calls["visibility_polygon"] == len(cands) + len(result.guards)
     assert calls["build_arrangement"] == 2
     assert calls["sees"] == 0
-    assert calls["point_in_cycle"] == len(cands)
+    assert calls["in_visibility_polygon"] == len(cands)

@@ -19,11 +19,12 @@ from gridguards.polygon import (
     PointOutsidePolygon,
     load_polygon,
     opposite_reflex_pairs,
-    point_in_cycle,
     point_in_polygon,
+    reflex_vertices,
 )
 from gridguards.solver import default_candidates
 from gridguards.visibility import (
+    in_visibility_polygon,
     sees,
     visibility_polygon,
     visible_subsegments,
@@ -143,7 +144,7 @@ def test_polygon_membership_implies_sees(n, seed, data):
     for y in ys:
         if not point_in_polygon(m, y):
             continue
-        if point_in_cycle(vp.boundary, y):
+        if in_visibility_polygon(vp, y):
             assert sees(m, x, y), (x, y)
         elif sees(m, x, y):
             assert any(cross(v - x, y - x) == 0
@@ -173,7 +174,7 @@ def test_sees_from_polygon_beyond_pinhole(fixture):
                 y = r2 + d.scaled(Fraction(k, 8))
                 if not point_in_polygon(m, y):
                     continue
-                assert not point_in_cycle(vp.boundary, y), (x, y)
+                assert not in_visibility_polygon(vp, y), (x, y)
                 seen_outside += sees(m, x, y)
     assert seen_outside > 0
 
@@ -203,6 +204,60 @@ def test_visibility_polygon_matches_fraction_reference(n, bound, seed, data):
                 xs.append(x)
     for x in xs:
         assert_matches_visibility_ref(m, x)
+
+
+@given(st.integers(5, 10), st.integers(8, 30), st.integers(0, 10 ** 6),
+       st.data())
+@settings(max_examples=25, deadline=None)
+def test_visibility_polygon_matches_reference_on_critical_viewpoints(
+        n, bound, seed, data):
+    """Differential, from the viewpoints the wedge construction treats
+    apart: points inside an edge (t = 1/3 and 2/7), where the cone of P at
+    x decides the wedges that leave at once and x's own edge holds x;
+    points on the line through two vertices, where a wedge's bounding ray
+    hits a vertex and the hit's neighbouring edge enters the window rule;
+    and a convex and a reflex vertex, where a gap of pi or more is split
+    by quarter turns."""
+    m = random_polygon(n, bound, seed=seed)
+    vs = m.vertices
+    a, b = m.edges()[data.draw(st.integers(0, m.n - 1))]
+    xs = [a + (b - a).scaled(t) for t in (Fraction(1, 3), Fraction(2, 7))]
+    i, j = data.draw(st.lists(st.integers(0, m.n - 1), min_size=2,
+                              max_size=2, unique=True))
+    for t in (Fraction(-1, 3), Fraction(1, 2), Fraction(4, 3)):
+        y = vs[i] + (vs[j] - vs[i]).scaled(t)
+        if point_in_polygon(m, y):
+            xs.append(y)
+    reflex = reflex_vertices(m)
+    xs.append(data.draw(st.sampled_from(
+        [v for k, v in enumerate(vs) if k not in reflex])))
+    if reflex:
+        xs.append(vs[data.draw(st.sampled_from(reflex))])
+    for x in xs:
+        assert_matches_visibility_ref(m, x)
+
+
+@pytest.mark.parametrize("x, wedges", [
+    (pt(2, 3), 5),   # four vertex directions and (1, 0)
+    (pt(1, 1), 5),   # (1, 0), (1, 1), (0, 1) and two quarter turns
+    (pt(3, 1), 5),   # on an edge: (1, 0), two vertices, one quarter turn
+])
+def test_one_blocking_edge_scan_per_wedge(monkeypatch, x, wedges):
+    """The square seen from inside, from a corner and from an edge: one
+    call of ``_blocking_edge`` per wedge, over the vertex directions plus
+    (1, 0) plus the quarter turns that split gaps of pi or more."""
+    from gridguards import visibility
+
+    m = load_polygon([(1, 1), (5, 1), (5, 5), (1, 5)])
+    calls = []
+    inner = visibility._blocking_edge
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(visibility, "_blocking_edge", counting)
+    assert_matches_visibility_ref(m, x)
+    assert len(calls) == wedges
 
 
 @pytest.mark.parametrize("name", ["channel", "deshpande", "blocking"])
