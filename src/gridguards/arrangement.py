@@ -1,35 +1,46 @@
 """Exact planar arrangement of segments with one witness point per face.
 
-All endpoints are cleared to one common denominator, so the construction
-runs on integers.  Identical segments, in either orientation, are merged;
-the rest are split where they meet.  Only pairs whose bounding boxes meet
-are compared, and a pair that is not parallel but shares an endpoint is
-skipped, since it meets only there.  Split points are reduced integer
-triples, which key the nodes; one Point is built per node.  Faces are
+All endpoints are cleared to one common denominator s, so the
+construction runs on integers.  Identical segments, in either
+orientation, are merged; the rest are split where they meet.  Only pairs
+whose bounding boxes meet are compared, and a pair that is not parallel
+but shares an endpoint is skipped, since it meets only there.  Split
+points are reduced integer triples (X, Y, W), the point (X, Y) / (W s),
+which key the nodes.  The nodes are numbered in the order of their
+points' keys: the floats X / (W s) sort them, and a run whose floats
+cannot tell them apart is sorted again on integers.  One sort of all
+half-edges by tail and ``geometry.direction_key`` gives every node's
+walls counterclockwise, exact again where two keys tie.  Faces are
 traversed with the usual rotate-clockwise half-edge rule (faces lie to
 the left of their half-edges).  A face is bounded by its own walk and by
 whole other connected components (its holes), so a ray from a vertex of
 the walk into the face stays inside it up to its first hit on those
 edges; each bounded face's representative is the midpoint of that stretch.
 The ray is shot on integers: the walk's triples and those of the other
-components are brought over the lcm of their W, and one Point is built
-per representative.  Each edge also records the bounded face on either
-side of it and the input segments that contain it, so callers can walk
-the faces' dual graph.
+components are brought over the lcm of their W.  Points are built eagerly
+only for the representatives; the nodes, the edges' key pairs and the
+face cycles are built from the triples on first read.  Each edge also
+records the bounded face on either side of it and the input segments that
+contain it, so callers can walk the faces' dual graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .geometry import (
     GeometryError,
     Point,
     cleared,
-    sort_directions_ccw,
+    direction_key,
+    direction_tie_keys,
+    sort_ties,
 )
 
 Key = Tuple[Fraction, Fraction]
@@ -38,9 +49,15 @@ Triple = Tuple[int, int, int]
 
 @dataclass
 class Arrangement:
-    nodes: List[Point]
-    edges: List[Tuple[Key, Key]]
-    face_cycles: List[List[Point]]      # bounded faces, outer cycles, CCW
+    """The subdivision, kept on integers: node i is (X / (W s), Y / (W s))
+    for ``triples[i]`` = (X, Y, W), and ``cycles`` lists each bounded
+    face's nodes.  ``nodes``, ``edges`` and ``face_cycles`` are built from
+    them, as Points, on first read."""
+
+    triples: List[Triple]               # in the order of the nodes' keys
+    s: int
+    edge_nodes: List[Tuple[int, int]]   # node ids (u, v), u < v, sorted
+    cycles: List[List[int]]             # bounded faces, outer cycles, CCW
     representatives: List[Point]        # one interior point per bounded face
     # per edge (u, v): the bounded face left of u -> v and left of v -> u,
     # or -1 where that side's walk bounds no face (the outer walk, or a
@@ -49,37 +66,64 @@ class Arrangement:
     # per edge: the indices of the input segments that contain it
     edge_segments: List[Tuple[int, ...]]
 
+    @cached_property
+    def nodes(self) -> List[Point]:
+        return [_point(t, self.s) for t in self.triples]
+
+    @cached_property
+    def edges(self) -> List[Tuple[Key, Key]]:
+        nodes = self.nodes
+        return [(nodes[u].key(), nodes[v].key()) for u, v in self.edge_nodes]
+
+    @cached_property
+    def face_cycles(self) -> List[List[Point]]:
+        nodes = self.nodes
+        return [[nodes[u] for u in cycle] for cycle in self.cycles]
+
 
 def _split_points(segs: List[Tuple[Tuple[int, int], Tuple[int, int]]]
                   ) -> List[List[Triple]]:
     """For each segment, every point where it meets a segment (itself too),
     as the triple (X, Y, W) of (X / W, Y / W) with W > 0 and gcd 1."""
     splits = [[a + (1,), b + (1,)] for a, b in segs]
+    ends = [a + b for a, b in segs]
+    at: Dict[Tuple[int, int], List[int]] = {}   # the segments at each end
+    for k, (a, b) in enumerate(segs):
+        at.setdefault(a, []).append(k)
+        at.setdefault(b, []).append(k)
     boxes = [(min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
-             for (ax, ay), (bx, by) in segs]
+             for ax, ay, bx, by in ends]
     order = sorted(range(len(segs)), key=lambda i: boxes[i][0])
     for n, i in enumerate(order):
         x0, x1, y0, y1 = boxes[i]
-        (ax, ay), (bx, by) = a, b = segs[i]
+        ax, ay, bx, by = ends[i]
         ux, uy = bx - ax, by - ay
+        shared = {*at[(ax, ay)], *at[(bx, by)]}     # share an end with i
         for j in order[n + 1:]:
             jx0, jx1, jy0, jy1 = boxes[j]
             if jx0 > x1:
                 break
             if jy0 > y1 or jy1 < y0:
                 continue
-            (cx, cy), (dx, dy) = c, d = segs[j]
-            vx, vy, fx, fy = dx - cx, dy - cy, cx - ax, cy - ay
-            den, un = ux * vy - uy * vx, fx * uy - fy * ux
+            cx, cy, dx, dy = ends[j]
+            vx, vy = dx - cx, dy - cy
+            den = ux * vy - uy * vx
+            if j in shared:
+                if den:
+                    continue  # not parallel: they meet only at that end
+                un = 0
+            else:
+                fx, fy = cx - ax, cy - ay
+                un = fx * uy - fy * ux
             if den == 0:
                 if un == 0:  # collinear: each gets the other's ends on it
-                    splits[i] += [(qx, qy, 1) for qx, qy in (c, d)
+                    splits[i] += [(qx, qy, 1)
+                                  for qx, qy in ((cx, cy), (dx, dy))
                                   if x0 <= qx <= x1 and y0 <= qy <= y1]
-                    splits[j] += [(qx, qy, 1) for qx, qy in (a, b)
+                    splits[j] += [(qx, qy, 1)
+                                  for qx, qy in ((ax, ay), (bx, by))
                                   if jx0 <= qx <= jx1 and jy0 <= qy <= jy1]
                 continue
-            if a == c or a == d or b == c or b == d:
-                continue  # not parallel: they meet only at the shared end
             tn = fx * vy - fy * vx
             if den < 0:
                 den, tn, un = -den, -tn, -un
@@ -94,33 +138,71 @@ def _split_points(segs: List[Tuple[Tuple[int, int], Tuple[int, int]]]
 
 
 def _first_hit(ox: int, oy: int, mx: int, my: int,
-               segs: List[Tuple[int, int, int, int]]
+               segs: Iterable[Tuple[int, int, int, int]]
                ) -> Optional[Tuple[int, int]]:
     """The smallest t > 0 at which (ox, oy) + t (mx, my) meets one of the
     segments (ax, ay, bx, by), as (numerator, denominator), or None.
 
     A collinear segment is met at the projections of its ends.
     """
-    best = None
+    best_n = best_d = 0          # best_d = 0 until a hit
     for ax, ay, bx, by in segs:
         fx, fy = ax - ox, ay - oy
         ex, ey = bx - ax, by - ay
         den = mx * ey - my * ex
-        if den == 0:
-            if mx * fy - my * fx:
-                continue
-            dd = mx * mx + my * my
-            hits = [(n, dd) for n in (fx * mx + fy * my,
-                                      (bx - ox) * mx + (by - oy) * my)]
-        else:
+        if den:
             tn, un = fx * ey - fy * ex, fx * my - fy * mx
             if den < 0:
                 den, tn, un = -den, -tn, -un
-            hits = [(tn, den)] if 0 <= un <= den else []
-        for n, d in hits:
-            if n > 0 and (best is None or n * best[1] < best[0] * d):
-                best = (n, d)
-    return best
+            if (tn > 0 and 0 <= un <= den
+                    and (not best_d or tn * best_d < best_n * den)):
+                best_n, best_d = tn, den
+        elif not mx * fy - my * fx:
+            dd = mx * mx + my * my
+            for n in (fx * mx + fy * my, (bx - ox) * mx + (by - oy) * my):
+                if n > 0 and (not best_d or n * best_d < best_n * dd):
+                    best_n, best_d = n, dd
+    return (best_n, best_d) if best_d else None
+
+
+def _node_order(tri: List[Triple], s: int) -> List[Triple]:
+    """The triples sorted as their points' keys (x, then y) are.
+
+    The floats X / (W s), which are at most the polygon's scale, sort
+    them; a run of equal x floats is sorted again on integers, over the
+    lcm of its W.
+    """
+    keyed = sorted([(X / (W * s), Y / (W * s), (X, Y, W)) for X, Y, W in tri])
+    out = [t for _, _, t in keyed]
+    sort_ties(out, [fx for fx, _, _ in keyed], _common_frame)
+    return out
+
+
+def _common_frame(run: List[Triple]) -> List[Tuple[int, int]]:
+    q = lcm(*[W for _, _, W in run])
+    return [(X * (q // W), Y * (q // W)) for X, Y, W in run]
+
+
+def _primitive(d: Tuple[int, int]) -> Tuple[int, int]:
+    dx, dy = d
+    g = gcd(dx, dy)
+    return dx // g, dy // g
+
+
+def _axis_after(dx: int, dy: int) -> Tuple[int, int]:
+    """The first axis direction strictly counterclockwise of (dx, dy)."""
+    if dx > 0 and dy >= 0:
+        return (0, 1)
+    if dy > 0:
+        return (-1, 0)
+    if dx < 0:
+        return (0, -1)
+    return (1, 0)
+
+
+def _point(t: Triple, s: int) -> Point:
+    X, Y, W = t
+    return Point(Fraction(X, W * s), Fraction(Y, W * s))
 
 
 def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
@@ -136,11 +218,8 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
             merged[pq] = merged.get(pq, ()) + (k,)
     segs = sorted(merged)
     splits = _split_points(segs)
-    points = {t: Point(Fraction(t[0], t[2] * s), Fraction(t[1], t[2] * s))
-              for on in splits for t in on}
     # nodes are numbered in key order, so ids compare as keys do
-    triples = sorted(points, key=lambda t: points[t].key())
-    nodes = [points[t] for t in triples]
+    triples = _node_order(list({t for on in splits for t in on}), s)
     index = {t: i for i, t in enumerate(triples)}
     # each edge's input segments; segments merged above, or collinear ones
     # that overlap, hold disjoint index sets, so concatenation is a union
@@ -153,28 +232,41 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
             owners[e] = owners.get(e, ()) + ks
     edges = sorted(owners)
 
-    # each node's walls counterclockwise, and each neighbour's slot in them
-    adj: List[List[int]] = [[] for _ in nodes]
+    # half-edges in (tail, head) order, each with its direction; the
+    # reverse of a direction has the other half and the same ratio key
+    half_edges = sorted(edges + [(v, u) for u, v in edges])
+    hid = {h: k for k, h in enumerate(half_edges)}
+    dirs: List[Tuple[int, int]] = [(0, 0)] * len(half_edges)
+    keyed = []
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    walls: List[List[Tuple[int, int]]] = []
-    ccw: List[List[int]] = []
-    slot: Dict[Tuple[int, int], int] = {}
-    for u, (X, Y, W) in enumerate(triples):
-        by_dir = {}
-        for v in adj[u]:
-            X2, Y2, W2 = triples[v]  # node v - node u, made primitive
-            dx, dy = X2 * W - X * W2, Y2 * W - Y * W2
-            g = gcd(dx, dy)
-            by_dir[(dx // g, dy // g)] = v
-        walls.append(sort_directions_ccw(by_dir))
-        ccw.append([by_dir[d] for d in walls[u]])
-        for k, v in enumerate(ccw[u]):
-            slot[(u, v)] = k
+        X, Y, W = triples[u]
+        X2, Y2, W2 = triples[v]
+        dx, dy = X2 * W - X * W2, Y2 * W - Y * W2
+        half, f = direction_key(dx, dy)
+        k, kr = hid[(u, v)], hid[(v, u)]
+        dirs[k], dirs[kr] = (dx, dy), (-dx, -dy)
+        keyed += [(u, half, f, k), (v, 1 - half, f, kr)]
+    # the half-edges out of each node counterclockwise: one sort by tail
+    # and direction key, exact again where two keys of one tail tie
+    keyed.sort()
+    fan = [k for *_, k in keyed]
+    sort_ties(fan, [key[:3] for key in keyed],
+              lambda run: direction_tie_keys([dirs[k] for k in run]))
+    # the tail's next half-edge counterclockwise, and clockwise
+    ccw = [0] * len(fan)
+    cw = [0] * len(fan)
+    lo = 0
+    for hi in range(1, len(fan) + 1):
+        if hi == len(fan) or half_edges[hi][0] != half_edges[lo][0]:
+            block = fan[lo:hi]
+            for a, b in zip(block, block[1:] + block[:1]):
+                ccw[a], cw[b] = b, a
+            lo = hi
+    # the face walk's next half-edge: rotate clockwise at the head node
+    succ = [cw[hid[(v, u)]] for u, v in half_edges]
 
     # connected components, by union-find over the edges
-    parent = list(range(len(nodes)))
+    parent = list(range(len(triples)))
 
     def find(u: int) -> int:
         while parent[u] != u:
@@ -184,75 +276,83 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
 
     for u, v in edges:
         parent[find(u)] = find(v)
-    # by component root: the edges of the other components, and the lcm
-    # of their nodes' W
+    comp = [find(u) for u in parent]
+    # by component: the edges of the other components, as node pairs, and
+    # the lcm of their nodes' W
     others: Dict[int, Tuple[List[Tuple[int, int]], int]] = {}
 
-    axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    fans: Dict[int, List[Tuple[int, int]]] = {}  # walls and axes, by node
-    half_edges = sorted(edges + [(v, u) for u, v in edges])
-    face_of: Dict[Tuple[int, int], int] = {}  # by half-edge, once walked
-    face_cycles: List[List[Point]] = []
+    tx, ty, tw = ([t[c] for t in triples] for c in range(3))
+    tail = [u for u, _ in half_edges]
+    face_of = [-2] * len(half_edges)    # -2 until walked
+    cycles: List[List[int]] = []
     reps: List[Point] = []
-    for start in half_edges:
-        if start in face_of:
+    for start in range(len(half_edges)):
+        if face_of[start] != -2:
             continue
-        walk: List[Tuple[int, int]] = []
+        walk: List[int] = []
         h = start
-        while h not in face_of:
+        while face_of[h] == -2:
             face_of[h] = -1
             walk.append(h)
-            # next half-edge: rotate clockwise at the head node
-            u, v = h
-            h = (v, ccw[v][slot[(v, u)] - 1])
+            h = succ[h]
         if h != start:
             raise GeometryError(
                 "face walk ran into an earlier cycle instead of closing")
-        # twice the signed area, over the walk's common denominator
-        tri = [triples[u] for u, _ in walk]
-        q = lcm(*[t[2] for t in tri])
-        xy = [(X * (q // W), Y * (q // W)) for X, Y, W in tri]
-        if sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
-               in zip(xy, xy[1:] + xy[:1])) <= 0:
+        # the walk's nodes over their common denominator q, and twice the
+        # signed area they enclose
+        cycle = [tail[h] for h in walk]
+        q = lcm(*[tw[u] for u in cycle])
+        xs = [tx[u] * (q // tw[u]) for u in cycle]
+        ys = [ty[u] * (q // tw[u]) for u in cycle]
+        xs1, ys1 = xs[1:] + xs[:1], ys[1:] + ys[:1]
+        if sum(map(mul, xs, ys1)) <= sum(map(mul, xs1, ys)):
             continue  # outer face or hole boundary
-        face_of.update(dict.fromkeys(walk, len(face_cycles)))
-        face_cycles.append([nodes[u] for u, _ in walk])
+        for h in walk:
+            face_of[h] = len(cycles)
+        cycles.append(cycle)
         # representative: from the lexicographically smallest cycle vertex
         # along the bisector of the first gap counterclockwise of its
-        # out-wall among walls and axes, halfway to the ray's first hit
-        u, v = min(walk)
-        d0 = walls[u][slot[(u, v)]]
-        if u not in fans:
-            fans[u] = sort_directions_ccw(walls[u] + axes)
-        fan = fans[u]
-        d1 = fan[(fan.index(d0) + 1) % len(fan)]
+        # out-wall: up to the next wall, or to an axis strictly between
+        # the two; halfway to the ray's first hit
+        m = min(walk)
+        k = walk.index(m)
+        d0 = _primitive(dirs[m])
+        d1 = _primitive(dirs[ccw[m]])
+        ax, ay = a = _axis_after(*d0)
+        # (a wall at pi or more from d0, d0 itself included, is past it)
+        if d0[0] * d1[1] - d0[1] * d1[0] <= 0 or ax * d1[1] - ay * d1[0] > 0:
+            d1 = a
         mx, my = d0[0] + d1[0], d0[1] + d1[1]
-        r = find(u)
+        # the walk's edges and those of the other components over one
+        # denominator Q, so node (x, y) is (x, y) / (Q s); the ray is shot
+        # on integers
+        r = comp[cycle[k]]
         if r not in others:
-            ends = [(a, b) for a, b in edges if find(a) != r]
-            others[r] = (ends, lcm(*[triples[a][2] for e in ends for a in e]))
+            ends = [(a, b) for a, b in edges if comp[a] != r]
+            others[r] = (ends, lcm(*[tw[a] for e in ends for a in e]))
         ends, wr = others[r]
-        # the walk and the other components over one denominator Q, so
-        # node k is (px[k], py[k]) / (Q s); the ray is shot on integers
         Q = lcm(q, wr)
-        px, py = {}, {}
-        for k in [a for a, _ in walk] + [a for e in ends for a in e]:
-            X, Y, W = triples[k]
-            px[k], py[k] = X * (Q // W), Y * (Q // W)
-        hit = _first_hit(px[u], py[u], mx, my,
-                         [(px[a], py[a], px[b], py[b])
-                          for a, b in walk + ends])
+        if Q != q:
+            f = Q // q
+            xs, ys = [x * f for x in xs], [y * f for y in ys]
+            xs1, ys1 = xs[1:] + xs[:1], ys[1:] + ys[:1]
+        ox, oy = xs[k], ys[k]
+        hit = _first_hit(ox, oy, mx, my, chain(
+            zip(xs, ys, xs1, ys1),
+            [(tx[a] * (Q // tw[a]), ty[a] * (Q // tw[a]),
+              tx[b] * (Q // tw[b]), ty[b] * (Q // tw[b])) for a, b in ends]))
         if hit is None:
-            raise GeometryError(
-                f"ray from {nodes[u]} into a bounded face meets no edge")
+            raise GeometryError(f"ray from {_point(triples[cycle[k]], s)} "
+                                "into a bounded face meets no edge")
         # node u + (mx, my) t / 2 for the hit's t = n / den in this frame
         n, den = hit
         w = 2 * den * Q * s
-        reps.append(Point(Fraction(2 * den * px[u] + n * mx, w),
-                          Fraction(2 * den * py[u] + n * my, w)))
+        reps.append(Point(Fraction(2 * den * ox + n * mx, w),
+                          Fraction(2 * den * oy + n * my, w)))
 
     return Arrangement(
-        nodes=nodes, edges=[(nodes[u].key(), nodes[v].key()) for u, v in edges],
-        face_cycles=face_cycles, representatives=reps,
-        edge_faces=[(face_of[(u, v)], face_of[(v, u)]) for u, v in edges],
+        triples=triples, s=s, edge_nodes=edges, cycles=cycles,
+        representatives=reps,
+        edge_faces=[(face_of[hid[(u, v)]], face_of[hid[(v, u)]])
+                    for u, v in edges],
         edge_segments=[owners[e] for e in edges])

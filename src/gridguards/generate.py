@@ -131,7 +131,11 @@ def random_points(rng: random.Random, n: int, m: int) -> List[Tuple[int, int]]:
     return sorted(pts)
 
 
-_BUDGET = 20000  # samples drawn, and 2-opt moves per sample
+# crossing scans per call, over all samples: a sample whose 2-opt moves
+# repeat a state never untangles and is dropped at once, so the budget is
+# spent only on moves that can still succeed, and a hopeless call (such as
+# nine vertices on the full 3 x 3 lattice) fails within about a second
+_BUDGET = 10000
 
 
 def random_polygon(n: int, m: int, seed: int) -> PolygonModel:
@@ -142,16 +146,12 @@ def random_polygon(n: int, m: int, seed: int) -> PolygonModel:
         raise ValueError(f"cannot draw {n} distinct vertices from the "
                          f"{m * m} points of [1, {m}]^2")
     rng = random.Random(seed)
-    spent = 0
+    budget = [_BUDGET]
     while True:
-        spent += 1
-        if spent > _BUDGET:
-            raise GenerationBudgetExceeded(
-                f"no valid polygon after {_BUDGET} attempts")
         verts = random_points(rng, n, m)
         rng.shuffle(verts)
         xs, ys = [x for x, _ in verts], [y for _, y in verts]
-        if not _untangle(xs, ys):
+        if not _untangle(xs, ys, budget):
             continue
         try:
             model = load_polygon(list(zip(xs, ys)))
@@ -160,14 +160,27 @@ def random_polygon(n: int, m: int, seed: int) -> PolygonModel:
         return model
 
 
-def _untangle(xs: List[int], ys: List[int]) -> bool:
+def _untangle(xs: List[int], ys: List[int], budget: List[int]) -> bool:
     """2-opt: reverse the span between the first two crossing edges, in
-    place; True once the cycle has no crossing."""
-    for _ in range(_BUDGET):
+    place; True once the cycle has no crossing, False once the moves
+    return to an earlier cycle (Brent's cycle detection), since they are
+    deterministic and would repeat forever.  Each crossing scan takes one
+    from ``budget[0]``; GenerationBudgetExceeded once it is spent."""
+    seen = (xs[:], ys[:])
+    lap = steps = 1
+    while True:
+        if budget[0] <= 0:
+            raise GenerationBudgetExceeded(
+                f"no valid polygon after {_BUDGET} crossing scans")
+        budget[0] -= 1
         crossing = first_crossing(xs, ys)
         if crossing is None:
             return True
         i, j = crossing
         xs[i + 1:j + 1] = reversed(xs[i + 1:j + 1])
         ys[i + 1:j + 1] = reversed(ys[i + 1:j + 1])
-    return False
+        if xs == seen[0] and ys == seen[1]:
+            return False
+        if steps == lap:
+            seen, lap, steps = (xs[:], ys[:]), 2 * lap, 0
+        steps += 1

@@ -1,7 +1,9 @@
 """Exact rational planar primitives and predicates.
 
 Kernel invariant: coordinates are ``fractions.Fraction`` at every API
-boundary and no float is ever used.  The predicates ``orient`` and
+boundary and no float decides anything: a float serves only as a monotone
+sort key, an integer ratio correctly rounded, and keys that tie are
+sorted again on integers.  The predicates ``orient`` and
 ``point_on_segment`` decide on integers obtained by clearing the
 denominators of the few coordinates involved; they serve the bound
 checks' cone tests and bad-region clipping and the test oracles, and a
@@ -13,13 +15,17 @@ its predicates scale them by their query point's denominator.  The other
 hot code works in integer frames of its own: the two overlay
 constructions, ``visibility.visibility_polygon`` and
 ``arrangement.build_arrangement``, keep constructed points as reduced
-homogeneous triples.  A visibility polygon keeps them as its result and
-builds its boundary Points only when they are read; its membership test,
-its visible edge pieces and the overlay read the triples, so the overlay
-gets Points only for window-chord ends.  Scaling every coordinate by the
-same positive integer keeps every sign, order and parameter ratio, so the
-integer decisions are exact; only a returned point is built as a Fraction
-again.
+homogeneous triples, and order directions counterclockwise by the one
+key ``direction_key``, with no comparator.  A visibility polygon keeps
+its triples as its result and builds its boundary Points only when they
+are read; its membership test, its visible edge pieces and the overlay
+read the triples, so the overlay gets Points only for window-chord ends.
+An arrangement keeps its nodes as triples and its faces as cycles of
+node indices, and builds Points eagerly only for the face
+representatives; its nodes, edges and face cycles become Points only
+when they are read.  Scaling every coordinate by the same positive
+integer keeps every sign, order and parameter ratio, so the integer
+decisions are exact; only a returned point is built as a Fraction again.
 Distances are kept squared so that no square root is ever taken; angle
 comparisons use cross/dot ratios for the same reason.
 """
@@ -28,9 +34,8 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from math import lcm
-from typing import Iterable, List, Sequence, Tuple, Union
+from math import inf, lcm
+from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 Scalar = Fraction
 CoordLike = Union[int, str, Fraction]
@@ -266,17 +271,54 @@ def convex_intersection(poly_a: Sequence[Point],
     return result if len(result) >= 3 else []
 
 
+def direction_key(x: int, y: int) -> Tuple[int, float]:
+    """A monotone key for the counterclockwise angle of (x, y) != (0, 0)
+    from (1, 0): the half, 0 for angles in [0, pi) and 1 for [pi, 2 pi),
+    then -x / y, which grows with the angle inside a half; the axis that
+    opens a half comes first, at -inf.  Python rounds int / int correctly,
+    so the float never decreases as the ratio grows; one that overflows
+    becomes the infinity of its sign.  Directions whose keys tie are
+    ordered by ``direction_tie_keys``."""
+    if y:
+        try:
+            f = -x / y
+        except OverflowError:
+            f = inf if (x < 0) == (y > 0) else -inf
+        return (0 if y > 0 else 1, f)
+    return (0, -inf) if x > 0 else (1, -inf)
+
+
+def direction_tie_keys(dirs: Sequence[Tuple[int, int]]
+                       ) -> List[Tuple[int, int]]:
+    """Exact integer keys in counterclockwise order for directions whose
+    ``direction_key`` ties, so all lie in one half: -x / y over the lcm q
+    of the |y|, and the axis, with y = 0, first."""
+    q = lcm(*[y for _, y in dirs if y])
+    return [(1, -x * (q // y)) if y else (0, 0) for x, y in dirs]
+
+
 def sort_directions_ccw(dirs: Iterable[Tuple[int, int]]) -> list:
-    """Sort primitive integer direction vectors counterclockwise from (1, 0)."""
-    def half(v: Tuple[int, int]) -> int:
-        x, y = v
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+    """Sort primitive integer direction vectors counterclockwise from (1, 0).
 
-    def cmp(u: Tuple[int, int], v: Tuple[int, int]) -> int:
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        c = u[0] * v[1] - u[1] * v[0]
-        return (c < 0) - (c > 0)  # positive cross => u before v
+    The float ``direction_key`` sorts, and a run of tied keys, which only
+    directions closer than float resolution make, is sorted again exactly.
+    """
+    keyed = sorted([(direction_key(x, y), (x, y)) for x, y in set(dirs)])
+    out = [d for _, d in keyed]
+    sort_ties(out, [k for k, _ in keyed], direction_tie_keys)
+    return out
 
-    return sorted(set(dirs), key=cmp_to_key(cmp))
+
+def sort_ties(items: list, keys: Sequence,
+              exact: Callable[[list], list]) -> None:
+    """Sort again, in place, each run of ``items`` whose ``keys`` tie, by
+    the distinct keys ``exact`` gives its items."""
+    if len(set(keys)) == len(keys):
+        return
+    lo = 0
+    for k in range(1, len(keys) + 1):
+        if k == len(keys) or keys[k] != keys[lo]:
+            if k - lo > 1:
+                run = items[lo:k]
+                items[lo:k] = [x for _, x in sorted(zip(exact(run), run))]
+            lo = k

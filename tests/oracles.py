@@ -9,6 +9,7 @@ computation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import floor, gcd, lcm
 from typing import List, Tuple
 
@@ -371,6 +372,23 @@ def masks_ref(m, candidates, witnesses):
                 mask |= 1 << i
         masks.append(mask)
     return tuple(masks)
+
+
+def sort_directions_ccw_ref(dirs):
+    """Integer directions sorted counterclockwise from (1, 0) by an exact
+    comparator: the half-plane first, then the sign of the cross product."""
+    def half(v):
+        x, y = v
+        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+
+    def cmp(u, v):
+        hu, hv = half(u), half(v)
+        if hu != hv:
+            return -1 if hu < hv else 1
+        c = u[0] * v[1] - u[1] * v[0]
+        return (c < 0) - (c > 0)  # positive cross => u before v
+
+    return sorted(set(dirs), key=cmp_to_key(cmp))
 
 
 # Brute-force reference for gridguards.arrangement: every pairwise

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridguards import grid, lemmas, solver
 from gridguards.arrangement import build_arrangement
 from gridguards.generate import channel, comb
 from gridguards.geometry import Point, polygon_area, pt
+from gridguards.grid import guard_set, verify_coverage
+from gridguards.lemmas import build_counterexample, check_local_visibility
 from gridguards.solver import default_candidates
 from gridguards.visibility import overlay_segments, visibility_polygon
 
@@ -205,3 +208,77 @@ def test_overlay_faces_tile_the_polygon(make):
     for rep in arr.representatives:
         # a zero-length input segment is a point, not an edge: it is dropped
         assert not any(on_segment(rep, a, b) for a, b in segs if a != b)
+
+
+# Node order: the arrangement sorts its node triples by floats and re-sorts
+# exactly where the floats cannot tell two x apart.  Near 10^17 a float
+# resolves steps of 16, so these nodes differ below its resolution.
+BIG = 10 ** 17
+THIRD = Fraction(1, 3)
+thirds = st.builds(lambda k: BIG + Fraction(k, 3), st.integers(0, 36))
+near_big = st.builds(pt, thirds, thirds)
+
+
+@st.composite
+def crowded_scenes(draw):
+    segs = box(BIG, BIG, BIG + 12, BIG + 12)
+    for _ in range(draw(st.integers(1, 5))):
+        segs.append((draw(near_big), draw(near_big)))
+    return segs
+
+
+@given(crowded_scenes())
+@settings(max_examples=40, deadline=None)
+@example(box(BIG, BIG, BIG + 12, BIG + 12)
+         + [(pt(BIG + THIRD, BIG), pt(BIG + 2 * THIRD, BIG + 12)),
+            (pt(BIG + 2 * THIRD, BIG), pt(BIG + THIRD, BIG + 12)),
+            (pt(BIG, BIG + 6), pt(BIG + 12, BIG + 19 * THIRD))])
+# x = BIG + 48 alone in its float, on a line that holds a crossing at
+# y = BIG + 11/2, with W = 2, and an end at y = BIG + 6, with W = 1: their
+# y floats tie, and X = x W s does not order them
+@example(box(BIG, BIG, BIG + 100, BIG + 100)
+         + [(pt(BIG + 48, BIG), pt(BIG + 48, BIG + 100)),
+            (pt(BIG + 30, BIG + 5), pt(BIG + 66, BIG + 6)),
+            (pt(BIG + 48, BIG + 6), pt(BIG + 90, BIG + 6))])
+def test_node_order_below_float_resolution(segs):
+    arr = assert_matches_reference(segs)
+    assert arr.nodes == sorted(arr.nodes, key=Point.key)
+
+
+def test_node_order_with_common_denominator_past_float_range():
+    """Endpoints over a denominator beyond 10^308: X / W would overflow a
+    float, the point's own coordinate X / (W s) does not."""
+    tiny = Fraction(1, 10 ** 320 + 1)
+    segs = box(0, 0, 12, 12) + [(pt(1 + tiny, 0), pt(1, 12)),
+                                (pt(1, 0), pt(1 + 2 * tiny, 12)),
+                                (pt(0, 6 + tiny), pt(12, 6))]
+    arr = assert_matches_reference(segs)
+    assert arr.nodes == sorted(arr.nodes, key=Point.key)
+
+
+def test_callers_build_no_node_points(monkeypatch):
+    """Certification, the witnesses and the local visibility check read
+    only representatives, edge faces and edge owners, so no arrangement
+    they build turns its nodes, edges or face cycles into Points."""
+    built = []
+
+    def recording(segments):
+        built.append(build_arrangement(segments))
+        return built[-1]
+    for module in (grid, solver, lemmas):
+        monkeypatch.setattr(module, "build_arrangement", recording)
+    m = comb(3)
+    verify_coverage(m, guard_set(list(m.vertices)))
+    solver.build_witnesses(
+        m, [visibility_polygon(m, c) for c in default_candidates(m)])
+    fix = build_counterexample(3)
+    s = Fraction(1, 20 * fix.polygon.L)
+    check_local_visibility(fix.polygon, fix.approach_points[2],
+                           s / (16 * fix.polygon.L), s, grid_exponent=1)
+    assert len(built) == 3
+    for arr in built:
+        assert arr.representatives
+        assert not {"nodes", "edges", "face_cycles"} & set(vars(arr))
+    # reading them builds them, once
+    assert built[0].face_cycles is built[0].face_cycles
+    assert "nodes" in vars(built[0])

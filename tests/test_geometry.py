@@ -1,6 +1,8 @@
 """Exact-arithmetic geometric primitives: unit cases and properties."""
 
-from hypothesis import given
+from math import gcd
+
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridguards.geometry import (
@@ -19,6 +21,8 @@ from gridguards.geometry import (
     pt,
     sort_directions_ccw,
 )
+
+from oracles import sort_directions_ccw_ref
 
 coords = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 points = st.builds(Point, coords, coords)
@@ -101,3 +105,32 @@ def test_sort_directions_ccw_order():
     out = sort_directions_ccw(dirs)
     assert out == [(1, 0), (1, 1), (0, 1), (-2, 1), (-1, 0), (0, -1)]
 
+
+def _primitive(x, y):
+    g = gcd(x, y)
+    return (x // g, y // g)
+
+
+# components near a large base, so that -x / y of neighbouring directions
+# ties as a float, or overflows it beyond 10^308
+big_bases = st.sampled_from([1, 10 ** 17, 3 ** 40, 10 ** 400, 7 ** 500])
+directions = st.builds(
+    lambda bx, by, sx, sy, dx, dy: (sx * bx + dx, sy * by + dy),
+    big_bases, big_bases, st.sampled_from([-1, 0, 1]),
+    st.sampled_from([-1, 0, 1]), st.integers(-3, 3), st.integers(-3, 3))
+AXES = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+@given(st.lists(directions, max_size=12), st.booleans())
+@example([(10 ** 17 + 1, 1), (10 ** 17 + 2, 1)], False)
+@example([(10 ** 17 + 1, -1), (10 ** 17 + 2, -1), (-10 ** 17, 1)], True)
+@example([(10 ** 401, 1), (10 ** 401, -1), (1, 0), (-10 ** 401, 3)], True)
+@example([(1, 10 ** 401), (-1, 10 ** 401 + 1), (-1, 10 ** 401)], False)
+def test_sort_directions_matches_comparator(dirs, with_axes):
+    """The float key with its exact tie-break orders primitive directions
+    as the exact comparator does: float ties, overflowing components and
+    the four axes."""
+    dirs = {_primitive(x, y) for x, y in dirs if x or y}
+    if with_axes:
+        dirs.update(AXES)
+    assert sort_directions_ccw(dirs) == sort_directions_ccw_ref(dirs)

@@ -22,10 +22,13 @@ on comb 3, channel and the pinhole polygon.
 two general-position fixtures as the Fraction extension lines, their
 Fraction intersections and the Fraction ear clipping wrote them.
 
-``golden/arrangement-digests.json`` pins the arrangement of five
-visibility overlays (the four ``certify`` benchmark inputs at seed 0 and
-the comb-3 solve overlay) by a sha256 of its nodes, edges, face cycles
-and representatives, in order, as the Fraction arrangement wrote them.
+``golden/arrangement-digests.json`` pins the arrangement of seven
+visibility overlays (the four ``certify`` benchmark inputs at seed 0, the
+comb-3 solve overlay, the default-candidate overlay of
+``random_polygon(10, 30, 0)`` and the overlay ``check_local_visibility``
+builds for the bad-region probe, whose endpoints have L^-E denominators)
+by a sha256 of its nodes, edges, face cycles and representatives, in
+order, as the arrangement with Fraction node keys wrote them.
 """
 
 import hashlib

@@ -1,5 +1,7 @@
 """Polygon model: loading, containment, reflex structure, triangulation."""
 
+import hashlib
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridguards import generate
 from gridguards.generate import (
+    GenerationBudgetExceeded,
     blocking_fixture,
     channel,
     comb,
@@ -284,6 +288,45 @@ def test_random_polygon_rejects_more_vertices_than_lattice_points():
     with pytest.raises(ValueError, match="cannot draw 10 distinct"):
         random_polygon(10, 3, seed=0)
     assert random_polygon(4, 2, seed=0).n == 4
+
+
+@pytest.mark.parametrize("n, m", [(9, 3), (16, 4)])
+def test_random_polygon_hopeless_call_fails_within_its_budget(
+        monkeypatch, n, m):
+    """Nine vertices on the 3 x 3 lattice, or sixteen on the 4 x 4, give no
+    simple polygon: each sample's 2-opt moves cycle or end in a collinear
+    triple.  One budget of crossing scans bounds the whole call, so it
+    raises after exactly that many scans (about a second), where separate
+    budgets for the samples and for the moves of each sample allowed up
+    to 4 * 10^8 moves."""
+    scans = []
+
+    def counted(xs, ys):
+        scans.append(1)
+        return first_crossing(xs, ys)
+    monkeypatch.setattr(generate, "first_crossing", counted)
+    with pytest.raises(GenerationBudgetExceeded):
+        random_polygon(n, m, seed=0)
+    assert len(scans) == generate._BUDGET
+
+
+# the shapes of the goldens, the fixtures, the acceptance tests and the
+# benchmark, as the separate sample and move budgets drew them
+PINNED_CALLS = (
+    [(5, 8, 0), (6, 8, 2), (6, 10, 1), (6, 8, 0), (6, 9, 2), (10, 10, 0),
+     (10, 30, 0), (10, 30, 5), (4, 2, 0)]
+    + [(8, 30, s) for s in range(5)]
+    + [(6 + s % 9, 50, s) for s in range(100)]
+    + [(6 + s % 3, 10, s) for s in range(100)]
+    + [(6 + s % 5, 20, s) for s in range(100)])
+
+
+def test_random_polygon_outputs_pinned():
+    text = json.dumps([[[int(v.x), int(v.y)] for v in
+                        random_polygon(*c).vertices] for c in PINNED_CALLS],
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8511016c075726c694253d19b29912ee1834a34251e18f0313819ab432df16f2")
 
 
 def test_comb_needs_k_guards_structure():
