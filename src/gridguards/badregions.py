@@ -5,6 +5,14 @@ per reflex vertex, opening outward along the supporting line ell(r1, r2)
 with angular half-width of slope s on both sides of the line.  Embiggened
 regions move each apex inward along seg(r1, r2) so the wedges also cover a
 neighborhood of the reflex vertices themselves.
+
+Membership tests one point against a wedge in Fractions.  The overlap
+check and the drawn outline decide on integers: each wedge boundary and
+each triangle edge is a closed half-plane a X + b Y + c W >= 0 with
+integer coefficients, cleared from the rational apex, direction and
+slope, and one Sutherland-Hodgman routine clips the polygon's bounding
+box on reduced homogeneous triples (X, Y, W), W > 0.  Points are built
+only for a returned outline.
 """
 
 from __future__ import annotations
@@ -12,19 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from typing import List, Tuple
 
-from .geometry import (
-    DirectedLine,
-    Point,
-    Scalar,
-    clip_convex_by_halfplane,
-    convex_intersection,
-    cross,
-    dot,
-    polygon_area,
-    pt,
-)
+from .geometry import Point, Scalar, cleared, cross, dot
 from .polygon import (
     OppositeReflexPair,
     PointOutsidePolygon,
@@ -109,48 +108,96 @@ class TripleIntersectionReport:
     triples: List[Tuple[int, int, int]] = field(default_factory=list)
 
 
-def _wedge_halfplanes(w: Wedge) -> List[Tuple[DirectedLine, int]]:
-    """Two half-planes whose open intersection is the wedge."""
-    d = w.outward
-    # boundary directions of the cone: d rotated by +/- atan(s)
-    up = Point(d.x - w.s * d.y, d.y + w.s * d.x)
-    dn = Point(d.x + w.s * d.y, d.y - w.s * d.x)
-    # keep strictly left of (apex -> apex+dn) and strictly right of up
-    return [(DirectedLine(w.apex, w.apex + dn), +1),
-            (DirectedLine(w.apex, w.apex + up), -1)]
+# a closed half-plane a X + b Y + c W >= 0 of the points (X / W, Y / W)
+HalfPlane = Tuple[int, int, int]
+# a reduced homogeneous point (X, Y, W): W > 0 and gcd 1
+Triple = Tuple[int, int, int]
 
 
-def _wedge_clip_box(m: PolygonModel, w: Wedge) -> List[Point]:
-    x0, y0, x1, y1 = min(m.xs), min(m.ys), max(m.xs), max(m.ys)
-    box = [pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)]
-    poly = box
-    for ell, side in _wedge_halfplanes(w):
-        poly = clip_convex_by_halfplane(poly, ell, side)
+def _left_of(ax: int, ay: int, aw: int, dx: int, dy: int) -> HalfPlane:
+    """The closed half-plane left of the line through (ax / aw, ay / aw)
+    with direction (dx, dy); aw > 0."""
+    return (-dy * aw, dx * aw, dy * ax - dx * ay)
+
+
+def _wedge_halfplanes(w: Wedge) -> List[HalfPlane]:
+    """Two closed half-planes whose intersection is the wedge's closure:
+    left of the boundary ray that turns the outward direction d clockwise
+    by atan(s), and right of the one that turns it counterclockwise."""
+    aw, (ax, ay) = cleared(w.apex.x, w.apex.y)
+    _, (dx, dy) = cleared(w.outward.x, w.outward.y)
+    p, q = w.s.numerator, w.s.denominator
+    dn = _left_of(ax, ay, aw, q * dx + p * dy, q * dy - p * dx)
+    a, b, c = _left_of(ax, ay, aw, q * dx - p * dy, q * dy + p * dx)
+    return [dn, (-a, -b, -c)]
+
+
+def _triangle_halfplanes(tri: Tuple[Point, Point, Point]) -> List[HalfPlane]:
+    """The closed half-planes left of the triangle's three edges."""
+    d, cs = cleared(*[c for v in tri for c in (v.x, v.y)])
+    xs, ys = cs[0::2], cs[1::2]
+    return [_left_of(xs[i - 1], ys[i - 1], d, xs[i] - xs[i - 1],
+                     ys[i] - ys[i - 1]) for i in (1, 2, 0)]
+
+
+def _clip(poly: List[Triple], hs: List[HalfPlane]) -> List[Triple]:
+    """Sutherland-Hodgman: the strictly convex polygon cut by each closed
+    half-plane in turn; [] as soon as fewer than three vertices are left.
+
+    A cut keeps the polygon strictly convex: a crossing lies inside an
+    edge whose ends are off the line, so it repeats no vertex and is not
+    collinear with its two neighbours.  Three vertices or more therefore
+    always enclose positive area.
+    """
+    for a, b, c in hs:
         if len(poly) < 3:
             return []
-    return poly
+        vals = [a * X + b * Y + c * W for X, Y, W in poly]
+        out: List[Triple] = []
+        n = len(poly)
+        for i in range(n):
+            v, v2 = vals[i], vals[(i + 1) % n]
+            if v >= 0:
+                out.append(poly[i])
+            if v * v2 < 0:
+                out.append(_crossing(poly[i], v, poly[(i + 1) % n], v2))
+        poly = out
+    return poly if len(poly) >= 3 else []
 
 
-def _wedges_overlap_interior(m: PolygonModel, ws: List[Wedge],
-                             tris) -> bool:
-    """True iff the open wedges and the interior of P share a point.
+def _crossing(t1: Triple, v1: int, t2: Triple, v2: int) -> Triple:
+    """Where the segment from t1 to t2 crosses the line of a half-plane on
+    which they take the values v1 and v2 of opposite signs."""
+    X, Y, W = (v1 * b - v2 * a for a, b in zip(t1, t2))
+    if W < 0:
+        X, Y, W = -X, -Y, -W
+    g = gcd(X, Y, W)
+    return X // g, Y // g, W // g
 
-    The closed clipped intersection has positive area iff the open one is
-    nonempty, so closed clipping plus an area test decides exactly.
+
+def _box(m: PolygonModel) -> List[Triple]:
+    x0, y0, x1, y1 = min(m.xs), min(m.ys), max(m.xs), max(m.ys)
+    return [(x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1)]
+
+
+def wedge_outline(m: PolygonModel, w: Wedge) -> List[Point]:
+    """The closed wedge cut to the polygon's bounding box, in clipping
+    order, or [] when fewer than three vertices are left."""
+    return [Point(Fraction(X, W), Fraction(Y, W))
+            for X, Y, W in _clip(_box(m), _wedge_halfplanes(w))]
+
+
+def _wedges_overlap_interior(box: List[Triple], hs: List[HalfPlane],
+                             tris: List[List[HalfPlane]]) -> bool:
+    """True iff the open wedges of the half-planes ``hs`` and the interior
+    of P share a point.
+
+    The closed intersection has positive area iff the open one is
+    nonempty, and a clip with vertices left has positive area, so closed
+    clipping decides exactly.
     """
-    poly = _wedge_clip_box(m, ws[0])
-    for w in ws[1:]:
-        if len(poly) < 3:
-            return False
-        for ell, side in _wedge_halfplanes(w):
-            poly = clip_convex_by_halfplane(poly, ell, side)
-    if len(poly) < 3:
-        return False
-    for tri in tris:
-        inter = convex_intersection(poly, list(tri))
-        if inter and polygon_area(inter) > 0:
-            return True
-    return False
+    poly = _clip(box, hs)
+    return any(_clip(poly, t) for t in tris)
 
 
 def check_no_triple_intersection(m: PolygonModel,
@@ -161,15 +208,11 @@ def check_no_triple_intersection(m: PolygonModel,
     report = TripleIntersectionReport(pair_count=len(pairs))
     if len(regions) < 3:
         return report
-    tris = triangulate(m)
-    k = len(regions)
-    for i, j, l in combinations(range(k), 3):
-        found = False
-        for wi, wj, wl in product(regions[i].wedges, regions[j].wedges,
-                                  regions[l].wedges):
-            if _wedges_overlap_interior(m, [wi, wj, wl], tris):
-                found = True
-                break
-        if found:
+    box = _box(m)
+    tris = [_triangle_halfplanes(t) for t in triangulate(m)]
+    planes = [[_wedge_halfplanes(w) for w in r.wedges] for r in regions]
+    for i, j, l in combinations(range(len(regions)), 3):
+        if any(_wedges_overlap_interior(box, hi + hj + hl, tris)
+               for hi, hj, hl in product(planes[i], planes[j], planes[l])):
             report.triples.append((i, j, l))
     return report

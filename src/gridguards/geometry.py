@@ -3,12 +3,14 @@
 Kernel invariant: coordinates are ``fractions.Fraction`` at every API
 boundary and no float decides anything: a float serves only as a monotone
 sort key, an integer ratio correctly rounded, and keys that tie are
-sorted again on integers.  The predicates ``orient`` and
-``point_on_segment`` decide on integers obtained by clearing the
-denominators of the few coordinates involved; they serve the bound
-checks' cone tests and bad-region clipping and the test oracles, and a
-solve or a coverage check calls none of them.  The polygon's own vertices
-never pass through them: ``polygon.load_polygon`` stores the vertices as
+sorted again on integers.  The predicate ``orient`` decides on integers
+obtained by clearing the denominators of the three points involved; it
+serves the bound checks' cone tests and the test oracles, and a solve or
+a coverage check never calls it.  There is no rational line kernel: the
+bad regions are clipped as integer half-planes on homogeneous triples
+(``badregions``), and the limited-blocking check meets its two lines as
+a cross product of homogeneous triples.  The polygon's own vertices
+never pass through ``orient``: ``polygon.load_polygon`` stores them as
 integers once and validates the polygon on them; its triangulation,
 extension lines and general-position check work on those integers, and
 its predicates scale them by their query point's denominator.  The other
@@ -138,28 +140,6 @@ def dist_sq(p: Point, q: Point) -> Scalar:
 
 
 @dataclass(frozen=True)
-class DirectedLine:
-    """Infinite line oriented from ``a`` to ``b``; the right half-plane is 'plus'."""
-
-    a: Point
-    b: Point
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise GeometryError("degenerate line: endpoints coincide")
-
-    def direction(self) -> Point:
-        return self.b - self.a
-
-    def side_of(self, p: Point) -> int:
-        """+1 if p is left of the oriented line, -1 right, 0 on the line."""
-        return orient(self.a, self.b, p)
-
-    def contains(self, p: Point) -> bool:
-        return self.side_of(p) == 0
-
-
-@dataclass(frozen=True)
 class Segment:
     a: Point
     b: Point
@@ -167,108 +147,6 @@ class Segment:
     def __post_init__(self):
         if self.a == self.b:
             raise GeometryError("degenerate segment: endpoints coincide")
-
-
-class Parallel:
-    """Classification result: distinct parallel lines."""
-
-    def __repr__(self):
-        return "Parallel"
-
-
-class Identical:
-    """Classification result: the two lines coincide as point sets."""
-
-    def __repr__(self):
-        return "Identical"
-
-
-PARALLEL = Parallel()
-IDENTICAL = Identical()
-
-LineMeet = Union[Point, Parallel, Identical]
-
-
-def line_intersection(l1: DirectedLine, l2: DirectedLine) -> LineMeet:
-    """Unique intersection point, or the Parallel / Identical classification.
-
-    Solved by Cramer's rule on the 2x2 system of line equations.
-    """
-    d1 = l1.direction()
-    d2 = l2.direction()
-    denom = cross(d1, d2)
-    if denom == 0:
-        return IDENTICAL if l1.contains(l2.a) else PARALLEL
-    t = cross(l2.a - l1.a, d2) / denom
-    return l1.a + d1.scaled(t)
-
-
-# ---------------------------------------------------------------------------
-# segment predicates and constructions
-
-
-def point_on_segment(p: Point, a: Point, b: Point) -> bool:
-    """True iff p lies on the closed segment ab."""
-    _, (px, py, ax, ay, bx, by) = cleared(p.x, p.y, a.x, a.y, b.x, b.y)
-    if not (min(ax, bx) <= px <= max(ax, bx)
-            and min(ay, by) <= py <= max(ay, by)):
-        return False
-    return (bx - ax) * (py - ay) == (by - ay) * (px - ax)
-
-
-def polygon_signed_area2(vertices: Sequence[Point]) -> Scalar:
-    """Twice the signed (shoelace) area; positive for counterclockwise."""
-    total = Fraction(0)
-    n = len(vertices)
-    for i in range(n):
-        p, q = vertices[i], vertices[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
-    return total
-
-
-def polygon_area(vertices: Sequence[Point]) -> Scalar:
-    return abs(polygon_signed_area2(vertices)) / 2
-
-
-def clip_convex_by_halfplane(poly: Sequence[Point], ell: DirectedLine,
-                             keep_side: int) -> list:
-    """Sutherland-Hodgman clip of a convex polygon by one closed half-plane.
-
-    ``keep_side`` is the orient() sign to keep (points with side 0 are kept).
-    """
-    out: list = []
-    n = len(poly)
-    for i in range(n):
-        cur, nxt = poly[i], poly[(i + 1) % n]
-        s_cur = ell.side_of(cur)
-        s_nxt = ell.side_of(nxt)
-        if s_cur == keep_side or s_cur == 0:
-            out.append(cur)
-        if s_cur != 0 and s_nxt != 0 and s_cur != s_nxt:
-            meet = line_intersection(DirectedLine(cur, nxt), ell)
-            assert isinstance(meet, Point)
-            out.append(meet)
-    # drop consecutive duplicates
-    dedup: list = []
-    for p in out:
-        if not dedup or dedup[-1] != p:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
-def convex_intersection(poly_a: Sequence[Point],
-                        poly_b: Sequence[Point]) -> list:
-    """Intersection of two convex CCW polygons (possibly empty / degenerate)."""
-    result = list(poly_a)
-    n = len(poly_b)
-    for i in range(n):
-        if len(result) < 3:
-            return []
-        ell = DirectedLine(poly_b[i], poly_b[(i + 1) % n])
-        result = clip_convex_by_halfplane(result, ell, +1)
-    return result if len(result) >= 3 else []
 
 
 def direction_key(x: int, y: int) -> Tuple[int, float]:

@@ -19,15 +19,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .arrangement import build_arrangement
 from .generate import counterexample_polygon
 from .geometry import (
-    DirectedLine,
     Point,
     Scalar,
+    cleared,
     cross,
     dist_sq,
     dot,
-    line_intersection,
     orient,
-    point_on_segment,
     pt,
 )
 from .polygon import (
@@ -283,7 +281,7 @@ def check_limited_blocking(m: PolygonModel, samples: int = 100,
     pairs = opposite_reflex_pairs(m)
     refl = reflex_vertices(m)
     inv_l_sq = Fraction(1, L) ** 2
-    inv_l4 = Fraction(1, L) ** 4
+    L4 = L ** 4
     rng = random.Random(seed)
     xs = list(extra_points) + list(
         islice(_interior_points(triangulate(m), rng), samples))
@@ -321,20 +319,44 @@ def check_limited_blocking(m: PolygonModel, samples: int = 100,
                     if side is None:
                         rep.skipped += 1
                         continue
-                    near = m.vertices[side]
-                    if g == q:
+                    meet = _meet_on_segment(g, q, r1, r2)
+                    if meet is None:
                         rep.skipped += 1
                         continue
-                    p = line_intersection(DirectedLine(g, q),
-                                          DirectedLine(r1, r2))
-                    if not isinstance(p, Point) or not point_on_segment(
-                            p, r1, r2):
-                        rep.skipped += 1
+                    X, Y, W = meet
+                    dx, dy = X - m.xs[side] * W, Y - m.ys[side] * W
+                    if L4 * (dx * dx + dy * dy) <= W * W:
+                        rep.instances_checked += 1
                         continue
-                    rep.check(dist_sq(p, near) <= inv_l4,
-                              f"blocking x={x} g={g} q=v{qi}",
-                              f"p={p} dist_sq={dist_sq(p, near)}")
+                    p = Point(Fraction(X, W), Fraction(Y, W))
+                    rep.check(False, f"blocking x={x} g={g} q=v{qi}",
+                              f"p={p} dist_sq={dist_sq(p, m.vertices[side])}")
     return rep
+
+
+def _meet_on_segment(g: Point, q: Point, a: Point, b: Point
+                     ) -> Optional[Tuple[int, int, int]]:
+    """Where the line through g and q meets the closed segment from a to b,
+    as a homogeneous (X, Y, W) with W > 0; None when it misses the segment,
+    when g = q, or when the two lines are parallel or identical.
+
+    In the frame that clears the four points' denominators, each line is
+    the cross product of its two points' homogeneous coordinates, and the
+    meet is the cross product of the two lines.
+    """
+    d, (gx, gy, qx, qy, ax, ay, bx, by) = cleared(
+        g.x, g.y, q.x, q.y, a.x, a.y, b.x, b.y)
+    l1 = (gy - qy, qx - gx, gx * qy - gy * qx)
+    l2 = (ay - by, bx - ax, ax * by - ay * bx)
+    X = l1[1] * l2[2] - l1[2] * l2[1]
+    Y = l1[2] * l2[0] - l1[0] * l2[2]
+    W = l1[0] * l2[1] - l1[1] * l2[0]
+    if W < 0:
+        X, Y, W = -X, -Y, -W
+    if (W == 0 or not min(ax, bx) * W <= X <= max(ax, bx) * W
+            or not min(ay, by) * W <= Y <= max(ay, by) * W):
+        return None
+    return X, Y, W * d
 
 
 def _rays_intersect(o1: Point, d1: Point, o2: Point, d2: Point) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, List, Optional, Sequence, Tuple, Union
 
-from .badregions import BadRegion, _wedge_clip_box
+from .badregions import BadRegion, wedge_outline
 from .geometry import Point, Scalar
 from .polygon import PolygonModel, load_polygon
 
@@ -174,8 +174,8 @@ def write_svg(scene: SceneRender, target: Union[str, IO[str]]) -> None:
                f'style="{_STYLE["polygon"]}"/>')
     for region in scene.bad_regions:
         for w in region.wedges:
-            poly = _wedge_clip_box(m, w)
-            if len(poly) >= 3:
+            poly = wedge_outline(m, w)
+            if poly:
                 out.append(f'<path d="{path(poly)}" style="{_STYLE["bad"]}"/>')
     for q in scene.guards:
         out.append(f'<circle cx="{fx(q.x)}" cy="{fy(q.y)}" '

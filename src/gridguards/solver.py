@@ -33,7 +33,9 @@ from .geometry import GeometryError, Point
 from .grid import (
     Covered,
     GuardSet,
+    PROV_SOLVER_EXACT,
     PROV_SOLVER_GREEDY,
+    PROV_SOLVER_NET,
     guard_set,
     verify_coverage,
 )
@@ -178,9 +180,10 @@ def _greedy(masks: Sequence[int], full: int) -> List[int]:
 
 
 def _certified(m: PolygonModel, inst: CoverInstance, chosen: Sequence[int],
-               rounds: int) -> SolveResult:
-    """The chosen candidates as a guard set, certified by verify_coverage."""
-    gs = guard_set([inst.candidates[i] for i in chosen], PROV_SOLVER_GREEDY)
+               rounds: int, tag: str) -> SolveResult:
+    """The chosen candidates as a guard set tagged with the search that
+    chose them, certified by verify_coverage."""
+    gs = guard_set([inst.candidates[i] for i in chosen], tag)
     return SolveResult(guards=gs, witness_count=len(inst.witnesses),
                        rounds=rounds,
                        certified=isinstance(verify_coverage(m, gs), Covered))
@@ -189,7 +192,7 @@ def _certified(m: PolygonModel, inst: CoverInstance, chosen: Sequence[int],
 def greedy_cover(m: PolygonModel, inst: CoverInstance) -> SolveResult:
     """Classic greedy set cover; ties broken by lexicographic point order."""
     chosen = _greedy(inst.masks, inst.full)
-    return _certified(m, inst, chosen, rounds=len(chosen))
+    return _certified(m, inst, chosen, len(chosen), PROV_SOLVER_GREEDY)
 
 
 def brute_force_optimum(inst: CoverInstance,
@@ -210,7 +213,7 @@ def brute_force_optimum(inst: CoverInstance,
                 acc |= masks[i]
             if acc == full:
                 return guard_set([inst.candidates[i] for i in combo],
-                                 PROV_SOLVER_GREEDY)
+                                 PROV_SOLVER_EXACT)
     return None
 
 
@@ -302,8 +305,9 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig) -> SolveResult:
 
     solution = _prune(solution, masks, full)
     greedy = _greedy(masks, full)
-    chosen = greedy if len(greedy) < len(solution) else solution
-    return _certified(m, inst, chosen, rounds)
+    if len(greedy) < len(solution):
+        return _certified(m, inst, greedy, rounds, PROV_SOLVER_GREEDY)
+    return _certified(m, inst, solution, rounds, PROV_SOLVER_NET)
 
 
 def _weighted_sample(rng: random.Random, weights: List[int],

@@ -8,13 +8,17 @@ computation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations, product
 from math import floor, gcd, lcm
 from typing import List, Tuple
 
 from gridguards.arrangement import build_arrangement
+from gridguards.badregions import bad_region
 from gridguards.geometry import (
+    GeometryError,
     Point,
     Segment,
     cleared,
@@ -35,8 +39,10 @@ from gridguards.grid import (
 from gridguards.polygon import (
     PointOutsidePolygon,
     _in_int_cycle,
+    opposite_reflex_pairs,
     point_in_polygon,
     segment_in_polygon,
+    triangulate,
 )
 from gridguards.visibility import overlay_segments, sees, visibility_polygon
 
@@ -622,3 +628,154 @@ def surrounding_grid_ref(spec, m, x: Point, alpha) -> SurroundingGrid:
     starred = m.vertices[min(near)[1]] if near else None
     return SurroundingGrid(center=x, case=case, points=tuple(points),
                            starred=starred)
+
+
+# The rational line kernel that bad-region clipping and the blocking
+# conclusion once used, now the reference for their integer half-planes
+# and homogeneous meets.
+
+
+@dataclass(frozen=True)
+class DirectedLine:
+    """Infinite line oriented from ``a`` to ``b``."""
+
+    a: Point
+    b: Point
+
+    def __post_init__(self):
+        if self.a == self.b:
+            raise GeometryError("degenerate line: endpoints coincide")
+
+    def direction(self) -> Point:
+        return self.b - self.a
+
+    def side_of(self, p: Point) -> int:
+        """+1 if p is left of the oriented line, -1 right, 0 on the line."""
+        return orient_ref(self.a, self.b, p)
+
+
+PARALLEL = "Parallel"
+IDENTICAL = "Identical"
+
+
+def line_intersection(l1: DirectedLine, l2: DirectedLine):
+    """Unique intersection point, or PARALLEL / IDENTICAL, by Cramer's
+    rule on the 2x2 system of line equations."""
+    d1 = l1.direction()
+    d2 = l2.direction()
+    denom = cross(d1, d2)
+    if denom == 0:
+        return IDENTICAL if l1.side_of(l2.a) == 0 else PARALLEL
+    t = cross(l2.a - l1.a, d2) / denom
+    return l1.a + d1.scaled(t)
+
+
+def polygon_signed_area2(vertices) -> Fraction:
+    """Twice the signed (shoelace) area; positive for counterclockwise."""
+    total = Fraction(0)
+    n = len(vertices)
+    for i in range(n):
+        p, q = vertices[i], vertices[(i + 1) % n]
+        total += p.x * q.y - q.x * p.y
+    return total
+
+
+def polygon_area(vertices) -> Fraction:
+    return abs(polygon_signed_area2(vertices)) / 2
+
+
+def clip_convex_by_halfplane(poly, ell: DirectedLine, keep_side: int) -> list:
+    """Sutherland-Hodgman clip of a convex polygon by one closed
+    half-plane; ``keep_side`` is the side_of() sign to keep (points with
+    side 0 are kept)."""
+    out: list = []
+    n = len(poly)
+    for i in range(n):
+        cur, nxt = poly[i], poly[(i + 1) % n]
+        s_cur = ell.side_of(cur)
+        s_nxt = ell.side_of(nxt)
+        if s_cur == keep_side or s_cur == 0:
+            out.append(cur)
+        if s_cur != 0 and s_nxt != 0 and s_cur != s_nxt:
+            meet = line_intersection(DirectedLine(cur, nxt), ell)
+            assert isinstance(meet, Point)
+            out.append(meet)
+    # drop consecutive duplicates
+    dedup: list = []
+    for p in out:
+        if not dedup or dedup[-1] != p:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def convex_intersection(poly_a, poly_b) -> list:
+    """Intersection of two convex CCW polygons (possibly empty /
+    degenerate)."""
+    result = list(poly_a)
+    n = len(poly_b)
+    for i in range(n):
+        if len(result) < 3:
+            return []
+        ell = DirectedLine(poly_b[i], poly_b[(i + 1) % n])
+        result = clip_convex_by_halfplane(result, ell, +1)
+    return result if len(result) >= 3 else []
+
+
+def _wedge_halfplanes_ref(w):
+    """The wedge's two boundary lines, each with the side to keep."""
+    d = w.outward
+    up = Point(d.x - w.s * d.y, d.y + w.s * d.x)
+    dn = Point(d.x + w.s * d.y, d.y - w.s * d.x)
+    return [(DirectedLine(w.apex, w.apex + dn), +1),
+            (DirectedLine(w.apex, w.apex + up), -1)]
+
+
+def wedge_outline_ref(m, w) -> list:
+    """``badregions.wedge_outline``: the polygon's bounding box clipped by
+    the wedge's two closed half-planes, in Fractions."""
+    x0, y0, x1, y1 = min(m.xs), min(m.ys), max(m.xs), max(m.ys)
+    poly = [pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)]
+    for ell, side in _wedge_halfplanes_ref(w):
+        poly = clip_convex_by_halfplane(poly, ell, side)
+        if len(poly) < 3:
+            return []
+    return poly
+
+
+def triple_intersections_ref(m, s) -> list:
+    """``badregions.check_no_triple_intersection``'s triples: a wedge of
+    each of three regions, clipped to the bounding box, intersected with
+    some triangle of P with positive area."""
+    regions = [bad_region(m, p, s) for p in opposite_reflex_pairs(m)]
+    tris = triangulate(m)
+
+    def overlap(ws):
+        poly = wedge_outline_ref(m, ws[0])
+        for w in ws[1:]:
+            if len(poly) < 3:
+                return False
+            for ell, side in _wedge_halfplanes_ref(w):
+                poly = clip_convex_by_halfplane(poly, ell, side)
+        if len(poly) < 3:
+            return False
+        return any(polygon_area(convex_intersection(poly, list(t))) > 0
+                   for t in tris)
+
+    return [(i, j, l)
+            for i, j, l in combinations(range(len(regions)), 3)
+            if any(overlap(ws) for ws in product(
+                regions[i].wedges, regions[j].wedges, regions[l].wedges))]
+
+
+def blocking_meet_ref(g: Point, q: Point, a: Point, b: Point):
+    """Where the line through g and q meets the closed segment ab, in
+    Fractions, or None: the last step of ``check_limited_blocking`` as the
+    rational line kernel took it."""
+    if g == q:
+        return None
+    p = line_intersection(DirectedLine(g, q), DirectedLine(a, b))
+    if not isinstance(p, Point) or not on_segment(p, a, b):
+        return None
+    return p

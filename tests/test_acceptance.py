@@ -21,7 +21,7 @@ from gridguards.generate import (
     random_polygon,
     triple_pairs,
 )
-from gridguards.geometry import Point, polygon_area, pt
+from gridguards.geometry import Point, pt
 from gridguards.grid import (
     Covered,
     GridSpec,
@@ -52,7 +52,7 @@ from gridguards.solver import (
 )
 from gridguards.visibility import visibility_polygon
 
-from oracles import visibility_area_oracle
+from oracles import polygon_area, visibility_area_oracle
 
 
 class Budget:

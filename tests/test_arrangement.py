@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from gridguards import grid, lemmas, solver
 from gridguards.arrangement import build_arrangement
 from gridguards.generate import channel, comb
-from gridguards.geometry import Point, polygon_area, pt
+from gridguards.geometry import Point, pt
 from gridguards.grid import guard_set, verify_coverage
 from gridguards.lemmas import build_counterexample, check_local_visibility
 from gridguards.solver import default_candidates
 from gridguards.visibility import overlay_segments, visibility_polygon
 
-from oracles import arrangement_ref, on_segment, winding_inside
+from oracles import arrangement_ref, on_segment, polygon_area, winding_inside
 
 
 def square_segments():

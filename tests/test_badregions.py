@@ -3,14 +3,30 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from gridguards.badregions import (
     bad_region,
     check_no_triple_intersection,
     in_bad_region,
+    wedge_outline,
 )
-from gridguards.generate import channel, concurrent_pairs, triple_pairs
+from gridguards.generate import (
+    channel,
+    concurrent_pairs,
+    random_polygon,
+    spike_pairs,
+    triple_pairs,
+)
 from gridguards.geometry import Point, dist_sq, pt
-from gridguards.polygon import PointOutsidePolygon, opposite_reflex_pairs
+from gridguards.polygon import (
+    PointOutsidePolygon,
+    PolygonError,
+    opposite_reflex_pairs,
+)
+
+from oracles import triple_intersections_ref, wedge_outline_ref
 
 
 def channel_region(s, embiggened=False):
@@ -95,3 +111,58 @@ def test_triple_intersection_persists_at_theorem_slope():
     m = concurrent_pairs()
     report = check_no_triple_intersection(m, Fraction(1, m.L ** 9))
     assert report.triples == [(2, 4, 6)]
+
+
+@st.composite
+def many_pairs(draw):
+    """A polygon with at least three opposite reflex pairs: a random
+    polygon of 16-24 vertices, or a room with three spike pairs at random
+    places, whose wedges often overlap (6-9 opposite pairs)."""
+    if draw(st.booleans()):
+        m = random_polygon(draw(st.integers(16, 24)),
+                           draw(st.integers(12, 30)),
+                           seed=draw(st.integers(0, 40)))
+    else:
+        bx = [2 + draw(st.integers(0, 5))]
+        tx = [4 + draw(st.integers(0, 5))]
+        for _ in range(2):
+            bx.append(bx[-1] + draw(st.integers(3, 25)))
+            tx.append(tx[-1] + draw(st.integers(3, 25)))
+        apexes = [((b, draw(st.integers(3, 29))),
+                   (t, draw(st.integers(32, 58)))) for b, t in zip(bx, tx)]
+        width = max(bx[-1] + 3, tx[-1] + 1) + draw(st.integers(1, 10))
+        try:
+            m = spike_pairs(apexes, box=(1, 1, width, 60))
+        except PolygonError:
+            assume(False)
+    assume(len(opposite_reflex_pairs(m)) >= 3)
+    return m
+
+
+def slope(m, name):
+    return {"1/16": Fraction(1, 16), "1/4": Fraction(1, 4),
+            "L^-3": Fraction(1, m.L ** 3)}[name]
+
+
+SLOPES = st.sampled_from(["1/16", "1/4", "L^-3"])
+
+
+@settings(max_examples=15, deadline=None)
+@given(many_pairs(), SLOPES)
+def test_triples_match_fraction_reference(m, s):
+    """The integer half-plane clip finds the triples that clipping with
+    the rational line kernel finds."""
+    s = slope(m, s)
+    assert (check_no_triple_intersection(m, s).triples
+            == triple_intersections_ref(m, s))
+
+
+@settings(max_examples=25, deadline=None)
+@given(many_pairs(), SLOPES, st.booleans())
+def test_wedge_outline_matches_fraction_reference(m, s, embiggened):
+    """Every wedge's outline, plain or with the embiggened rational apex,
+    has the vertices, in order, of the rational kernel's clip."""
+    s = slope(m, s)
+    for pair in opposite_reflex_pairs(m):
+        for w in bad_region(m, pair, s, embiggened=embiggened).wedges:
+            assert wedge_outline(m, w) == wedge_outline_ref(m, w)

@@ -221,9 +221,11 @@ def readme_commands():
 
 def test_readme_command_line_runs_as_written(tmp_path, monkeypatch):
     """Each README command, run in one directory in order, exits with the
-    code the README gives: the last one is the bad-region probe."""
+    code the README gives: the last one is the bad-region probe.  The
+    channel's drawing holds its two bad-region wedges."""
     monkeypatch.chdir(tmp_path)
     commands = readme_commands()
     assert all(argv[0] == "gridguards" for argv in commands)
     codes = [main(argv[1:]) for argv in commands]
-    assert codes == [EXIT_OK] * 4 + [EXIT_VIOLATION]
+    assert codes == [EXIT_OK] * 6 + [EXIT_VIOLATION]
+    assert (tmp_path / "bad.svg").read_text().count("fill:#cc3311") == 2

@@ -1,4 +1,6 @@
-"""Exact-arithmetic geometric primitives: unit cases and properties."""
+"""Unit cases and properties of the exact-arithmetic geometric
+primitives, and of the rational line kernel in tests/oracles.py, the
+reference of the bad-region and blocking tests."""
 
 from math import gcd
 
@@ -6,23 +8,24 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridguards.geometry import (
-    DirectedLine,
-    IDENTICAL,
-    PARALLEL,
     Point,
-    clip_convex_by_halfplane,
-    convex_intersection,
     dist_sq,
-    line_intersection,
     orient,
-    point_on_segment,
-    polygon_area,
-    polygon_signed_area2,
     pt,
     sort_directions_ccw,
 )
 
-from oracles import sort_directions_ccw_ref
+from oracles import (
+    IDENTICAL,
+    PARALLEL,
+    DirectedLine,
+    clip_convex_by_halfplane,
+    convex_intersection,
+    line_intersection,
+    polygon_area,
+    polygon_signed_area2,
+    sort_directions_ccw_ref,
+)
 
 coords = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 points = st.builds(Point, coords, coords)
@@ -64,13 +67,6 @@ def test_line_intersection_on_both_lines(a, b, c, d):
     if isinstance(p, Point):
         assert orient(a, b, p) == 0
         assert orient(c, d, p) == 0
-
-
-@given(points, points, st.fractions(min_value=0, max_value=1,
-                                    max_denominator=16))
-def test_point_on_segment_parameterized(a, b, t):
-    p = a + (b - a).scaled(t)
-    assert point_on_segment(p, a, b)
 
 
 def test_polygon_area_square():

@@ -22,6 +22,10 @@ on comb 3, channel and the pinhole polygon.
 two general-position fixtures as the Fraction extension lines, their
 Fraction intersections and the Fraction ear clipping wrote them.
 
+``golden/analyze-*-s*.svg`` pins the bad-region drawing of ``analyze
+--svg`` on the channel and the two general-position fixtures, at
+``--s-exponent`` 3 and 0, as the Fraction half-plane clipping wrote it.
+
 ``golden/arrangement-digests.json`` pins the arrangement of seven
 visibility overlays (the four ``certify`` benchmark inputs at seed 0, the
 comb-3 solve overlay, the default-candidate overlay of
@@ -110,6 +114,26 @@ def test_analyze_json_matches_golden(tmp_path, name):
     assert main(["analyze", str(poly), "-o", str(out)]) == 0
     expected = GOLDEN / f"analyze-{name}.json"
     assert out.read_bytes() == expected.read_bytes()
+
+
+SVG_FIXTURES = {
+    "channel": channel,
+    "concurrent-pairs": concurrent_pairs,
+    "triple-pairs": triple_pairs,
+}
+
+
+@pytest.mark.parametrize("exponent", (3, 0))
+@pytest.mark.parametrize("name", sorted(SVG_FIXTURES))
+def test_analyze_svg_matches_golden(tmp_path, name, exponent):
+    poly = tmp_path / f"{name}.txt"
+    write_polygon(SVG_FIXTURES[name](), str(poly))
+    svg = tmp_path / "bad.svg"
+    assert main(["analyze", str(poly), "--s-exponent", str(exponent),
+                 "-o", str(tmp_path / "analyze.json"),
+                 "--svg", str(svg)]) == 0
+    expected = GOLDEN / f"analyze-{name}-s{exponent}.svg"
+    assert svg.read_bytes() == expected.read_bytes()
 
 
 def coverage_text(m, guards):

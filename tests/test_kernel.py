@@ -1,7 +1,7 @@
 """Differential tests of the integer kernel against Fraction references.
 
-The predicates in gridguards.geometry, visibility.in_visibility_polygon
-and visibility.sees (polygon._segment_inside) decide on
+The predicates geometry.orient, visibility.in_visibility_polygon and
+visibility.sees (polygon._segment_inside) decide on
 denominator-cleared integers.  Each is checked here against the same
 formula computed directly in Fraction arithmetic (tests/oracles.py), on
 integer, half-integer and mixed-denominator coordinates, with forced
@@ -23,13 +23,7 @@ from gridguards.generate import (
     counterexample_polygon,
     random_polygon,
 )
-from gridguards.geometry import (
-    Point,
-    orient,
-    point_on_segment,
-    polygon_area,
-    pt,
-)
+from gridguards.geometry import Point, orient, pt
 from gridguards.lemmas import build_counterexample
 from gridguards.polygon import (
     PointOutsidePolygon,
@@ -45,9 +39,9 @@ from gridguards.visibility import (
 
 from oracles import (
     naive_sees,
-    on_segment,
     orient_ref,
     point_in_cycle,
+    polygon_area,
     segment_inside_ref,
     visibility_area_oracle,
     winding_inside,
@@ -107,7 +101,7 @@ def test_point_eq_hash_consistent(p, q):
 
 
 # ---------------------------------------------------------------------------
-# orient and point_on_segment
+# orient
 
 
 @given(points, points, points)
@@ -119,20 +113,6 @@ def test_orient_matches_fraction_reference(p, q, r):
 def test_orient_collinear(p, q, t):
     r = along(p, q, t)
     assert orient(p, q, r) == 0 == orient_ref(p, q, r)
-
-
-@given(points, points, points)
-def test_point_on_segment_matches_oracle(p, a, b):
-    assert point_on_segment(p, a, b) == on_segment(p, a, b)
-
-
-@given(points, points, params)
-def test_point_on_segment_collinear(a, b, t):
-    p = along(a, b, t)
-    assert point_on_segment(p, a, b) == on_segment(p, a, b)
-    if a != b:
-        assert point_on_segment(p, a, b) == (0 <= t <= 1)
-    assert point_on_segment(a, a, b) and point_on_segment(b, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridguards.generate import (
@@ -22,6 +22,7 @@ from gridguards.lemmas import (
     LemmaReport,
     _in_cone,
     _interior_points,
+    _meet_on_segment,
     build_counterexample,
     check_cone_property,
     check_distance_lemma,
@@ -38,7 +39,7 @@ from gridguards.polygon import (
 )
 from gridguards.visibility import sees
 
-from oracles import in_cone_ref
+from oracles import blocking_meet_ref, in_cone_ref
 
 
 def test_report_status_transitions():
@@ -249,3 +250,57 @@ def test_blocking_fixture_geometry():
     pairs = opposite_reflex_pairs(m)
     assert any({m.vertices[p.r1], m.vertices[p.r2]}
                == {pt(11, 6), pt(13, 6)} for p in pairs)
+
+
+# the blocking conclusion's meet: integer segment ends and q, and a
+# rational g, placed by each case below
+ints = st.integers(-12, 12)
+grid_steps = st.integers(-3 * 4000, 3 * 4000).map(lambda n: Fraction(n, 4000))
+MEET_CASES = ("free", "parallel", "identical", "at_a", "at_b", "past_a",
+              "past_b", "g_is_q")
+
+
+def meet_points(case, ax, ay, bx, by, qx, qy, t, u):
+    """(g, q, a, b) for the case: ``t`` places g and ``u`` places the meet
+    on the line of a and b."""
+    a, b, q = pt(ax, ay), pt(bx, by), pt(qx, qy)
+    d = b - a
+    if case == "parallel":
+        return q + d.scaled(t), q, a, b
+    if case == "identical":
+        return a + d.scaled(t), a + d.scaled(qx), a, b
+    if case == "g_is_q":
+        return q, q, a, b
+    step = Fraction(1, 4000)
+    p = {"free": a + d.scaled(u), "at_a": a, "at_b": b,
+         "past_a": a - d.scaled(step), "past_b": b + d.scaled(step)}[case]
+    return p + (q - p).scaled(t), q, a, b
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(MEET_CASES), ints, ints, ints, ints, ints, ints,
+       grid_steps, st.fractions(-1, 2, max_denominator=12))
+@example("at_a", 0, 0, 4, 2, 1, 5, Fraction(1, 2), 0)
+@example("at_b", 0, 0, 4, 2, 1, 5, Fraction(-1, 3), 0)
+@example("past_a", 0, 0, 4, 2, 1, 5, Fraction(1, 2), 0)
+@example("past_b", 7, 3, 7, 9, 1, 5, Fraction(3, 2), 0)
+@example("parallel", 0, 0, 4, 2, 1, 5, Fraction(1, 2), 0)
+@example("identical", 0, 0, 4, 2, 3, 5, Fraction(1, 2), 0)
+def test_blocking_meet_matches_fraction_reference(case, ax, ay, bx, by, qx,
+                                                  qy, t, u):
+    """The homogeneous meet of check_limited_blocking agrees with the
+    rational line kernel and on_segment: parallel and identical lines and
+    g = q give none, a meet at either end counts, and one 1/4000 of the
+    segment past an end does not."""
+    g, q, a, b = meet_points(case, ax, ay, bx, by, qx, qy, t, u)
+    assume(a != b)
+    meet = _meet_on_segment(g, q, a, b)
+    got = None if meet is None else pt(Fraction(meet[0], meet[2]),
+                                       Fraction(meet[1], meet[2]))
+    assert got == blocking_meet_ref(g, q, a, b)
+    if meet is not None:
+        assert meet[2] > 0
+    if case in ("parallel", "identical", "past_a", "past_b", "g_is_q"):
+        assert got is None
+    elif case in ("at_a", "at_b") and g != q and orient(a, b, q) != 0:
+        assert got == (a if case == "at_a" else b)

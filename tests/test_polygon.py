@@ -20,7 +20,7 @@ from gridguards.generate import (
     random_polygon,
     triple_pairs,
 )
-from gridguards.geometry import Point, orient, polygon_area, pt
+from gridguards.geometry import Point, orient, pt
 from gridguards.polygon import (
     CollinearTripleConsecutive,
     DuplicateVertex,
@@ -41,6 +41,7 @@ from gridguards.polygon import (
 from oracles import (
     extension_pairs_ref,
     general_position_ref,
+    polygon_area,
     segments_intersect_ref,
     triangulate_ref,
     winding_inside,

@@ -119,6 +119,21 @@ def test_brute_force_cover_is_a_cover(fixture):
     assert len(best) == len(eh_solve(m, SolveConfig(rng_seed=0)).guards)
 
 
+def test_guards_tagged_by_their_search():
+    """Every guard names the search that chose it: eh_solve's pruned net,
+    the greedy cover (which eh_solve keeps when it is smaller), or the
+    exact search."""
+    m = comb(3)
+    inst = cover_instance(m, default_candidates(m))
+    assert greedy_cover(m, inst).guards.provenance == ("SolverGreedy",) * 3
+    for seed, tag in ((3, "SolverNet"), (5, "SolverGreedy")):
+        result = eh_solve(m, SolveConfig(rng_seed=seed))
+        assert result.guards.provenance == (tag,) * 3
+    cands = [c for c in default_candidates(m) if c.y == Fraction(3, 2)]
+    best = brute_force_optimum(cover_instance(m, cands), k_max=3)
+    assert best.provenance == ("SolverExact",) * 3
+
+
 def test_infeasible_witness_raised():
     m = comb(3)
     # a single base corner cannot see into every prong; eh_solve's own

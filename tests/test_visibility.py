@@ -13,7 +13,7 @@ from gridguards.generate import (
     counterexample_polygon,
     random_polygon,
 )
-from gridguards.geometry import Point, cross, dot, polygon_area, pt
+from gridguards.geometry import Point, cross, dot, pt
 from gridguards.lemmas import build_counterexample
 from gridguards.polygon import (
     PointOutsidePolygon,
@@ -32,6 +32,7 @@ from gridguards.visibility import (
 
 from oracles import (
     naive_sees,
+    polygon_area,
     visibility_area_oracle,
     visibility_polygon_ref,
     visible_subsegments_ref,
