@@ -6,13 +6,16 @@ with angular half-width of slope s on both sides of the line.  Embiggened
 regions move each apex inward along seg(r1, r2) so the wedges also cover a
 neighborhood of the reflex vertices themselves.
 
-Membership tests one point against a wedge in Fractions.  The overlap
-check and the drawn outline decide on integers: each wedge boundary and
-each triangle edge is a closed half-plane a X + b Y + c W >= 0 with
-integer coefficients, cleared from the rational apex, direction and
-slope, and one Sutherland-Hodgman routine clips the polygon's bounding
-box on reduced homogeneous triples (X, Y, W), W > 0.  Points are built
-only for a returned outline.
+Every decision is on integers: each wedge boundary and each triangle edge
+is a closed half-plane a X + b Y + c W >= 0 with integer coefficients,
+cleared from the rational apex, direction and slope.  A region builds its
+wedges' half-planes once.  Membership clears the point once to (X, Y) / W
+and tests it against P and against both half-planes of each wedge with
+strict inequalities: a wedge's angle 2 atan(s) is below pi, so the two
+open half-planes meet in exactly the open wedge.  The overlap check and
+the drawn outline clip the polygon's bounding box with one
+Sutherland-Hodgman routine on reduced homogeneous triples (X, Y, W),
+W > 0.  Points are built only for a returned outline.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from itertools import combinations, product
 from math import gcd
 from typing import List, Tuple
 
-from .geometry import Point, Scalar, cleared, cross, dot
+from .geometry import Point, Scalar, cleared
 from .polygon import (
     OppositeReflexPair,
     PointOutsidePolygon,
     PolygonModel,
+    _in_int_cycle,
     opposite_reflex_pairs,
-    point_in_polygon,
     triangulate,
 )
 
@@ -46,14 +49,6 @@ class Wedge:
     outward: Point
     s: Scalar
 
-    def contains(self, x: Point) -> bool:
-        w = x - self.apex
-        along = dot(self.outward, w)
-        if along <= 0:
-            return False
-        # |cross| / |d| < s * along / |d|  simplifies to  |cross| < s * along
-        return abs(cross(self.outward, w)) < self.s * along
-
 
 @dataclass(frozen=True)
 class BadRegion:
@@ -61,6 +56,8 @@ class BadRegion:
     pair: OppositeReflexPair
     wedges: Tuple[Wedge, Wedge]
     apex_offsets: Tuple[Point, Point]
+    # each wedge's two half-planes (``_wedge_halfplanes``)
+    halfplanes: Tuple[List[HalfPlane], List[HalfPlane]]
 
 
 def _offset_apex(r_i: Point, r_j: Point, dist_bound: Scalar) -> Point:
@@ -92,14 +89,18 @@ def bad_region(m: PolygonModel, pair: OppositeReflexPair, s: Scalar,
     w1 = Wedge(apex=a1, outward=r1 - r2, s=s)
     w2 = Wedge(apex=a2, outward=r2 - r1, s=s)
     return BadRegion(model=m, pair=pair, wedges=(w1, w2),
-                     apex_offsets=(a1, a2))
+                     apex_offsets=(a1, a2),
+                     halfplanes=(_wedge_halfplanes(w1), _wedge_halfplanes(w2)))
 
 
 def in_bad_region(region: BadRegion, x: Point) -> bool:
-    """Exact open membership of x (inside P) in either wedge."""
-    if not point_in_polygon(region.model, x):
+    """Exact open membership of x (inside P) in either wedge: x lies
+    strictly inside both half-planes of one."""
+    d, (X, Y) = cleared(x.x, x.y)
+    if not _in_int_cycle(*region.model.scaled(d), X, Y):
         raise PointOutsidePolygon(f"{x} outside polygon")
-    return any(w.contains(x) for w in region.wedges)
+    return any(a * X + b * Y + c * d > 0 and e * X + f * Y + g * d > 0
+               for (a, b, c), (e, f, g) in region.halfplanes)
 
 
 @dataclass
@@ -210,7 +211,7 @@ def check_no_triple_intersection(m: PolygonModel,
         return report
     box = _box(m)
     tris = [_triangle_halfplanes(t) for t in triangulate(m)]
-    planes = [[_wedge_halfplanes(w) for w in r.wedges] for r in regions]
+    planes = [r.halfplanes for r in regions]
     for i, j, l in combinations(range(len(regions)), 3):
         if any(_wedges_overlap_interior(box, hi + hj + hl, tris)
                for hi, hj, hl in product(planes[i], planes[j], planes[l])):

@@ -118,14 +118,6 @@ def cleared(*cs: Fraction) -> Tuple[int, List[int]]:
     return d, [n * (d // q) for n, q in ratios]
 
 
-def cross(u: Point, v: Point) -> Scalar:
-    return u.x * v.y - u.y * v.x
-
-
-def dot(u: Point, v: Point) -> Scalar:
-    return u.x * v.x + u.y * v.y
-
-
 def orient(p: Point, q: Point, r: Point) -> int:
     """Sign of the cross product (q-p) x (r-p): +1 left turn, -1 right, 0 collinear."""
     _, (px, py, qx, qy, rx, ry) = cleared(p.x, p.y, q.x, q.y, r.x, r.y)

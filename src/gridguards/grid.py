@@ -10,11 +10,11 @@ four cell corners, then square rings of indices around them, each ring in
 It stops after ring r once the best distance is below ((r + 1) d)^2: every
 point outside rings 0..r is at least (r + 1) w from x, so none can win,
 and an exact tie at that distance is still searched.  ``surrounding_grid``
-likewise scales x, its triangle and the polygon once by one denominator
-and decides containment, edge crossings and the starred vertex on
-integers.  ``grid_replacement`` turns an arbitrary covering guard set into
-a nearby covering guard set supported on the grid plus a few reflex
-vertices, with at most nine output guards per input guard.
+likewise decides on x, its triangle and the polygon scaled once by one
+denominator, and rounds its defining points, (X, Y, W) in P, on one
+polygon scaled by D.  ``grid_replacement`` turns an arbitrary covering
+guard set into a nearby covering guard set supported on the grid plus a
+few reflex vertices, with at most nine output guards per input guard.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .arrangement import build_arrangement
 from .badregions import bad_region, in_bad_region
-from .geometry import Point, Scalar, cleared, dist_sq, pt
+from .geometry import Point, Scalar, cleared, dist_sq
 from .polygon import (
     PointOutsidePolygon,
     PolygonModel,
@@ -119,8 +119,16 @@ def round_to_grid(spec: GridSpec, m: PolygonModel, x: Point) -> Point:
         raise PointOutsidePolygon(f"{x} outside polygon")
     D = spec.L ** spec.E
     d, (X, Y) = cleared(x.x, x.y)
+    i, j = _nearest_index(D, m.scaled(D), X, Y, d)
+    return Point(Fraction(i, D), Fraction(j, D))
+
+
+def _nearest_index(D: int, scaled: Tuple[Sequence[int], Sequence[int]],
+                   X: int, Y: int, d: int) -> Tuple[int, int]:
+    """The lattice index (i, j) of ``round_to_grid``'s point for
+    (X / d, Y / d) in P, on the polygon ``scaled`` by D."""
+    xs, ys = scaled
     X, Y = X * D, Y * D
-    xs, ys = m.scaled(D)
     iu, iv = X // d, Y // d
     best = None  # (squared distance times (d D)^2, i, j)
     for ring in range(_RING_CAP):
@@ -146,40 +154,30 @@ def round_to_grid(spec: GridSpec, m: PolygonModel, x: Point) -> Point:
             break
     else:
         if best is None:
+            x = Point(Fraction(X, d * D), Fraction(Y, d * D))
             raise NoGridPointNearby(f"no in-polygon grid point within "
                                     f"{_RING_CAP} rings of {x}")
-    return Point(Fraction(best[1], D), Fraction(best[2], D))
-
-
-def _triangle(x: Point, alpha: Scalar) -> Tuple[Point, Point, Point]:
-    """Isoceles stand-in for the inscribed triangle: apex up, base horizontal.
-
-    All vertices are within distance alpha of x and x is strictly interior.
-    """
-    a = Fraction(alpha)
-    return (x + pt(0, a),
-            x + Point(-3 * a / 4, -a / 2),
-            x + Point(3 * a / 4, -a / 2))
+    return best[1], best[2]
 
 
 def surrounding_grid(spec: GridSpec, m: PolygonModel, x: Point,
                      alpha: Scalar) -> SurroundingGrid:
     """Grid points surrounding x at scale alpha, case-split on the boundary.
 
-    x, the triangle and the polygon are scaled once by the triangle's common
-    denominator; containment, the edge crossings and the starred vertex are
-    then decided on integers.
+    x, alpha / 4 and the polygon are scaled once by one denominator, so
+    the triangle is integer; containment, the edge crossings and the
+    starred vertex are then decided on integers.
     """
     alpha = Fraction(alpha)
     if not (0 < alpha <= Fraction(1, m.L ** 2)):
         raise ValueError("alpha must be in (0, L^-2]")
-    tri = _triangle(x, alpha)
-    d, cs = cleared(x.x, x.y, *[c for p in tri for c in (p.x, p.y)])
-    X, Y = cs[0], cs[1]
+    d, (X, Y, Q) = cleared(x.x, x.y, alpha / 4)
     xs, ys = m.scaled(d)
     if not _in_int_cycle(xs, ys, X, Y):
         raise PointOutsidePolygon(f"{x} outside polygon")
-    corners = list(zip(cs[2::2], cs[3::2]))
+    # isoceles stand-in for the inscribed triangle, apex up and base
+    # horizontal, around x and with corners within alpha = 4 Q / d of x
+    corners = [(X, Y + 4 * Q), (X - 3 * Q, Y - 2 * Q), (X + 3 * Q, Y - 2 * Q)]
     tri_edges = list(zip(corners, corners[1:] + corners[:1]))
 
     def in_triangle(px: int, py: int) -> bool:
@@ -188,8 +186,8 @@ def surrounding_grid(spec: GridSpec, m: PolygonModel, x: Point,
 
     enclosed = [v for v, px, py in zip(m.vertices, xs, ys)
                 if in_triangle(px, py)]
-    defining: List[Point] = [p for p, (px, py) in zip(tri, corners)
-                             if _in_int_cycle(xs, ys, px, py)]
+    defining = [(px, py, d) for px, py in corners
+                if _in_int_cycle(xs, ys, px, py)]
     # each edge against each triangle side: a shared point makes the case
     # at least Boundary, and a unique one is a defining point.  Parallel
     # pairs need no test: if an edge overlaps a side, either a triangle
@@ -214,9 +212,8 @@ def surrounding_grid(spec: GridSpec, m: PolygonModel, x: Point,
                 denom, tn, un = -denom, -tn, -un
             if 0 <= tn <= denom and 0 <= un <= denom:
                 crossing = True
-                w = d * denom
-                defining.append(Point(Fraction(ax * denom + ux * tn, w),
-                                      Fraction(ay * denom + uy * tn, w)))
+                defining.append((ax * denom + ux * tn, ay * denom + uy * tn,
+                                 d * denom))
     if enclosed:
         case = CASE_CORNER
     elif crossing:
@@ -224,9 +221,13 @@ def surrounding_grid(spec: GridSpec, m: PolygonModel, x: Point,
     else:
         case = CASE_INTERIOR
 
+    # each defining (X, Y, W) is in P: a corner in P or on its boundary
+    D = spec.L ** spec.E
+    grid = m.scaled(D)
     points: List[Point] = []
-    for p in defining:
-        g = round_to_grid(spec, m, p)
+    for px, py, w in defining:
+        i, j = _nearest_index(D, grid, px, py, w)
+        g = Point(Fraction(i, D), Fraction(j, D))
         if g not in points:
             points.append(g)
     for v in enclosed:

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arrangement import build_arrangement
@@ -22,9 +22,7 @@ from .geometry import (
     Point,
     Scalar,
     cleared,
-    cross,
     dist_sq,
-    dot,
     orient,
     pt,
 )
@@ -101,10 +99,11 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
     n = m.n
 
     # item 1: pairwise vertex distance >= 1
+    xs, ys = m.xs, m.ys
     for i in range(n):
         for j in range(i + 1, n):
-            rep.check(dist_sq(verts[i], verts[j]) >= 1,
-                      f"item1 v{i} v{j}", str(dist_sq(verts[i], verts[j])))
+            dd = (xs[i] - xs[j]) ** 2 + (ys[i] - ys[j]) ** 2
+            rep.check(dd >= 1, f"item1 v{i} v{j}", str(dd))
 
     lines = extensions(m)
 
@@ -212,21 +211,24 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
 
 def _interior_points(tris: Sequence[Tuple[Point, Point, Point]],
                      rng: random.Random) -> Iterator[Point]:
-    """Seeded random points in the triangles (a triangulation of P) via
-    area-weighted triangle sampling, drawn from rng one point at a time."""
-    areas = [abs(cross(b - a, c - a)) for a, b, c in tris]
-    den = lcm(*[w.denominator for w in areas])
-    prefix = list(accumulate(int(w * den) for w in areas))
+    """Seeded random points in the integer triangles abc of P, by area
+    weight, one at a time: U, V in [1, 97], as (100 - U, 100 - V) if
+    U + V >= 100, give (100 a + (b - a) U + (c - a) V) / 100."""
+    ints = [[(int(p.x), int(p.y)) for p in t] for t in tris]
+    prefix = list(accumulate(
+        abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        for (ax, ay), (bx, by), (cx, cy) in ints))
     total = prefix[-1]
     while True:
         r = rng.randrange(total) if total > 1 else 0
         # bisect_right finds the first triangle with r < its prefix sum
-        a, b, c = tris[bisect_right(prefix, r)]
-        u = Fraction(rng.randint(1, 97), 100)
-        v = Fraction(rng.randint(1, 97), 100)
-        if u + v >= 1:
-            u, v = 1 - u, 1 - v
-        yield a + (b - a).scaled(u) + (c - a).scaled(v)
+        (ax, ay), (bx, by), (cx, cy) = ints[bisect_right(prefix, r)]
+        u = rng.randint(1, 97)
+        v = rng.randint(1, 97)
+        if u + v >= 100:
+            u, v = 100 - u, 100 - v
+        yield Point(Fraction(100 * ax + (bx - ax) * u + (cx - ax) * v, 100),
+                    Fraction(100 * ay + (by - ay) * u + (cy - ay) * v, 100))
 
 
 def _grid_exponent(L: int, alpha: Scalar) -> int:
@@ -359,21 +361,25 @@ def _meet_on_segment(g: Point, q: Point, a: Point, b: Point
     return X, Y, W * d
 
 
-def _rays_intersect(o1: Point, d1: Point, o2: Point, d2: Point) -> bool:
-    """Exact intersection test for the closed rays o_i + t d_i, t >= 0."""
-    denom = cross(d1, d2)
-    diff = o2 - o1
+def _rays_intersect(o1: Point, p1: Point, o2: Point, p2: Point) -> bool:
+    """Whether the closed rays from o_i through p_i meet, decided on the
+    four points' cleared integers."""
+    _, (ox, oy, ex, ey, qx, qy, fx, fy) = cleared(
+        o1.x, o1.y, p1.x, p1.y, o2.x, o2.y, p2.x, p2.y)
+    ux, uy, vx, vy = ex - ox, ey - oy, fx - qx, fy - qy
+    wx, wy = qx - ox, qy - oy
+    denom = ux * vy - uy * vx
     if denom == 0:
-        if cross(d1, diff) != 0:
+        if ux * wy - uy * wx != 0:
             return False
         # collinear rays: same direction always overlap, opposite
         # directions overlap iff the origins face each other
-        if dot(d1, d2) > 0:
+        if ux * vx + uy * vy > 0:
             return True
-        return dot(d1, diff) >= 0
-    t = cross(diff, d2) / denom
-    u = cross(diff, d1) / denom
-    return t >= 0 and u >= 0
+        return ux * wx + uy * wy >= 0
+    # t = (w x v) / denom and u = (w x u) / denom must both be >= 0
+    return ((wx * vy - wy * vx) * denom >= 0
+            and (wx * uy - wy * ux) * denom >= 0)
 
 
 def check_cone_property(m: PolygonModel, samples: int = 100,
@@ -392,19 +398,19 @@ def check_cone_property(m: PolygonModel, samples: int = 100,
     tris = triangulate(m)
     rng = random.Random(seed)
     points = _interior_points(tris, rng)
-    quarter = s / 4
+    step = s / 4 / 32
     for pair in pairs:
         region = bad_region(m, pair, s, embiggened=True)
-        r1 = m.vertices[pair.r1]
-        r2 = m.vertices[pair.r2]
+        rx, ry = m.xs[pair.r1], m.ys[pair.r1]
+        ux, uy = m.xs[pair.r2] - rx, m.ys[pair.r2] - ry  # r1 -> r2
+        dd = ux * ux + uy * uy
         p1, p2 = region.apex_offsets
         for _ in range(samples):
             g1 = next(points)
             # offset with |dx| + |dy| <= s/4 bounds the Euclidean distance
             num = rng.randint(-16, 16)
             den = rng.randint(-16, 16)
-            g2 = g1 + Point(quarter * Fraction(num, 32),
-                            quarter * Fraction(den, 32))
+            g2 = g1 + Point(num * step, den * step)
             if not point_in_polygon(m, g2):
                 rep.skipped += 1
                 continue
@@ -413,10 +419,11 @@ def check_cone_property(m: PolygonModel, samples: int = 100,
                 continue
             # facing condition: both points must project strictly between
             # the reflex vertices along the diagonal, i.e. actually look at
-            # the pinhole rather than past one of its apexes
-            diag = r2 - r1
-            dd = dot(diag, diag)
-            if not all(0 < dot(diag, g - r1) < dd for g in (g1, g2)):
+            # the pinhole rather than past one of its apexes (times d)
+            d, (x1, y1, x2, y2) = cleared(g1.x, g1.y, g2.x, g2.y)
+            proj1 = ux * (x1 - rx * d) + uy * (y1 - ry * d)
+            proj2 = ux * (x2 - rx * d) + uy * (y2 - ry * d)
+            if not (0 < proj1 < dd * d and 0 < proj2 < dd * d):
                 rep.skipped += 1
                 continue
             if g1 == g2:
@@ -424,13 +431,11 @@ def check_cone_property(m: PolygonModel, samples: int = 100,
                 continue
             # label so g1 lies on the r1 side: smaller projection onto the
             # diagonal direction r1 -> r2 aims at the apex point near r1
-            a1, a2 = g1, g2
-            if dot(diag, a1 - r1) > dot(diag, a2 - r1):
-                a1, a2 = a2, a1
+            a1, a2 = (g2, g1) if proj1 > proj2 else (g1, g2)
             if a1 == p1 or a2 == p2:
                 rep.skipped += 1
                 continue
-            ok = not _rays_intersect(a1, p1 - a1, a2, p2 - a2)
+            ok = not _rays_intersect(a1, p1, a2, p2)
             rep.check(ok, f"cone g1={a1} g2={a2}", f"p1={p1} p2={p2}")
     return rep
 
@@ -570,19 +575,20 @@ def check_grid_outside_bad(m: PolygonModel, samples: int = 100,
     alpha = s / (16 * L)
     spec = GridSpec(E=_grid_exponent(L, alpha), L=L)
     pairs = opposite_reflex_pairs(m)
-    inv_l_sq = Fraction(1, L) ** 2
+    L2 = L * L
     rng = random.Random(seed)
     regions = [(pair, bad_region(m, pair, s),
                 bad_region(m, pair, s / 2, embiggened=True))
                for pair in pairs]
     for x in islice(_interior_points(triangulate(m), rng), samples):
         sg = None  # built on first use, once per x
+        d, (X, Y) = cleared(x.x, x.y)  # dist(x, v) < L^-1, times d
+        near = [L2 * ((vx * d - X) ** 2 + (vy * d - Y) ** 2) < d * d
+                for vx, vy in zip(m.xs, m.ys)]
         for pair, region, half in regions:
             r1 = m.vertices[pair.r1]
             r2 = m.vertices[pair.r2]
-            if (in_bad_region(region, x)
-                    or dist_sq(x, r1) < inv_l_sq
-                    or dist_sq(x, r2) < inv_l_sq
+            if (in_bad_region(region, x) or near[pair.r1] or near[pair.r2]
                     or not sees(m, x, r1) or not sees(m, x, r2)):
                 rep.skipped += 1
                 continue

@@ -8,10 +8,11 @@ computation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import floor, gcd, lcm
 from typing import List, Tuple
 
@@ -22,9 +23,7 @@ from gridguards.geometry import (
     Point,
     Segment,
     cleared,
-    cross,
     dist_sq,
-    dot,
     pt,
 )
 from gridguards.grid import (
@@ -45,6 +44,14 @@ from gridguards.polygon import (
     triangulate,
 )
 from gridguards.visibility import overlay_segments, sees, visibility_polygon
+
+
+def cross(u: Point, v: Point) -> Fraction:
+    return u.x * v.y - u.y * v.x
+
+
+def dot(u: Point, v: Point) -> Fraction:
+    return u.x * v.x + u.y * v.y
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -779,3 +786,59 @@ def blocking_meet_ref(g: Point, q: Point, a: Point, b: Point):
     if not isinstance(p, Point) or not on_segment(p, a, b):
         return None
     return p
+
+
+def wedge_contains_ref(w, x: Point) -> bool:
+    """Open membership of x in the wedge in Fractions, as the library
+    once decided it: along > 0 and |cross| < s * along, measured from the
+    apex along the outward direction."""
+    v = x - w.apex
+    along = dot(w.outward, v)
+    if along <= 0:
+        return False
+    # |cross| / |d| < s * along / |d|  simplifies to  |cross| < s * along
+    return abs(cross(w.outward, v)) < w.s * along
+
+
+def in_bad_region_ref(region, x: Point) -> bool:
+    """``badregions.in_bad_region`` in Fractions."""
+    if not point_in_polygon(region.model, x):
+        raise PointOutsidePolygon(f"{x} outside polygon")
+    return any(wedge_contains_ref(w, x) for w in region.wedges)
+
+
+def interior_points_ref(tris, rng):
+    """``lemmas._interior_points`` in Fractions, as it once drew them: the
+    triangle by area weight, then u and v in {1/100, ..., 97/100},
+    reflected to (1 - u, 1 - v) when u + v >= 1."""
+    areas = [abs(cross(b - a, c - a)) for a, b, c in tris]
+    den = lcm(*[w.denominator for w in areas])
+    prefix = list(accumulate(int(w * den) for w in areas))
+    total = prefix[-1]
+    while True:
+        r = rng.randrange(total) if total > 1 else 0
+        a, b, c = tris[bisect_right(prefix, r)]
+        u = Fraction(rng.randint(1, 97), 100)
+        v = Fraction(rng.randint(1, 97), 100)
+        if u + v >= 1:
+            u, v = 1 - u, 1 - v
+        yield a + (b - a).scaled(u) + (c - a).scaled(v)
+
+
+def rays_intersect_ref(o1: Point, d1: Point, o2: Point, d2: Point) -> bool:
+    """Whether the closed rays o_i + t d_i, t >= 0, meet, in Fractions:
+    the cone-property conclusion as ``lemmas._rays_intersect`` once
+    decided it."""
+    denom = cross(d1, d2)
+    diff = o2 - o1
+    if denom == 0:
+        if cross(d1, diff) != 0:
+            return False
+        # collinear rays: same direction always overlap, opposite
+        # directions overlap iff the origins face each other
+        if dot(d1, d2) > 0:
+            return True
+        return dot(d1, diff) >= 0
+    t = cross(diff, d2) / denom
+    u = cross(diff, d1) / denom
+    return t >= 0 and u >= 0

@@ -1,5 +1,6 @@
 """Bad-region wedges of opposite reflex pairs and triple-overlap checks."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ from gridguards.badregions import (
     wedge_outline,
 )
 from gridguards.generate import (
+    blocking_fixture,
     channel,
     concurrent_pairs,
+    counterexample_polygon,
     random_polygon,
     spike_pairs,
     triple_pairs,
@@ -26,7 +29,12 @@ from gridguards.polygon import (
     opposite_reflex_pairs,
 )
 
-from oracles import triple_intersections_ref, wedge_outline_ref
+from oracles import (
+    in_bad_region_ref,
+    triple_intersections_ref,
+    wedge_contains_ref,
+    wedge_outline_ref,
+)
 
 
 def channel_region(s, embiggened=False):
@@ -56,9 +64,11 @@ def test_bad_region_is_open_at_slope_boundary():
     perp = Point(-along.y, along.x)
     base = w.apex + along.scaled(Fraction(1, 50))
     onset = base + perp.scaled(Fraction(1, 100))  # |perp| == s * along
-    assert not w.contains(onset)
+    assert not in_bad_region(region, onset)
+    assert not wedge_contains_ref(w, onset)
     inside = base + perp.scaled(Fraction(1, 300))
-    assert w.contains(inside)
+    assert in_bad_region(region, inside)
+    assert wedge_contains_ref(w, inside)
 
 
 def test_bad_region_rejects_outside_query():
@@ -166,3 +176,117 @@ def test_wedge_outline_matches_fraction_reference(m, s, embiggened):
     for pair in opposite_reflex_pairs(m):
         for w in bad_region(m, pair, s, embiggened=embiggened).wedges:
             assert wedge_outline(m, w) == wedge_outline_ref(m, w)
+
+
+def probe_points(region, t, u):
+    """Points on and around each wedge of the region: its apex, points at
+    parameter t on each boundary ray, just inside and just outside each
+    ray by u times the ray's step across, on the axis, behind the apex,
+    and on the segment between the apexes."""
+    a1, a2 = region.apex_offsets
+    pts = [a1, a2, a1 + (a2 - a1).scaled(t), a2 + (a1 - a2).scaled(t)]
+    for w in region.wedges:
+        d = w.outward
+        perp = Point(-d.y, d.x)
+        pts += [w.apex + d.scaled(t), w.apex - d.scaled(t)]
+        for sign in (1, -1):
+            ray = d + perp.scaled(sign * w.s)
+            on = w.apex + ray.scaled(t)
+            step = perp.scaled(sign * w.s * t * u)
+            pts += [on, on - step, on + step]
+    return pts
+
+
+REGION_SLOPES = st.sampled_from(["1/4", "L^-3", "L^-3/2"])
+FIXTURES = st.sampled_from([channel, counterexample_polygon, triple_pairs,
+                            lambda: blocking_fixture()[0]])
+
+
+@st.composite
+def region_polygons(draw):
+    """A fixture with opposite reflex pairs, or a random polygon."""
+    if draw(st.booleans()):
+        return draw(FIXTURES)()
+    m = random_polygon(draw(st.integers(8, 16)), draw(st.integers(8, 30)),
+                       seed=draw(st.integers(0, 40)))
+    assume(opposite_reflex_pairs(m))
+    return m
+
+
+def region_slope(m, name):
+    if name == "L^-3/2":
+        return Fraction(1, 2 * m.L ** 3)
+    return slope(m, name)
+
+
+def membership(f, region, x):
+    try:
+        return f(region, x)
+    except PointOutsidePolygon:
+        return "outside"
+
+
+@settings(max_examples=40, deadline=None)
+@given(region_polygons(), REGION_SLOPES, st.booleans(),
+       st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6),
+       st.fractions(min_value=Fraction(1, 1000), max_value=2,
+                    max_denominator=1000))
+def test_in_bad_region_matches_fraction_reference(m, s, embiggened, t, u):
+    """Membership on the integer half-planes agrees with the Fraction
+    wedge formula, the contract for points outside P included, at the
+    apexes, on the boundary rays and just off them, and on the segment
+    between the apexes."""
+    s = region_slope(m, s)
+    for pair in opposite_reflex_pairs(m):
+        region = bad_region(m, pair, s, embiggened=embiggened)
+        for x in probe_points(region, t, u):
+            assert (membership(in_bad_region, region, x)
+                    == membership(in_bad_region_ref, region, x))
+
+
+@pytest.mark.parametrize("embiggened", (False, True))
+def test_in_bad_region_boundary_cases(embiggened):
+    """On the channel at slope 1/4: apexes, boundary rays and the segment
+    between the apexes are outside the open region; the axis and points
+    just inside a boundary ray are inside."""
+    m, region = channel_region(Fraction(1, 4), embiggened=embiggened)
+    a1, a2 = region.apex_offsets
+    t = Fraction(1, 10)
+    for x in (a1, a2, a1 + (a2 - a1).scaled(t), a2 + (a1 - a2).scaled(t)):
+        assert not in_bad_region(region, x)
+    for w in region.wedges:
+        d = w.outward
+        perp = Point(-d.y, d.x)
+        assert in_bad_region(region, w.apex + d.scaled(t))
+        for sign in (1, -1):
+            on = w.apex + (d + perp.scaled(sign * w.s)).scaled(t)
+            step = perp.scaled(sign * w.s * t / 1000)
+            assert not in_bad_region(region, on)
+            assert in_bad_region(region, on - step)
+            assert not in_bad_region(region, on + step)
+            for x in (on, on - step, on + step):
+                assert in_bad_region(region, x) == wedge_contains_ref(w, x)
+
+
+def test_in_bad_region_clears_the_point_once(monkeypatch):
+    """One membership call clears its point once and tests P on those
+    integers, with no call to point_in_polygon."""
+    from gridguards import badregions, polygon
+
+    m, region = channel_region(Fraction(1, 4))
+    calls = Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    count(badregions, "cleared")
+    count(polygon, "cleared")
+    count(polygon, "point_in_polygon")
+    x = Point(Fraction(361, 60), Fraction(29, 10))
+    assert in_bad_region(region, x)
+    assert calls == Counter(cleared=1)

@@ -9,7 +9,10 @@ the solver must reproduce it exactly.
 ``golden/lemmas-*-seed1.json`` pins the ``verify-lemmas`` reports of the
 three benchmark fixtures at 16 samples and of the pinhole bad-region probe,
 as the Fraction grid rounding wrote them.  The probe's violation text names
-the surrounding-grid points, so it also pins their order.
+the surrounding-grid points, so it also pins their order.  The reports of
+the three benchmark fixtures at seeds 0 and 2, and of triple-pairs and
+comb 3 at seed 1, were written by the Fraction bad-region membership,
+sampler and cone test.
 
 ``golden/certify-*.json`` pins the text of ``verify_coverage`` results
 (``Covered``, or ``Uncovered x y`` with the witness) as the Fraction
@@ -87,6 +90,19 @@ def test_lemma_reports_match_golden(tmp_path, name):
     assert main(["verify-lemmas", "--fixture", name, "--samples", "16",
                  "--seed", "1", "-o", str(out)]) == 0
     expected = GOLDEN / f"lemmas-{name}-seed1.json"
+    assert out.read_bytes() == expected.read_bytes()
+
+
+LEMMA_SEEDS = [(name, seed) for name in ("channel", "deshpande", "blocking")
+               for seed in (0, 2)] + [("triple-pairs", 1), ("comb3", 1)]
+
+
+@pytest.mark.parametrize("name, seed", LEMMA_SEEDS)
+def test_lemma_reports_match_golden_at_seed(tmp_path, name, seed):
+    out = tmp_path / "lemmas.json"
+    assert main(["verify-lemmas", "--fixture", name, "--samples", "16",
+                 "--seed", str(seed), "-o", str(out)]) == 0
+    expected = GOLDEN / f"lemmas-{name}-seed{seed}.json"
     assert out.read_bytes() == expected.read_bytes()
 
 

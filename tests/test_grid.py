@@ -143,6 +143,52 @@ def test_surrounding_grid_star_vertex_nearest():
     assert sg.starred in sg.all_points()
 
 
+@pytest.mark.parametrize("offset, case", [
+    ((Fraction(1, 3), Fraction(1, 5)), CASE_INTERIOR),
+    ((0, Fraction(1, 4)), CASE_BOUNDARY),
+    ((Fraction(1, 4), Fraction(1, 4)), CASE_CORNER),
+])
+def test_surrounding_grid_scales_once_and_skips_membership(monkeypatch,
+                                                           offset, case):
+    """One surrounding_grid call scales the polygon by L^E once, for all
+    of its defining points, and tests none of them with point_in_polygon
+    or round_to_grid: each is a triangle corner just found in P or a
+    crossing on its boundary."""
+    from gridguards import grid
+    from gridguards.polygon import PolygonModel
+
+    m = square()
+    spec = GridSpec(E=3, L=m.L)
+    D = m.L ** 3
+    alpha = Fraction(1, m.L ** 2)
+    base = pt(5, 5) if case == CASE_INTERIOR else (
+        pt(5, 1) if case == CASE_BOUNDARY else pt(1, 1))
+    x = base + Point(alpha * offset[0], alpha * offset[1])
+    scales = []
+    calls = []
+    scaled = PolygonModel.scaled
+
+    def counting_scaled(self, d):
+        scales.append(d)
+        return scaled(self, d)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+        return call
+
+    monkeypatch.setattr(PolygonModel, "scaled", counting_scaled)
+    monkeypatch.setattr(grid, "point_in_polygon", forbidden("membership"))
+    monkeypatch.setattr(grid, "round_to_grid", forbidden("round"))
+    sg = surrounding_grid(spec, m, x, alpha)
+    assert sg.case == case
+    assert sg.points
+    assert scales.count(D) == 1
+    assert len(scales) == 2  # and once by the triangle's denominator
+    assert calls == []
+    assert sg == surrounding_grid_ref(spec, m, x, alpha)
+
+
 def test_surrounding_grid_alpha_validation():
     m = square()
     spec = GridSpec(E=2, L=m.L)

@@ -23,6 +23,7 @@ from gridguards.lemmas import (
     _in_cone,
     _interior_points,
     _meet_on_segment,
+    _rays_intersect,
     build_counterexample,
     check_cone_property,
     check_distance_lemma,
@@ -39,7 +40,12 @@ from gridguards.polygon import (
 )
 from gridguards.visibility import sees
 
-from oracles import blocking_meet_ref, in_cone_ref
+from oracles import (
+    blocking_meet_ref,
+    in_cone_ref,
+    interior_points_ref,
+    rays_intersect_ref,
+)
 
 
 def test_report_status_transitions():
@@ -304,3 +310,58 @@ def test_blocking_meet_matches_fraction_reference(case, ax, ay, bx, by, qx,
         assert got is None
     elif case in ("at_a", "at_b") and g != q and orient(a, b, q) != 0:
         assert got == (a if case == "at_a" else b)
+
+
+SAMPLE_FIXTURES = {**CONE_FIXTURES, "comb3": lambda: comb(3)}
+
+
+def assert_samples_match_reference(m, seed, count):
+    """``_interior_points`` draws the points of the Fraction sampler, in
+    order, and leaves the rng where the Fraction sampler leaves it."""
+    tris = triangulate(m)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = list(islice(_interior_points(tris, rng), count))
+    assert got == list(islice(interior_points_ref(tris, ref_rng), count))
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_FIXTURES))
+def test_interior_points_match_fraction_reference(name):
+    assert_samples_match_reference(SAMPLE_FIXTURES[name](), 3, 200)
+
+
+@given(st.integers(3, 12), st.integers(8, 30), st.integers(0, 10 ** 6),
+       st.integers(1, 60))
+@settings(max_examples=40, deadline=None)
+def test_interior_points_match_fraction_reference_on_random_polygons(
+        n, M, seed, count):
+    assert_samples_match_reference(random_polygon(n, M, seed=seed), seed,
+                                   count)
+
+
+coords = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def ray_pairs(draw):
+    """Two rays by origin and a point they pass through; often parallel,
+    collinear or sharing points, as the cone check's rays can be."""
+    o1, p1, o2 = (Point(draw(coords), draw(coords)) for _ in range(3))
+    assume(o1 != p1)
+    kind = draw(st.sampled_from(("free", "parallel", "collinear")))
+    if kind == "free":
+        p2 = Point(draw(coords), draw(coords))
+    else:
+        if kind == "collinear":
+            o2 = o1 + (p1 - o1).scaled(draw(coords))
+        p2 = o2 + (p1 - o1).scaled(draw(coords))
+    assume(o2 != p2)
+    return o1, p1, o2, p2
+
+
+@given(ray_pairs())
+@settings(max_examples=200, deadline=None)
+def test_rays_intersect_matches_fraction_reference(rays):
+    o1, p1, o2, p2 = rays
+    assert _rays_intersect(o1, p1, o2, p2) == rays_intersect_ref(
+        o1, p1 - o1, o2, p2 - o2)

@@ -13,7 +13,7 @@ from gridguards.generate import (
     counterexample_polygon,
     random_polygon,
 )
-from gridguards.geometry import Point, cross, dot, pt
+from gridguards.geometry import Point, pt
 from gridguards.lemmas import build_counterexample
 from gridguards.polygon import (
     PointOutsidePolygon,
@@ -31,6 +31,8 @@ from gridguards.visibility import (
 )
 
 from oracles import (
+    cross,
+    dot,
     naive_sees,
     polygon_area,
     visibility_area_oracle,
