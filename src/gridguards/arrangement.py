@@ -19,9 +19,7 @@ edges; each bounded face's representative is the midpoint of that stretch.
 The ray is shot on integers: the walk's triples and those of the other
 components are brought over the lcm of their W.  Points are built eagerly
 only for the representatives; the nodes, the edges' key pairs and the
-face cycles are built from the triples on first read.  Each edge also
-records the bounded face on either side of it and the input segments that
-contain it, so callers can walk the faces' dual graph.
+face cycles are built from the triples on first read.
 """
 
 from __future__ import annotations
@@ -59,12 +57,6 @@ class Arrangement:
     edge_nodes: List[Tuple[int, int]]   # node ids (u, v), u < v, sorted
     cycles: List[List[int]]             # bounded faces, outer cycles, CCW
     representatives: List[Point]        # one interior point per bounded face
-    # per edge (u, v): the bounded face left of u -> v and left of v -> u,
-    # or -1 where that side's walk bounds no face (the outer walk, or a
-    # hole's boundary seen from the face around it)
-    edge_faces: List[Tuple[int, int]]
-    # per edge: the indices of the input segments that contain it
-    edge_segments: List[Tuple[int, ...]]
 
     @cached_property
     def nodes(self) -> List[Point]:
@@ -211,26 +203,18 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
     # (X, Y) / (W s); each segment once, from its smaller endpoint
     s, cs = cleared(*[c for ab in segments for p in ab for c in (p.x, p.y)])
     ends = iter(zip(cs[0::2], cs[1::2]))
-    merged: Dict[Tuple[Tuple[int, int], Tuple[int, int]], Tuple[int, ...]] = {}
-    for k, (p, q) in enumerate(zip(ends, ends)):
-        if p != q:
-            pq = (min(p, q), max(p, q))
-            merged[pq] = merged.get(pq, ()) + (k,)
-    segs = sorted(merged)
+    segs = sorted({(min(p, q), max(p, q)) for p, q in zip(ends, ends)
+                   if p != q})
     splits = _split_points(segs)
     # nodes are numbered in key order, so ids compare as keys do
     triples = _node_order(list({t for on in splits for t in on}), s)
     index = {t: i for i, t in enumerate(triples)}
-    # each edge's input segments; segments merged above, or collinear ones
-    # that overlap, hold disjoint index sets, so concatenation is a union
-    owners: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for pq, on in zip(segs, splits):
+    pieces = set()
+    for on in splits:
         # the points of one segment lie along it in key order
         ids = sorted({index[t] for t in on})
-        ks = merged[pq]
-        for e in zip(ids, ids[1:]):
-            owners[e] = owners.get(e, ()) + ks
-    edges = sorted(owners)
+        pieces.update(zip(ids, ids[1:]))
+    edges = sorted(pieces)
 
     # half-edges in (tail, head) order, each with its direction; the
     # reverse of a direction has the other half and the same ratio key
@@ -283,16 +267,16 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
 
     tx, ty, tw = ([t[c] for t in triples] for c in range(3))
     tail = [u for u, _ in half_edges]
-    face_of = [-2] * len(half_edges)    # -2 until walked
+    walked = [False] * len(half_edges)
     cycles: List[List[int]] = []
     reps: List[Point] = []
     for start in range(len(half_edges)):
-        if face_of[start] != -2:
+        if walked[start]:
             continue
         walk: List[int] = []
         h = start
-        while face_of[h] == -2:
-            face_of[h] = -1
+        while not walked[h]:
+            walked[h] = True
             walk.append(h)
             h = succ[h]
         if h != start:
@@ -307,8 +291,6 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
         xs1, ys1 = xs[1:] + xs[:1], ys[1:] + ys[:1]
         if sum(map(mul, xs, ys1)) <= sum(map(mul, xs1, ys)):
             continue  # outer face or hole boundary
-        for h in walk:
-            face_of[h] = len(cycles)
         cycles.append(cycle)
         # representative: from the lexicographically smallest cycle vertex
         # along the bisector of the first gap counterclockwise of its
@@ -350,9 +332,5 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
         reps.append(Point(Fraction(2 * den * ox + n * mx, w),
                           Fraction(2 * den * oy + n * my, w)))
 
-    return Arrangement(
-        triples=triples, s=s, edge_nodes=edges, cycles=cycles,
-        representatives=reps,
-        edge_faces=[(face_of[hid[(u, v)]], face_of[hid[(v, u)]])
-                    for u, v in edges],
-        edge_segments=[owners[e] for e in edges])
+    return Arrangement(triples=triples, s=s, edge_nodes=edges, cycles=cycles,
+                       representatives=reps)

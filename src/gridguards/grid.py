@@ -97,7 +97,6 @@ PROV_STAR_VERTEX = "StarVertex"
 PROV_BAD_REGION_VERTEX = "BadRegionVertex"
 PROV_SOLVER_NET = "SolverNet"
 PROV_SOLVER_GREEDY = "SolverGreedy"
-PROV_SOLVER_EXACT = "SolverExact"
 
 
 def guard_set(points: Sequence[Point], tag: str = PROV_ORIGINAL) -> GuardSet:

@@ -28,6 +28,7 @@ from .geometry import (
 )
 from .polygon import (
     OppositeReflexPair,
+    PointOutsidePolygon,
     PolygonModel,
     extensions,
     line_meets,
@@ -411,10 +412,12 @@ def check_cone_property(m: PolygonModel, samples: int = 100,
             num = rng.randint(-16, 16)
             den = rng.randint(-16, 16)
             g2 = g1 + Point(num * step, den * step)
-            if not point_in_polygon(m, g2):
-                rep.skipped += 1
-                continue
-            if in_bad_region(region, g1) or in_bad_region(region, g2):
+            # g1 lies in P; in_bad_region refuses a g2 outside it
+            try:
+                bad = in_bad_region(region, g1) or in_bad_region(region, g2)
+            except PointOutsidePolygon:
+                bad = True
+            if bad:
                 rep.skipped += 1
                 continue
             # facing condition: both points must project strictly between

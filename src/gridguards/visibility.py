@@ -83,20 +83,33 @@ def sees(m: PolygonModel, x: Point, y: Point) -> bool:
     return _segment_inside(m, x, y)
 
 
-def in_visibility_polygon(vp: VisibilityPolygon, p: Point) -> bool:
-    """Membership of p in the closed visibility polygon, boundary included.
+def in_visibility_polygon(vp: VisibilityPolygon,
+                          points: Sequence[Point]) -> int:
+    """The bitmask of the points in the closed visibility polygon, boundary
+    included: bit i is set iff ``points[i]`` lies in it.
 
-    p is brought into the polygon's frame and, with the triples, over the
-    lcm of their denominators, where the even-odd test runs on integers.
+    The triples are cleared once, over the lcm q of their denominators.
+    Each point is brought into the polygon's frame and, with the boundary,
+    over the lcm of q and its own denominator, where the even-odd test runs
+    on integers; the boundary is scaled once per distinct denominator.
     """
-    d, (px, py) = cleared(p.x, p.y)
     tri = vp.triples
-    q = lcm(d, *[hw for _, _, hw in tri])
-    s = q // d
-    return _in_int_cycle([hx * (q // hw) for hx, _, hw in tri],
-                         [hy * (q // hw) for _, hy, hw in tri],
-                         (vp.w * px - vp.X * d) * s,
-                         (vp.w * py - vp.Y * d) * s)
+    q = lcm(*[hw for _, _, hw in tri])
+    xs = [hx * (q // hw) for hx, _, hw in tri]
+    ys = [hy * (q // hw) for _, hy, hw in tri]
+    frames = {}     # point denominator d -> (D / d, the boundary over D)
+    mask = 0
+    for i, p in enumerate(points):
+        d, (px, py) = cleared(p.x, p.y)
+        if d not in frames:
+            f = lcm(q, d) // q
+            frames[d] = (q * f // d, [x * f for x in xs] if f > 1 else xs,
+                         [y * f for y in ys] if f > 1 else ys)
+        s, bx, by = frames[d]
+        if _in_int_cycle(bx, by, (vp.w * px - vp.X * d) * s,
+                         (vp.w * py - vp.Y * d) * s):
+            mask |= 1 << i
+    return mask
 
 
 def overlay_segments(m: PolygonModel, polygons: Sequence[VisibilityPolygon]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, combinations, product
-from math import floor, gcd, lcm
+from math import comb, floor, gcd, lcm
 from typing import List, Tuple
 
 from gridguards.arrangement import build_arrangement
@@ -32,8 +32,11 @@ from gridguards.grid import (
     CASE_INTERIOR,
     Covered,
     NoGridPointNearby,
+    PROV_SOLVER_GREEDY,
     SurroundingGrid,
     Uncovered,
+    guard_set,
+    verify_coverage,
 )
 from gridguards.polygon import (
     PointOutsidePolygon,
@@ -43,7 +46,11 @@ from gridguards.polygon import (
     segment_in_polygon,
     triangulate,
 )
+from gridguards.solver import SolveResult, _greedy
 from gridguards.visibility import overlay_segments, sees, visibility_polygon
+
+# the tag of the exact search's guards
+PROV_SOLVER_EXACT = "SolverExact"
 
 
 def cross(u: Point, v: Point) -> Fraction:
@@ -362,8 +369,9 @@ def verify_coverage_ref(m, g):
 
 def masks_ref(m, candidates, witnesses):
     """Per candidate, the bitmask of the witnesses in its closed visibility
-    polygon, by one membership test per candidate and witness: the masks
-    ``solver.cover_instance`` builds by walking the overlay's faces.
+    polygon, by one membership test per candidate and witness against its
+    boundary Points: what ``visibility.in_visibility_polygon`` decides on
+    the polygon's triples.
 
     Each boundary is cleared to integers once, and scaled once more for
     each distinct witness denominator, so that every test is an integer
@@ -385,6 +393,70 @@ def masks_ref(m, candidates, witnesses):
                 mask |= 1 << i
         masks.append(mask)
     return tuple(masks)
+
+
+# The full-face set-cover instance: one witness per face of the overlay of
+# every candidate's window chords, which ``solver.eh_solve`` grows lazily
+# instead, with the plain greedy cover and the exact optimum over it.
+
+class CombinatoricsBudgetExceeded(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class CoverInstance:
+    """Finite set cover: candidates sorted by key, one witness per overlay
+    face, and per candidate the bitmask of the witnesses it covers."""
+
+    candidates: Tuple[Point, ...]
+    witnesses: Tuple[Point, ...]
+    masks: Tuple[int, ...]
+
+    @property
+    def full(self) -> int:
+        """The mask of all witnesses."""
+        return (1 << len(self.witnesses)) - 1
+
+
+def full_instance(m, candidates) -> CoverInstance:
+    """The witnesses of every face of the candidates' visibility overlay,
+    with the masks of ``masks_ref``.  A candidate covers a face exactly
+    when the face lies in its visibility polygon, so a set of candidates
+    that covers these witnesses covers P."""
+    cands = tuple(sorted(set(candidates), key=Point.key))
+    arr = build_arrangement(
+        overlay_segments(m, [visibility_polygon(m, c) for c in cands]))
+    witnesses = tuple(arr.representatives)
+    return CoverInstance(cands, witnesses, masks_ref(m, cands, witnesses))
+
+
+def greedy_cover(m, inst: CoverInstance) -> SolveResult:
+    """Classic greedy set cover; ties broken by lexicographic point order.
+    Raises InfeasibleWitness if some witness has no seer."""
+    chosen = _greedy(inst.masks, inst.full)
+    gs = guard_set([inst.candidates[i] for i in chosen], PROV_SOLVER_GREEDY)
+    return SolveResult(guards=gs, witness_count=len(inst.witnesses),
+                       rounds=len(chosen),
+                       certified=isinstance(verify_coverage(m, gs), Covered))
+
+
+def brute_force_optimum(inst: CoverInstance, k_max: int):
+    """Smallest covering subset of the candidates as a GuardSet, or None
+    if every cover has more than k_max guards."""
+    n = len(inst.candidates)
+    total = sum(comb(n, k) for k in range(1, k_max + 1))
+    if total > 10 ** 7:
+        raise CombinatoricsBudgetExceeded(
+            f"{total} subsets exceed the 1e7 budget")
+    for k in range(1, k_max + 1):
+        for combo in combinations(range(n), k):
+            acc = 0
+            for i in combo:
+                acc |= inst.masks[i]
+            if acc == inst.full:
+                return guard_set([inst.candidates[i] for i in combo],
+                                 PROV_SOLVER_EXACT)
+    return None
 
 
 def sort_directions_ccw_ref(dirs):

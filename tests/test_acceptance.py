@@ -44,15 +44,18 @@ from gridguards.polygon import (
 from gridguards.solver import (
     STRATEGY_VERTICES,
     SolveConfig,
-    brute_force_optimum,
-    cover_instance,
     default_candidates,
     eh_solve,
-    greedy_cover,
 )
 from gridguards.visibility import visibility_polygon
 
-from oracles import polygon_area, visibility_area_oracle
+from oracles import (
+    brute_force_optimum,
+    full_instance,
+    greedy_cover,
+    polygon_area,
+    visibility_area_oracle,
+)
 
 
 class Budget:
@@ -126,7 +129,7 @@ def test_criterion_2_grid_replacement_bound_and_coverage():
             cands = _offgrid_candidates(m)
             if not cands:
                 continue
-            opt = brute_force_optimum(cover_instance(m, cands), k_max=3)
+            opt = brute_force_optimum(full_instance(m, cands), k_max=3)
             if opt is None:
                 continue
             L = m.L
@@ -223,12 +226,12 @@ def test_criterion_6_solver_soundness_and_quality():
             assert result.certified
 
         cands = default_candidates(m3)
-        inst = cover_instance(m3, cands)
+        inst = full_instance(m3, cands)
         greedy = greedy_cover(m3, inst)
         assert greedy.certified
 
         base = [c for c in cands if c.y == Fraction(3, 2)]
-        opt = brute_force_optimum(cover_instance(m3, base), k_max=3)
+        opt = brute_force_optimum(full_instance(m3, base), k_max=3)
         assert opt is not None
         assert len(opt) == 3
         w = len(inst.witnesses)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridguards import grid, lemmas, solver
+from gridguards import grid, lemmas
 from gridguards.arrangement import build_arrangement
 from gridguards.generate import channel, comb
 from gridguards.geometry import Point, pt
 from gridguards.grid import guard_set, verify_coverage
 from gridguards.lemmas import build_counterexample, check_local_visibility
-from gridguards.solver import default_candidates
+from gridguards.solver import SolveConfig, default_candidates, eh_solve
 from gridguards.visibility import overlay_segments, visibility_polygon
 
 from oracles import arrangement_ref, on_segment, polygon_area, winding_inside
@@ -106,15 +106,6 @@ def assert_matches_reference(segs):
     assert arr.nodes == nodes
     assert arr.edges == edges
     assert arr.face_cycles == cycles
-    # each side of an edge: the cycle that runs along it that way, if any
-    left = {(p, q): f for f, cycle in enumerate(cycles)
-            for p, q in zip(cycle, cycle[1:] + cycle[:1])}
-    for (a, b), sides, ks in zip(arr.edges, arr.edge_faces,
-                                 arr.edge_segments):
-        a, b = Point(*a), Point(*b)
-        assert sides == (left.get((a, b), -1), left.get((b, a), -1))
-        assert sorted(ks) == [k for k, (p, q) in enumerate(segs) if p != q
-                              and on_segment(a, p, q) and on_segment(b, p, q)]
     assert len(arr.representatives) == len(cycles)
     for f, (cycle, rep) in enumerate(zip(cycles, arr.representatives)):
         assert winding_inside(cycle, rep)
@@ -257,20 +248,19 @@ def test_node_order_with_common_denominator_past_float_range():
 
 
 def test_callers_build_no_node_points(monkeypatch):
-    """Certification, the witnesses and the local visibility check read
-    only representatives, edge faces and edge owners, so no arrangement
-    they build turns its nodes, edges or face cycles into Points."""
+    """Certification, a solve's certifier calls and the local visibility
+    check read only representatives, so no arrangement they build turns
+    its nodes, edges or face cycles into Points."""
     built = []
 
     def recording(segments):
         built.append(build_arrangement(segments))
         return built[-1]
-    for module in (grid, solver, lemmas):
+    for module in (grid, lemmas):
         monkeypatch.setattr(module, "build_arrangement", recording)
     m = comb(3)
     verify_coverage(m, guard_set(list(m.vertices)))
-    solver.build_witnesses(
-        m, [visibility_polygon(m, c) for c in default_candidates(m)])
+    eh_solve(m, SolveConfig(rng_seed=0))
     fix = build_counterexample(3)
     s = Fraction(1, 20 * fix.polygon.L)
     check_local_visibility(fix.polygon, fix.approach_points[2],

@@ -1,10 +1,9 @@
 """`solve` output and visibility overlays pinned on fixed fixtures.
 
-The JSON under ``golden/`` was written by ``gridguards solve``: the comb
-and random fixtures with the masks decided by ``sees`` for every
-candidate-witness pair, the channel ones with the arrangement's earlier
-clearance-offset witnesses.  Any change to the kernel, the arrangement or
-the solver must reproduce it exactly.
+``golden/solve-*.json`` was written by ``gridguards solve`` with the
+lazy witnesses: a set that starts at the polygon's vertices and gains each
+point the certifier finds unseen.  Any change to the kernel, the
+arrangement or the solver must reproduce it exactly.
 
 ``golden/lemmas-*-seed1.json`` pins the ``verify-lemmas`` reports of the
 three benchmark fixtures at 16 samples and of the pinhole bad-region probe,

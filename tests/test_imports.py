@@ -44,15 +44,12 @@ import gridguards
 
 MODULES = sorted(Path(gridguards.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
-# public names whose only callers are tests: the brute-force optimum that
-# the acceptance tests compare eh_solve against, plain greedy cover, which
-# the tests compare eh_solve against (eh_solve calls _greedy), the pinhole
+# public names whose only callers are tests: the pinhole
 # fixture's wall-coverage probe, the paper's grid-replacement
 # construction, which the acceptance tests check on 20 fixtures, and the
 # rounding of one point to the grid (surrounding_grid rounds its defining
 # points through the private lattice search that round_to_grid wraps)
-TEST_ONLY = {"brute_force_optimum", "greedy_cover", "missed_interval",
-             "grid_replacement", "round_to_grid"}
+TEST_ONLY = {"missed_interval", "grid_replacement", "round_to_grid"}
 # parameters that only tests pass: the blocking fixture's tuned viewpoint
 # lies off every sample, so this is the only way to check it
 PARAMETERS_TEST_ONLY = {"check_limited_blocking.extra_points"}

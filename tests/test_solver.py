@@ -1,5 +1,7 @@
-"""Set-cover solvers over arrangement witnesses: greedy, brute force, nets."""
+"""The lazy-witness solver, checked against the full-face reference
+instance of oracles.py: greedy, brute force, nets."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridguards.arrangement import build_arrangement
 from gridguards.generate import (
     blocking_fixture,
     channel,
@@ -14,36 +17,42 @@ from gridguards.generate import (
     counterexample_polygon,
     random_polygon,
 )
-from gridguards.geometry import GeometryError, Point, pt
-from gridguards.grid import Covered, guard_set, verify_coverage
+from gridguards.geometry import Point, pt
+from gridguards.grid import Covered, verify_coverage
 from gridguards.polygon import load_polygon, point_in_polygon
 from gridguards.solver import (
     STRATEGY_FULL,
     STRATEGY_VERTICES,
-    CombinatoricsBudgetExceeded,
-    CoverInstance,
     InfeasibleWitness,
     RoundLimitExceeded,
     SolveConfig,
-    brute_force_optimum,
-    build_witnesses,
-    cover_instance,
     default_candidates,
     eh_solve,
-    greedy_cover,
 )
-from gridguards.visibility import visibility_polygon
+from gridguards.visibility import (
+    in_visibility_polygon,
+    overlay_segments,
+    visibility_polygon,
+)
 
-from oracles import masks_ref
+from oracles import (
+    CombinatoricsBudgetExceeded,
+    brute_force_optimum,
+    full_instance,
+    greedy_cover,
+    masks_ref,
+)
 
 
 def square():
     return load_polygon([(1, 1), (9, 1), (9, 9), (1, 9)])
 
 
-def witnesses_of(m, cands):
-    return tuple(w for w, _ in build_witnesses(
-        m, [visibility_polygon(m, c) for c in cands]))
+def overlay_witnesses(m, views):
+    """One point per face of the views' visibility overlay: the witnesses
+    verify_coverage asks about when the views are the guards."""
+    return build_arrangement(overlay_segments(
+        m, [visibility_polygon(m, c) for c in views])).representatives
 
 
 def test_default_candidates_square():
@@ -73,14 +82,14 @@ def test_default_candidates_match_point_in_polygon(n, seed):
 
 def test_greedy_square_one_guard():
     m = square()
-    result = greedy_cover(m, cover_instance(m, default_candidates(m)))
+    result = greedy_cover(m, full_instance(m, default_candidates(m)))
     assert len(result.guards) == 1
     assert result.certified
 
 
 def test_greedy_comb3_three_guards():
     m = comb(3)
-    result = greedy_cover(m, cover_instance(m, default_candidates(m)))
+    result = greedy_cover(m, full_instance(m, default_candidates(m)))
     assert len(result.guards) == 3
     assert result.certified
 
@@ -90,7 +99,7 @@ def test_brute_force_comb3_optimum_is_three():
     # keep the subset lattice small: only base-strip cell centers
     cands = [c for c in default_candidates(m) if c.y == Fraction(3, 2)]
     assert len(cands) == 5
-    inst = cover_instance(m, cands)
+    inst = full_instance(m, cands)
     best = brute_force_optimum(inst, k_max=3)
     assert best is not None
     assert len(best.guards) == 3
@@ -101,7 +110,7 @@ def test_brute_force_comb3_optimum_is_three():
 
 def test_brute_force_budget_guard():
     m = square()
-    inst = cover_instance(m, default_candidates(m))
+    inst = full_instance(m, default_candidates(m))
     with pytest.raises(CombinatoricsBudgetExceeded):
         brute_force_optimum(inst, k_max=len(inst.candidates))
 
@@ -113,7 +122,7 @@ def test_brute_force_cover_is_a_cover(fixture):
     """The instance's witnesses come from its own candidates' overlay, so a
     set that covers them covers P; the solver reaches the same size."""
     m = fixture()
-    best = brute_force_optimum(cover_instance(m, default_candidates(m)), 3)
+    best = brute_force_optimum(full_instance(m, default_candidates(m)), 3)
     assert best is not None
     assert isinstance(verify_coverage(m, best), Covered)
     assert len(best) == len(eh_solve(m, SolveConfig(rng_seed=0)).guards)
@@ -122,38 +131,55 @@ def test_brute_force_cover_is_a_cover(fixture):
 def test_guards_tagged_by_their_search():
     """Every guard names the search that chose it: eh_solve's pruned net,
     the greedy cover (which eh_solve keeps when it is smaller), or the
-    exact search."""
+    exact search of the tests' oracle."""
     m = comb(3)
-    inst = cover_instance(m, default_candidates(m))
+    inst = full_instance(m, default_candidates(m))
     assert greedy_cover(m, inst).guards.provenance == ("SolverGreedy",) * 3
-    for seed, tag in ((3, "SolverNet"), (5, "SolverGreedy")):
-        result = eh_solve(m, SolveConfig(rng_seed=seed))
-        assert result.guards.provenance == (tag,) * 3
+    for fixture, seed, tag in ((comb(3), 3, "SolverNet"),
+                               (comb(2), 0, "SolverGreedy")):
+        result = eh_solve(fixture, SolveConfig(rng_seed=seed))
+        assert result.guards.provenance == (tag,) * len(result.guards)
     cands = [c for c in default_candidates(m) if c.y == Fraction(3, 2)]
-    best = brute_force_optimum(cover_instance(m, cands), k_max=3)
+    best = brute_force_optimum(full_instance(m, cands), k_max=3)
     assert best.provenance == ("SolverExact",) * 3
 
 
-def test_infeasible_witness_raised():
+def test_infeasible_witness_raised(monkeypatch):
+    """A vertex, one of the starting witnesses, that no candidate sees
+    (here the only candidate is a base corner) is refused before any
+    search."""
+    from gridguards import solver
+
     m = comb(3)
-    # a single base corner cannot see into every prong; eh_solve's own
-    # candidates include every vertex, which together see all of P
-    with pytest.raises(InfeasibleWitness):
-        cover_instance(m, [m.vertices[0]])
+    monkeypatch.setattr(solver, "default_candidates",
+                        lambda m: [m.vertices[0]])
+    with pytest.raises(InfeasibleWitness, match="seen by no candidate"):
+        eh_solve(m, SolveConfig(rng_seed=0))
 
 
-def test_eh_solve_infeasible_candidates():
-    """eh_solve picks its own candidates now; the greedy pass it runs still
-    refuses an instance whose candidates (here one base corner) miss a
-    witness, instead of looping on it."""
+def test_eh_solve_infeasible_candidates(monkeypatch):
+    """The top-left corners of comb 3's prongs see every vertex but not
+    all of P: the certifier names a point none of them sees, and the
+    solver refuses it instead of searching on."""
+    from gridguards import solver
+
     m = comb(3)
-    inst = cover_instance(m, m.vertices)
-    corner = inst.candidates.index(m.vertices[0])
-    single = CoverInstance((inst.candidates[corner],), inst.witnesses,
-                           (inst.masks[corner],))
-    assert single.masks[0] != single.full
-    with pytest.raises(InfeasibleWitness):
-        greedy_cover(m, single)
+    corners = [pt(1, 6), pt(3, 6), pt(5, 6)]
+    seen = 0
+    for c in corners:
+        seen |= in_visibility_polygon(visibility_polygon(m, c), m.vertices)
+    assert seen == (1 << m.n) - 1
+    certified = []
+    inner = solver.verify_coverage
+
+    def recording(m, g):
+        certified.append(inner(m, g))
+        return certified[-1]
+    monkeypatch.setattr(solver, "default_candidates", lambda m: corners)
+    monkeypatch.setattr(solver, "verify_coverage", recording)
+    with pytest.raises(InfeasibleWitness, match="seen by no candidate"):
+        eh_solve(m, SolveConfig(rng_seed=0))
+    assert certified and not isinstance(certified[-1], Covered)
 
 
 def test_eh_solve_square():
@@ -195,15 +221,78 @@ def test_eh_solve_round_budget():
         eh_solve(m, SolveConfig(max_rounds=1, rng_seed=0))
 
 
+@given(st.integers(5, 8), st.integers(0, 10 ** 6),
+       st.sampled_from([STRATEGY_FULL, STRATEGY_VERTICES]),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_lazy_cover_covers_every_face(n, seed, strategy, rng_seed):
+    """Each cover eh_solve returns also covers every face of the full
+    reference instance over the same candidates."""
+    m = random_polygon(n, 8, seed=seed)
+    result = eh_solve(m, SolveConfig(candidate_strategy=strategy,
+                                     rng_seed=rng_seed))
+    cands = default_candidates(m) if strategy == STRATEGY_FULL else m.vertices
+    inst = full_instance(m, cands)
+    covered = 0
+    for g in result.guards.guards:
+        covered |= inst.masks[inst.candidates.index(g)]
+    assert covered == inst.full
+    assert result.witness_count >= len(m.vertices)
+
+
+def place(m, rng):
+    """The benchmark's placement of ``m``: a seeded symmetry of the square
+    grid (swap, flip x, flip y) and a shift by 0-3 on each axis."""
+    xs = [int(v.x) for v in m.vertices]
+    ys = [int(v.y) for v in m.vertices]
+    cx, cy = min(xs) + max(xs), min(ys) + max(ys)
+    swap, flip_x, flip_y = (rng.random() < 0.5 for _ in range(3))
+    dx, dy = rng.randint(0, 3), rng.randint(0, 3)
+    out = []
+    for x, y in zip(xs, ys):
+        if flip_x:
+            x = cx - x
+        if flip_y:
+            y = cy - y
+        if swap:
+            x, y = y, x
+        out.append((x + dx, y + dy))
+    return load_polygon(out)
+
+
+def placed_comb2(seed):
+    """The benchmark solve workload's comb 2 at this seed: placed after
+    comb 1, from one generator."""
+    rng = random.Random(seed)
+    place(comb(1), rng)
+    return place(comb(2), rng)
+
+
+@pytest.mark.parametrize("fixture, seed", [
+    *[(lambda s=s: placed_comb2(s), s) for s in (27, 157, 216, 278, 915)],
+    (lambda: random_polygon(8, 12, seed=11), 0),
+    (lambda: blocking_fixture()[0], 0)],
+    ids=["comb2-27", "comb2-157", "comb2-216", "comb2-278", "comb2-915",
+         "random-8-12-11", "blocking"])
+def test_eh_solve_finds_two_guards(fixture, seed):
+    """Inputs where the full-face solver returned 3 guards: the placed
+    comb 2 of the benchmark at five seeds, whose optimum is 2, a small
+    random polygon and the blocking fixture."""
+    result = eh_solve(fixture(), SolveConfig(rng_seed=seed))
+    assert result.certified
+    assert len(result.guards) == 2
+
+
 @given(st.integers(5, 8), st.integers(0, 10 ** 6), st.data())
 @settings(max_examples=25, deadline=None)
 def test_witnesses_are_inside_polygon(n, seed, data):
     """Every overlay face lies in P: its boundary is in the overlay and
-    every window chord lies in closed P, so no witness needs a filter."""
+    every window chord lies in closed P, so no certifier witness needs a
+    filter."""
     m = random_polygon(n, 8, seed=seed)
     views = data.draw(st.lists(st.sampled_from(default_candidates(m)),
                                min_size=1, max_size=8, unique=True))
-    ws = witnesses_of(m, views)
+    ws = overlay_witnesses(m, views)
     assert len(ws) > 0
     assert all(point_in_polygon(m, p) for p in ws)
 
@@ -213,7 +302,7 @@ def test_witnesses_are_inside_polygon(n, seed, data):
     ids=["channel", "deshpande", "blocking"])
 def test_witnesses_are_inside_fixture_polygons(fixture):
     m = fixture()
-    ws = witnesses_of(m, default_candidates(m))
+    ws = overlay_witnesses(m, default_candidates(m))
     assert len(ws) > 0
     assert all(point_in_polygon(m, p) for p in ws)
 
@@ -221,23 +310,17 @@ def test_witnesses_are_inside_fixture_polygons(fixture):
 @given(st.integers(5, 8), st.integers(0, 10 ** 6), st.data())
 @settings(max_examples=25, deadline=None)
 def test_masks_match_reference(n, seed, data):
-    """The face walk gives every face the seers that one membership test
-    per candidate and face gives it, faces that no candidate sees too;
-    cover_instance's masks are those seers, transposed, or it refuses."""
+    """Batched membership on a visibility polygon's triples gives each
+    candidate the mask that one test per witness on its boundary Points
+    gives: for the vertices, the overlay's face witnesses and points with
+    other denominators, mixed in one call."""
     m = random_polygon(n, 8, seed=seed)
-    views = sorted(data.draw(st.lists(st.sampled_from(default_candidates(m)),
-                                      min_size=1, max_size=8, unique=True)),
-                   key=Point.key)
-    faces = build_witnesses(m, [visibility_polygon(m, c) for c in views])
-    ref = masks_ref(m, views, [w for w, _ in faces])
-    assert [seers for _, seers in faces] == [
-        sum(1 << c for c, mask in enumerate(ref) if mask >> f & 1)
-        for f in range(len(faces))]
-    if all(seers for _, seers in faces):
-        assert cover_instance(m, views).masks == ref
-    else:
-        with pytest.raises(InfeasibleWitness):
-            cover_instance(m, views)
+    views = data.draw(st.lists(st.sampled_from(default_candidates(m)),
+                               min_size=1, max_size=8, unique=True))
+    ws = list(m.vertices) + overlay_witnesses(m, views)
+    ws = data.draw(st.permutations(ws))
+    assert [in_visibility_polygon(visibility_polygon(m, c), ws)
+            for c in views] == list(masks_ref(m, views, ws))
 
 
 @pytest.mark.parametrize("fixture", [
@@ -246,51 +329,15 @@ def test_masks_match_reference(n, seed, data):
     ids=["comb3", "channel", "deshpande", "blocking"])
 def test_masks_match_reference_on_fixtures(fixture):
     m = fixture()
-    inst = cover_instance(m, default_candidates(m))
-    assert inst.masks == masks_ref(m, inst.candidates, inst.witnesses)
-
-
-def _drop_one_owner(arr):
-    """Drop one chord from the owners of an edge with an end off the
-    polygon's boundary: the faces around that end form a cycle, so the
-    walk reaches one of them along two paths that now disagree."""
-    on_boundary = {p for e, sides in zip(arr.edges, arr.edge_faces)
-                   if min(sides) < 0 for p in e}
-    i = next(i for i, (e, sides) in enumerate(zip(arr.edges, arr.edge_faces))
-             if min(sides) >= 0 and e[0] not in on_boundary)
-    arr.edge_segments[i] = arr.edge_segments[i][1:]
-
-
-def _cut_off_last_face(arr):
-    """Mark every side of the last face as unbounded, so no walk enters it."""
-    last = len(arr.face_cycles) - 1
-    arr.edge_faces[:] = [tuple(-1 if f == last else f for f in sides)
-                         for sides in arr.edge_faces]
-
-
-@pytest.mark.parametrize("corrupt, message", [
-    (_drop_one_owner, "two different seer sets"),
-    (_cut_off_last_face, "not reached")],
-    ids=["dropped-owner", "unreached-face"])
-def test_walk_refuses_an_inconsistent_arrangement(monkeypatch, corrupt,
-                                                  message):
-    from gridguards import solver
-
-    inner = solver.build_arrangement
-
-    def corrupted(segments):
-        arr = inner(segments)
-        corrupt(arr)
-        return arr
-    monkeypatch.setattr(solver, "build_arrangement", corrupted)
-    m = comb(3)
-    with pytest.raises(GeometryError, match=message):
-        cover_instance(m, default_candidates(m))
+    inst = full_instance(m, default_candidates(m))
+    assert tuple(in_visibility_polygon(visibility_polygon(m, c),
+                                       inst.witnesses)
+                 for c in inst.candidates) == inst.masks
 
 
 @pytest.mark.parametrize("fixture, witnesses, k", [
-    (counterexample_polygon, 3708, 2),
-    (lambda: blocking_fixture()[0], 3809, 3)],
+    (counterexample_polygon, 10, 2),
+    (lambda: blocking_fixture()[0], 13, 2)],
     ids=["deshpande", "blocking"])
 def test_eh_solve_large_fixtures(fixture, witnesses, k):
     result = eh_solve(fixture(), SolveConfig(rng_seed=0))
@@ -300,14 +347,18 @@ def test_eh_solve_large_fixtures(fixture, witnesses, k):
 
 
 def test_eh_solve_call_counts(monkeypatch):
-    """One solve computes each candidate's visibility polygon once, builds
-    two arrangements (witnesses, certification), decides its masks without
-    a call to sees(), and tests membership only for the first face."""
+    """One solve computes each candidate's visibility polygon once; each
+    certifier call computes its guards' polygons and builds one
+    arrangement; the masks take one batched membership call per candidate
+    at the start and one per candidate for each added witness, and no
+    call to sees()."""
     from gridguards import grid, solver, visibility
 
-    m = comb(3)
+    # a solve whose first cover misses a point, so the certifier runs twice
+    m = random_polygon(8, 12, seed=11)
     cands = default_candidates(m)
     calls = Counter()
+    certified = []
 
     def count(module, name):
         inner = getattr(module, name)
@@ -319,15 +370,22 @@ def test_eh_solve_call_counts(monkeypatch):
 
     count(solver, "visibility_polygon")
     count(grid, "visibility_polygon")
-    count(solver, "build_arrangement")
     count(grid, "build_arrangement")  # verify_coverage's binding
     # verify_coverage calls grid's binding of sees, which stays uncounted
     count(solver, "sees")
     count(visibility, "sees")
     count(solver, "in_visibility_polygon")
+    inner = solver.verify_coverage
+
+    def recording(m, g):
+        certified.append(len(g))
+        return inner(m, g)
+    monkeypatch.setattr(solver, "verify_coverage", recording)
     result = eh_solve(m, SolveConfig(rng_seed=0))
-    assert result.certified and len(result.guards) == 3
-    assert calls["visibility_polygon"] == len(cands) + len(result.guards)
-    assert calls["build_arrangement"] == 2
+    assert result.certified and len(result.guards) == 2
+    assert len(certified) == 2
+    assert calls["visibility_polygon"] == len(cands) + sum(certified)
+    assert calls["build_arrangement"] == len(certified)
     assert calls["sees"] == 0
-    assert calls["in_visibility_polygon"] == len(cands)
+    assert calls["in_visibility_polygon"] == len(cands) * len(certified)
+    assert result.witness_count == len(m.vertices) + len(certified) - 1

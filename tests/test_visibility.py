@@ -147,7 +147,7 @@ def test_polygon_membership_implies_sees(n, seed, data):
     for y in ys:
         if not point_in_polygon(m, y):
             continue
-        if in_visibility_polygon(vp, y):
+        if in_visibility_polygon(vp, [y]):
             assert sees(m, x, y), (x, y)
         elif sees(m, x, y):
             assert any(cross(v - x, y - x) == 0
@@ -177,7 +177,7 @@ def test_sees_from_polygon_beyond_pinhole(fixture):
                 y = r2 + d.scaled(Fraction(k, 8))
                 if not point_in_polygon(m, y):
                     continue
-                assert not in_visibility_polygon(vp, y), (x, y)
+                assert not in_visibility_polygon(vp, [y]), (x, y)
                 seen_outside += sees(m, x, y)
     assert seen_outside > 0
 
