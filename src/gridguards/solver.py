@@ -1,17 +1,20 @@
 """Guard-placement solver over grid candidates and lazily grown witnesses.
 
 Set cover runs on a small witness set that the certifier grows.  The
-witnesses start at the polygon's vertices.  A candidate's bitmask holds
-the witnesses in its closed visibility polygon, decided by
-``in_visibility_polygon`` on the polygon's integer triples; each
-candidate's visibility polygon is computed once.  Reweighting rounds, a
-prune and a greedy pass choose a cover of the witnesses, and
-``grid.verify_coverage`` certifies it on its own overlay with ``sees``.
-If it names a point that the cover leaves unseen, that point becomes the
-next witness, one membership test per candidate, and the search runs
-again.  The chosen cover sees every earlier witness and misses the new
+witnesses start at the polygon's vertices.  Closed visibility is
+symmetric, so a candidate sees a witness exactly when it lies in the
+witness's visibility polygon: each witness's visibility polygon is
+computed once, ``in_visibility_polygon`` on its integer triples gives the
+row of candidates that see it, and the row's bits are ORed into the
+candidates' bitmasks as the witness's bit.  No candidate's visibility
+polygon is built.  Reweighting rounds, a prune and a greedy pass choose a
+cover of the witnesses, and ``grid.verify_coverage`` certifies it on its
+own overlay with ``sees``.  If it names a point that the cover leaves
+unseen, that point becomes the next witness, with one visibility polygon
+and one membership call, and the search runs again with a fresh round
+budget.  The chosen cover sees every earlier witness and misses the new
 one, so no cover goes to the certifier twice, and the loop ends at a
-cover of P or at the round budget.
+cover of P or when one search runs out of rounds.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class InfeasibleWitness(Exception):
 
 
 class RoundLimitExceeded(Exception):
-    """The round budget ran out before a covering net was found."""
+    """A search ran out of its round budget before a covering net was
+    found."""
 
 
 STRATEGY_FULL = "FullCellSample"
@@ -58,6 +62,8 @@ WEIGHT_DOUBLING_CAP = 10 ** 6
 @dataclass(frozen=True)
 class SolveConfig:
     candidate_strategy: str = STRATEGY_FULL
+    # the reweighting rounds of each search; the certifier starts a new
+    # search, with a new budget, for each witness it adds
     max_rounds: int = 200
     rng_seed: int = 0
 
@@ -67,7 +73,6 @@ class SolveResult:
     guards: GuardSet
     witness_count: int
     rounds: int
-    certified: bool
 
 
 def _greedy(masks: Sequence[int], full: int) -> List[int]:
@@ -120,6 +125,24 @@ def _prune(chosen: List[int], masks: Sequence[int], full: int) -> List[int]:
     return kept
 
 
+def _add_witness(m: PolygonModel, w: Point, candidates: Sequence[Point],
+                 masks: List[int], bit: int) -> None:
+    """Set ``bit`` in the mask of every candidate that sees w.
+
+    Closed visibility is symmetric, so these are the candidates in w's
+    closed visibility polygon: one polygon and one membership call per
+    witness.  Raises InfeasibleWitness if no candidate sees w.
+    """
+    row = in_visibility_polygon(visibility_polygon(m, w), candidates)
+    if not row:
+        raise InfeasibleWitness(f"witness {w} seen by no candidate")
+    flag = 1 << bit
+    while row:
+        low = row & -row
+        masks[low.bit_length() - 1] |= flag
+        row ^= low
+
+
 def eh_solve(m: PolygonModel, cfg: SolveConfig) -> SolveResult:
     """Iterative-reweighting set cover over the configured candidates: the
     cell centres and vertices of ``default_candidates``, or the vertices.
@@ -128,47 +151,42 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig) -> SolveResult:
     cover size k, where each round samples a weighted net of O(k log k)
     candidates and doubles the weights of every candidate seeing the first
     uncovered witness; the smaller of the pruned net cover and the greedy
-    cover goes to ``verify_coverage``.  A witness it names is added and the
-    search runs again.  Raises InfeasibleWitness if no candidate sees some
-    witness, and RoundLimitExceeded once ``max_rounds`` rounds have run.
+    cover goes to ``verify_coverage``.  A witness it names is added and a
+    new search runs.  Raises InfeasibleWitness if no candidate sees some
+    witness, and RoundLimitExceeded once one search has run ``max_rounds``
+    rounds; ``rounds`` in the result counts the rounds of every search.
     """
     if cfg.candidate_strategy == STRATEGY_FULL:
         candidates = default_candidates(m)
     else:
         candidates = sorted(m.vertices, key=Point.key)
-    polygons = [visibility_polygon(m, c) for c in candidates]
-    witnesses = list(m.vertices)
-    masks = [in_visibility_polygon(vp, witnesses) for vp in polygons]
+    masks = [0] * len(candidates)
+    for bit, v in enumerate(m.vertices):
+        _add_witness(m, v, candidates, masks, bit)
+    witness_count = len(m.vertices)
     rng = random.Random(cfg.rng_seed)
     rounds = 0
     while True:
-        full = (1 << len(witnesses)) - 1
-        seen = 0
-        for mask in masks:
-            seen |= mask
-        unseen = full & ~seen
-        if unseen:
-            missing = witnesses[(unseen & -unseen).bit_length() - 1]
-            raise InfeasibleWitness(f"witness {missing} seen by no candidate")
-        chosen, tag, rounds = _search(masks, full, rng, rounds, cfg.max_rounds)
+        full = (1 << witness_count) - 1
+        chosen, tag, used = _search(masks, full, rng, cfg.max_rounds)
+        rounds += used
         guards = guard_set([candidates[i] for i in chosen], tag)
         verdict = verify_coverage(m, guards)
         if isinstance(verdict, Covered):
-            return SolveResult(guards=guards, witness_count=len(witnesses),
-                               rounds=rounds, certified=True)
-        bit = 1 << len(witnesses)
-        witnesses.append(verdict.witness)
-        masks = [mask | bit if in_visibility_polygon(vp, [verdict.witness])
-                 else mask for mask, vp in zip(masks, polygons)]
+            return SolveResult(guards=guards, witness_count=witness_count,
+                               rounds=rounds)
+        _add_witness(m, verdict.witness, candidates, masks, witness_count)
+        witness_count += 1
 
 
-def _search(masks: Sequence[int], full: int, rng: random.Random, rounds: int,
+def _search(masks: Sequence[int], full: int, rng: random.Random,
             max_rounds: int) -> Tuple[List[int], str, int]:
     """A cover of every witness, as (candidate indices, the guard tag of the
-    search that chose them, the rounds run so far), by guess-and-double
-    on k; every witness has a seer."""
+    search that chose them, the rounds this search ran), by guess-and-double
+    on k within ``max_rounds`` rounds; every witness has a seer."""
     n = len(masks)
     solution: Optional[List[int]] = None
+    rounds = 0
     k = 1
     # ends: once net_size reaches n the net is every candidate, which covers
     # every witness because each has a seer
@@ -179,7 +197,8 @@ def _search(masks: Sequence[int], full: int, rng: random.Random, rounds: int,
         for _ in range(attempts):
             if rounds >= max_rounds:
                 raise RoundLimitExceeded(
-                    f"round budget {max_rounds} exhausted at k={k}")
+                    f"round budget {max_rounds} per search exhausted "
+                    f"at k={k}")
             rounds += 1
             if net_size >= n:
                 net = list(range(n))

@@ -30,6 +30,7 @@ from gridguards.grid import (
     CASE_BOUNDARY,
     CASE_CORNER,
     CASE_INTERIOR,
+    CoverageResult,
     Covered,
     NoGridPointNearby,
     PROV_SOLVER_GREEDY,
@@ -430,14 +431,16 @@ def full_instance(m, candidates) -> CoverInstance:
     return CoverInstance(cands, witnesses, masks_ref(m, cands, witnesses))
 
 
-def greedy_cover(m, inst: CoverInstance) -> SolveResult:
+def greedy_cover(m, inst: CoverInstance
+                 ) -> Tuple[SolveResult, CoverageResult]:
     """Classic greedy set cover; ties broken by lexicographic point order.
-    Raises InfeasibleWitness if some witness has no seer."""
+    Returns the cover with ``verify_coverage``'s verdict on it.  Raises
+    InfeasibleWitness if some witness has no seer."""
     chosen = _greedy(inst.masks, inst.full)
     gs = guard_set([inst.candidates[i] for i in chosen], PROV_SOLVER_GREEDY)
-    return SolveResult(guards=gs, witness_count=len(inst.witnesses),
-                       rounds=len(chosen),
-                       certified=isinstance(verify_coverage(m, gs), Covered))
+    return (SolveResult(guards=gs, witness_count=len(inst.witnesses),
+                        rounds=len(chosen)),
+            verify_coverage(m, gs))
 
 
 def brute_force_optimum(inst: CoverInstance, k_max: int):
