@@ -1,7 +1,9 @@
 """Command-line entry point: solve, verify-lemmas, analyze, generate.
 
-Exit codes: 0 success, 2 input or validation error, 3 budget exhausted,
-4 lemma violation detected.  All outputs are deterministic under a fixed
+Exit codes: 0 success, 2 input or validation error (an output path that
+cannot be written among them), 3 budget exhausted, 4 lemma violation
+detected.  ``main`` is the one place where an error becomes an exit code;
+the subcommands only raise.  All outputs are deterministic under a fixed
 seed.  ``solve --strategy`` picks the candidates: FullCellSample (the
 default) or Vertices.
 """
@@ -43,6 +45,7 @@ from .persistence import (
     read_polygon,
     write_polygon,
     write_svg,
+    write_text,
 )
 from .polygon import (
     PolygonError,
@@ -75,29 +78,19 @@ _FIXTURES = {
 
 
 def _emit_json(doc, path: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+               path or sys.stdout)
 
 
 def cmd_solve(args) -> int:
-    try:
-        m = read_polygon(args.input)
-    except (ParseError, IoError, PolygonError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.max_rounds < 1:
+        raise ValueError("--max-rounds must be at least 1")
+    m = read_polygon(args.input)
     cfg = SolveConfig(
         candidate_strategy=args.strategy,
         max_rounds=args.max_rounds,
         rng_seed=args.seed)
-    try:
-        result = eh_solve(m, cfg)
-    except RoundLimitExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = eh_solve(m, cfg)
     doc = {
         "guards": [[str(g.x), str(g.y)]
                    for g in result.guards.guards],
@@ -116,67 +109,54 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _lemma_reports(m, args) -> List[LemmaReport]:
+def _local_visibility(m, args) -> LemmaReport:
+    if args.at == "bad-region":
+        # the expected-failure probe of the pinhole counterexample
+        fix = build_counterexample(3)
+        a3 = fix.approach_points[2]
+        fl = fix.polygon.L
+        s = Fraction(1, 20 * fl)
+        return check_local_visibility(fix.polygon, a3, s / (16 * fl), s,
+                                      grid_exponent=1)
     L = m.L
-    which = args.check
-    reports: List[LemmaReport] = []
-    if which in ("all", "distances"):
-        reports.append(check_distance_lemma(m, seed=args.seed))
-    if which in ("all", "limited-blocking"):
-        reports.append(check_limited_blocking(m, samples=args.samples,
-                                              seed=args.seed))
-    if which in ("all", "cone-property"):
-        reports.append(check_cone_property(m, samples=args.samples,
-                                           seed=args.seed))
-    if which in ("all", "grid-outside-bad"):
-        reports.append(check_grid_outside_bad(m, samples=args.samples,
-                                              seed=args.seed))
-    if which in ("all", "local-visibility"):
-        if args.at == "bad-region":
-            # the expected-failure probe of the pinhole counterexample
-            fix = build_counterexample(3)
-            a3 = fix.approach_points[2]
-            fl = fix.polygon.L
-            s = Fraction(1, 20 * fl)
-            reports.append(check_local_visibility(
-                fix.polygon, a3, s / (16 * fl), s, grid_exponent=1))
-        else:
-            s = Fraction(1, L ** 3)
-            x = m.vertices[0]
-            reports.append(check_local_visibility(m, x, s / (16 * L), s))
-    return reports
+    s = Fraction(1, L ** 3)
+    return check_local_visibility(m, m.vertices[0], s / (16 * L), s)
+
+
+# --check name -> check; `all` runs them in this order
+_LEMMA_CHECKS = {
+    "distances": lambda m, args: check_distance_lemma(m, seed=args.seed),
+    "limited-blocking": lambda m, args: check_limited_blocking(
+        m, samples=args.samples, seed=args.seed),
+    "cone-property": lambda m, args: check_cone_property(
+        m, samples=args.samples, seed=args.seed),
+    "grid-outside-bad": lambda m, args: check_grid_outside_bad(
+        m, samples=args.samples, seed=args.seed),
+    "local-visibility": _local_visibility,
+}
 
 
 def cmd_verify_lemmas(args) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be at least 0")
     if args.fixture:
         m = _FIXTURES[args.fixture]()
+    elif args.input:
+        m = read_polygon(args.input)
     else:
-        if not args.input:
-            print("error: need a polygon file or --fixture",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        try:
-            m = read_polygon(args.input)
-        except (ParseError, IoError, PolygonError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_INPUT
-    reports = _lemma_reports(m, args)
-    doc = [r.to_dict() for r in reports]
-    _emit_json(doc, args.output)
+        raise ValueError("need a polygon file or --fixture")
+    names = list(_LEMMA_CHECKS) if args.check == "all" else [args.check]
+    reports = [_LEMMA_CHECKS[name](m, args) for name in names]
+    _emit_json([r.to_dict() for r in reports], args.output)
     if any(r.status == "Violated" for r in reports):
         return EXIT_VIOLATION
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    try:
-        m = read_polygon(args.input)
-    except (ParseError, IoError, PolygonError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     if args.s_exponent < 0:
-        print("error: --s-exponent must be at least 0", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--s-exponent must be at least 0")
+    m = read_polygon(args.input)
     s = Fraction(1, m.L ** args.s_exponent)
     pairs = opposite_reflex_pairs(m)
     gp = check_general_position(m)
@@ -205,24 +185,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        if args.shape == "comb":
-            m = comb(args.prongs)
-        elif args.shape == "channel":
-            m = channel()
-        else:
-            m = random_polygon(args.n, args.M, seed=args.seed)
-    except GenerationBudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ValueError, PolygonError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    fmt = FORMAT_JSON if args.emit == "json" else FORMAT_TEXT
-    if args.output:
-        write_polygon(m, args.output, fmt)
+    if args.shape == "comb":
+        m = comb(args.prongs)
+    elif args.shape == "channel":
+        m = channel()
     else:
-        write_polygon(m, sys.stdout, fmt)
+        m = random_polygon(args.n, args.M, seed=args.seed)
+    fmt = FORMAT_JSON if args.emit == "json" else FORMAT_TEXT
+    write_polygon(m, args.output or sys.stdout, fmt)
     return EXIT_OK
 
 
@@ -255,9 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("input", nargs="?", default=None)
     pv.add_argument("--fixture", choices=sorted(_FIXTURES), default=None)
     pv.add_argument("--check", default="all",
-                    choices=["all", "distances", "limited-blocking",
-                             "cone-property", "grid-outside-bad",
-                             "local-visibility"])
+                    choices=["all", *_LEMMA_CHECKS])
     pv.add_argument("--at", choices=["bad-region"], default=None)
     pv.add_argument("--samples", type=int, default=50)
     pv.set_defaults(func=cmd_verify_lemmas)
@@ -284,8 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; the only place where an error becomes an exit
+    code, with one ``error:`` line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (RoundLimitExceeded, GenerationBudgetExceeded) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (ParseError, IoError, PolygonError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

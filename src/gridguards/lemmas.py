@@ -91,8 +91,9 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
     >= 8 L^-2; (7) constructive: two lines within d of a point a meet within
     d L^2 of a, on 10 sampled line pairs.
 
-    Items 3 and 4 run on integer homogeneous coordinates with a float
-    prefilter; only near-threshold cases are re-checked exactly.
+    Items 3 and 4 run on the meeting points' integer homogeneous
+    coordinates: item 3 tests every point against every line, and item 4
+    compares the points in touching cells of width 1/1000.
     """
     rep = LemmaReport(lemma_id="distances")
     L = m.L
@@ -144,26 +145,26 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
 
     # item 3: intersection point to extension not through it >= L^-5
     L10 = L ** 10
-    fpts = [(x / w, y / w) for x, y, w in pts]
-    for (x, y, w), (fx, fy) in zip(pts, fpts):
-        for a, b, c in lines:
-            fr = a * fx + b * fy - c
-            # prefilter: float distance far above L^-5 needs no exact check
-            if fr * fr > 1e-4 * (a * a + b * b):
-                rep.instances_checked += 1
-                continue
+    normed = [(a, b, c, a * a + b * b) for a, b, c in lines]
+    for x, y, w in pts:
+        w2 = w * w
+        for a, b, c, nn in normed:
             r = a * x + b * y - c * w
             if r == 0:
                 continue
-            rep.check(r * r * L10 >= w * w * (a * a + b * b),
-                      f"item3 point({x},{y},{w}) line({a},{b},{c})", str(r))
+            rep.instances_checked += 1
+            if r * r * L10 < w2 * nn:
+                rep.violations.append(
+                    (f"item3 point({x},{y},{w}) line({a},{b},{c})", str(r)))
 
-    # item 4: distinct intersection points >= L^-4; hash-grid prefilter
+    # item 4: distinct intersection points >= L^-4; points are bucketed in
+    # cells of width 1/1000, and points in cells that do not touch are
+    # more than 1/1000 >= L^-4 apart (L >= 20), so only touching cells
+    # are compared
     L8 = L ** 8
-    cell = 1e-3
     buckets: Dict[Tuple[int, int], List[int]] = {}
-    for idx, (fx, fy) in enumerate(fpts):
-        buckets.setdefault((int(fx // cell), int(fy // cell)), []).append(idx)
+    for idx, (x, y, w) in enumerate(pts):
+        buckets.setdefault((1000 * x // w, 1000 * y // w), []).append(idx)
     pair_count = len(pts) * (len(pts) - 1) // 2
     near_checked = 0
     for (cx, cy), members in buckets.items():
@@ -182,7 +183,6 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
                 ok = (ex * ex + ey * ey) * L8 >= (w1 * w2) ** 2
                 rep.check(ok, f"item4 points {i},{j}", f"({ex},{ey})")
                 near_checked += 1
-    # pairs separated by the hash grid are >= ~1e-3 apart, far above L^-4
     rep.instances_checked += pair_count - near_checked
 
     # item 7: constructive intersection bound on sampled (a, l1, l2)

@@ -97,7 +97,7 @@ def read_polygon(source: Union[str, IO[str]]) -> PolygonModel:
     return load_polygon(verts)
 
 
-def _write_text(text: str, target: Union[str, IO[str]]) -> None:
+def write_text(text: str, target: Union[str, IO[str]]) -> None:
     """Write to a stream, or to a path with OSError reported as IoError."""
     if hasattr(target, "write"):
         target.write(text)
@@ -119,7 +119,7 @@ def write_polygon(m: PolygonModel, target: Union[str, IO[str]],
         text = json.dumps({"vertices": verts}, separators=(",", ":")) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    _write_text(text, target)
+    write_text(text, target)
 
 
 @dataclass
@@ -182,4 +182,4 @@ def write_svg(scene: SceneRender, target: Union[str, IO[str]]) -> None:
                    f'r="{r_guard:.6f}" style="{_STYLE["guard"]}"/>')
     out.append("</svg>")
     text = "\n".join(out) + "\n"
-    _write_text(text, target)
+    write_text(text, target)

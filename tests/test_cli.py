@@ -198,6 +198,34 @@ def test_generate_rejects_more_vertices_than_lattice_points(capsys):
     assert "cannot draw 10 distinct vertices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "{poly}", "-o", "{missing}"], "No such file or directory"),
+    (["verify-lemmas", "--fixture", "channel", "--check", "distances",
+      "-o", "{missing}"], "No such file or directory"),
+    (["analyze", "{poly}", "-o", "{missing}"], "No such file or directory"),
+    (["generate", "--shape", "comb", "-o", "{missing}"],
+     "No such file or directory"),
+    (["solve", "{poly}", "--svg", "{missing}"], "No such file or directory"),
+    (["analyze", "{poly}", "--svg", "{missing}"],
+     "No such file or directory"),
+    (["verify-lemmas", "--fixture", "channel", "--samples", "-1"],
+     "--samples must be at least 0"),
+    (["solve", "{poly}", "--max-rounds", "0"],
+     "--max-rounds must be at least 1"),
+], ids=["solve-o", "verify-lemmas-o", "analyze-o", "generate-o",
+        "solve-svg", "analyze-svg", "samples-negative", "max-rounds-zero"])
+def test_errors_exit_2_with_one_line(tmp_path, poly_file, capsys, argv,
+                                     message):
+    """An output path in a missing directory and an out-of-range option
+    each exit 2 from main, with one error line and no traceback."""
+    missing = str(tmp_path / "missing" / "out")
+    argv = [a.format(poly=poly_file, missing=missing) for a in argv]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert message in err[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "x", "--mode", "theory"],
     ["verify-lemmas", "--fixture", "channel", "--mode", "theory"],

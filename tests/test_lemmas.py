@@ -1,6 +1,7 @@
 """Executable checks of the geometric separation and stability bounds."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -34,6 +35,8 @@ from gridguards.lemmas import (
 )
 from gridguards.grid import GridSpec, surrounding_grid
 from gridguards.polygon import (
+    extensions,
+    line_meets,
     opposite_reflex_pairs,
     reflex_vertices,
     triangulate,
@@ -75,6 +78,22 @@ def test_distance_lemma_channel():
 def test_distance_lemma_random_polygon():
     rep = check_distance_lemma(random_polygon(10, 30, seed=5))
     assert rep.status == "Verified"
+
+
+def test_distance_lemma_item3_reports_each_close_pair():
+    """With L forced to 1, item 3 asks each meeting point to be at least 1
+    from every line not through it; the item-3 violations are exactly the
+    pairs closer than that, counted here on Fractions."""
+    m = replace(channel(), L=1)
+    lines = extensions(m)
+    expected = 0
+    for x, y, w in line_meets(lines):
+        for a, b, c in lines:
+            r = a * Fraction(x, w) + b * Fraction(y, w) - c
+            expected += r != 0 and r * r < a * a + b * b
+    rep = check_distance_lemma(m)
+    assert expected > 0
+    assert sum(v[0].startswith("item3") for v in rep.violations) == expected
 
 
 def test_distance_lemma_item1_floor():
