@@ -1,6 +1,6 @@
 """Exact planar arrangement of segments with one witness point per face.
 
-All endpoints are cleared to one common denominator s, so the
+The endpoints come as integers over one common denominator s, so the
 construction runs on integers.  Identical segments, in either
 orientation, are merged; the rest are split where they meet.  Only pairs
 whose bounding boxes meet are compared, and a pair that is not parallel
@@ -17,8 +17,8 @@ whole other connected components (its holes), so a ray from a vertex of
 the walk into the face stays inside it up to its first hit on those
 edges; each bounded face's representative is the midpoint of that stretch.
 The ray is shot on integers: the walk's triples and those of the other
-components are brought over the lcm of their W.  Points are built eagerly
-only for the representatives; the nodes, the edges' key pairs and the
+components are brought over the lcm of their W.  No Point is built: the
+representatives stay triples, and the nodes, the edges' key pairs and the
 face cycles are built from the triples on first read.
 """
 
@@ -34,29 +34,29 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .geometry import (
     GeometryError,
+    IntSegment,
     Point,
-    cleared,
+    Triple,
     direction_key,
     direction_tie_keys,
     sort_ties,
 )
 
 Key = Tuple[Fraction, Fraction]
-Triple = Tuple[int, int, int]
 
 
 @dataclass
 class Arrangement:
     """The subdivision, kept on integers: node i is (X / (W s), Y / (W s))
-    for ``triples[i]`` = (X, Y, W), and ``cycles`` lists each bounded
-    face's nodes.  ``nodes``, ``edges`` and ``face_cycles`` are built from
-    them, as Points, on first read."""
+    for ``triples[i]`` = (X, Y, W), as is ``reps[f]`` inside bounded face f,
+    whose nodes ``cycles[f]`` lists.  ``nodes``, ``edges`` and
+    ``face_cycles`` are built from them, as Points, on first read."""
 
     triples: List[Triple]               # in the order of the nodes' keys
     s: int
     edge_nodes: List[Tuple[int, int]]   # node ids (u, v), u < v, sorted
     cycles: List[List[int]]             # bounded faces, outer cycles, CCW
-    representatives: List[Point]        # one interior point per bounded face
+    reps: List[Triple]                  # one interior point per face
 
     @cached_property
     def nodes(self) -> List[Point]:
@@ -197,14 +197,11 @@ def _point(t: Triple, s: int) -> Point:
     return Point(Fraction(X, W * s), Fraction(Y, W * s))
 
 
-def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
-    """Planar subdivision induced by the segments (assumed nonempty)."""
-    # endpoints over one denominator s, so triple (X, Y, W) is the point
-    # (X, Y) / (W s); each segment once, from its smaller endpoint
-    s, cs = cleared(*[c for ab in segments for p in ab for c in (p.x, p.y)])
-    ends = iter(zip(cs[0::2], cs[1::2]))
-    segs = sorted({(min(p, q), max(p, q)) for p, q in zip(ends, ends)
-                   if p != q})
+def build_arrangement(segments: Sequence[IntSegment], s: int) -> Arrangement:
+    """Planar subdivision induced by the segments (assumed nonempty), each
+    ((X, Y), (X', Y')) from (X, Y) / s to (X', Y') / s."""
+    # triple (X, Y, W) is the point (X, Y) / (W s); each segment once
+    segs = sorted({(min(p, q), max(p, q)) for p, q in segments if p != q})
     splits = _split_points(segs)
     # nodes are numbered in key order, so ids compare as keys do
     triples = _node_order(list({t for on in splits for t in on}), s)
@@ -269,7 +266,7 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
     tail = [u for u, _ in half_edges]
     walked = [False] * len(half_edges)
     cycles: List[List[int]] = []
-    reps: List[Point] = []
+    reps: List[Triple] = []
     for start in range(len(half_edges)):
         if walked[start]:
             continue
@@ -328,9 +325,9 @@ def build_arrangement(segments: Sequence[Tuple[Point, Point]]) -> Arrangement:
                                 "into a bounded face meets no edge")
         # node u + (mx, my) t / 2 for the hit's t = n / den in this frame
         n, den = hit
-        w = 2 * den * Q * s
-        reps.append(Point(Fraction(2 * den * ox + n * mx, w),
-                          Fraction(2 * den * oy + n * my, w)))
+        X, Y, W = 2 * den * ox + n * mx, 2 * den * oy + n * my, 2 * den * Q
+        g = gcd(X, Y, W)
+        reps.append((X // g, Y // g, W // g))
 
     return Arrangement(triples=triples, s=s, edge_nodes=edges, cycles=cycles,
-                       representatives=reps)
+                       reps=reps)

@@ -26,7 +26,7 @@ from itertools import combinations, product
 from math import gcd
 from typing import List, Tuple
 
-from .geometry import Point, Scalar, cleared
+from .geometry import Point, Scalar, Triple, cleared
 from .polygon import (
     OppositeReflexPair,
     PointOutsidePolygon,
@@ -111,8 +111,6 @@ class TripleIntersectionReport:
 
 # a closed half-plane a X + b Y + c W >= 0 of the points (X / W, Y / W)
 HalfPlane = Tuple[int, int, int]
-# a reduced homogeneous point (X, Y, W): W > 0 and gcd 1
-Triple = Tuple[int, int, int]
 
 
 def _left_of(ax: int, ay: int, aw: int, dx: int, dy: int) -> HalfPlane:

@@ -19,15 +19,13 @@ constructions, ``visibility.visibility_polygon`` and
 ``arrangement.build_arrangement``, keep constructed points as reduced
 homogeneous triples, and order directions counterclockwise by the one
 key ``direction_key``, with no comparator.  A visibility polygon keeps
-its triples as its result and builds its boundary Points only when they
-are read; its membership test, its visible edge pieces and the overlay
-read the triples, so the overlay gets Points only for window-chord ends.
-An arrangement keeps its nodes as triples and its faces as cycles of
-node indices, and builds Points eagerly only for the face
-representatives; its nodes, edges and face cycles become Points only
-when they are read.  Scaling every coordinate by the same positive
-integer keeps every sign, order and parameter ratio, so the integer
-decisions are exact; only a returned point is built as a Fraction again.
+its triples as its result and builds no boundary Point: its membership
+test, its visible edge pieces and the overlay read the triples.  An
+arrangement keeps its nodes and face representatives as triples and its
+faces as cycles of node indices; they become Points only when read.
+Scaling every coordinate by the same positive integer keeps every sign,
+order and parameter ratio, so the integer decisions are exact; only a
+returned point is built as a Fraction again.
 Distances are kept squared so that no square root is ever taken; angle
 comparisons use cross/dot ratios for the same reason.
 """
@@ -41,6 +39,8 @@ from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
 Scalar = Fraction
 CoordLike = Union[int, str, Fraction]
+Triple = Tuple[int, int, int]   # a homogeneous point (X, Y, W), W > 0
+IntSegment = Tuple[Tuple[int, int], Tuple[int, int]]   # integer end points
 
 
 class GeometryError(Exception):

@@ -1,4 +1,4 @@
-"""Grid of width L^-E, rounding, surrounding grid points, guard replacement.
+"""Grid of width L^-E: rounding, surrounding points, replacement, coverage.
 
 The grid is never enumerated.  Its points are integer indices (i, j) over
 the one denominator D = L^E, and the polygon's vertices are integers, so
@@ -15,6 +15,8 @@ denominator, and rounds its defining points, (X, Y, W) in P, on one
 polygon scaled by D.  ``grid_replacement`` turns an arbitrary covering
 guard set into a nearby covering guard set supported on the grid plus a
 few reflex vertices, with at most nine output guards per input guard.
+``verify_coverage`` decides on integers too: one witness triple per face
+of the guards' overlay, tested for membership in their own polygons.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .arrangement import build_arrangement
+from .arrangement import _point, build_arrangement
 from .badregions import bad_region, in_bad_region
-from .geometry import Point, Scalar, cleared, dist_sq
+from .geometry import GeometryError, Point, Scalar, cleared, dist_sq
 from .polygon import (
     PointOutsidePolygon,
     PolygonModel,
@@ -298,26 +300,26 @@ CoverageResult = Union[Covered, Uncovered]
 
 
 def verify_coverage(m: PolygonModel, g: GuardSet) -> CoverageResult:
-    """Exact coverage decision via one witness per face of the visibility
-    overlay (visibility is constant on each open face).
-
-    The witnesses are checked in face order, and each asks first the guard
-    that saw the previous one (move-to-front): consecutive faces are often
-    seen by the same guard.  Whether some guard sees a witness does not
-    depend on the order in which the guards are asked, and the witness
-    order is fixed, so the result, and the uncovered witness it names, are
-    those of a scan in any fixed guard order.
-    """
+    """Exact coverage decision via one witness per face of the overlay of
+    the guards' visibility polygons.  Each open face lies wholly inside or
+    outside every polygon, so it is covered iff its witness's triple lies
+    in some guard's closed polygon (``VisibilityPolygon.holds``).  Each
+    witness, in face order, asks first the polygon that held the previous
+    one (move-to-front), which changes no verdict.  ``sees`` admits more
+    only on a line through a pinhole, so a guard that sees an uncovered
+    witness is a contradiction and raises GeometryError."""
     if not g.guards:
         return Uncovered(witness=m.vertices[0])
-    arr = build_arrangement(
-        overlay_segments(m, [visibility_polygon(m, x) for x in g.guards]))
-    guards = list(g.guards)
-    for wpt in arr.representatives:
-        for i, x in enumerate(guards):
-            if sees(m, x, wpt):
-                guards.insert(0, guards.pop(i))
+    polygons = [visibility_polygon(m, x) for x in g.guards]
+    arr = build_arrangement(*overlay_segments(m, polygons))
+    for X, Y, W in arr.reps:
+        for i, vp in enumerate(polygons):
+            if vp.holds(X, Y, W * arr.s):
+                polygons.insert(0, polygons.pop(i))
                 break
         else:
+            wpt = _point((X, Y, W), arr.s)
+            if any(sees(m, x, wpt) for x in g.guards):
+                raise GeometryError(f"a guard sees uncovered witness {wpt}")
             return Uncovered(witness=wpt)
     return Covered()

@@ -16,7 +16,7 @@ from itertools import accumulate, islice
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .arrangement import build_arrangement
+from .arrangement import _point, build_arrangement
 from .generate import counterexample_polygon
 from .geometry import (
     Point,
@@ -450,25 +450,23 @@ def check_local_visibility(m: PolygonModel, x: Point, alpha: Scalar,
 
     Builds the arrangement of the polygon edges with the window chords of
     Vis(x) and of every Vis(g) for g in the starred grid neighborhood of x;
-    visibility is constant on each open face, so containment holds iff no
-    face representative is seen by x but by none of the g.
+    each open face lies inside or outside each of them, so containment
+    holds iff no face representative lies in Vis(x) but in no Vis(g).
     """
     alpha = Fraction(alpha)
-    s = Fraction(s)
-    L = m.L
     if grid_exponent is None:
-        grid_exponent = _grid_exponent(L, alpha)
+        grid_exponent = _grid_exponent(m.L, alpha)
     rep = LemmaReport(lemma_id="local_visibility")
-    spec = GridSpec(E=grid_exponent, L=L)
+    spec = GridSpec(E=grid_exponent, L=m.L)
     sg = surrounding_grid(spec, m, x, alpha)
     guards = list(sg.all_points())
-    arr = build_arrangement(overlay_segments(
-        m, [visibility_polygon(m, v) for v in [x] + guards]))
-    for w in arr.representatives:
-        if not sees(m, x, w):
-            continue
-        rep.check(any(sees(m, g, w) for g in guards),
-                  f"face witness {w}", f"guards={guards}")
+    vx, *polygons = [visibility_polygon(m, v) for v in [x] + guards]
+    arr = build_arrangement(*overlay_segments(m, [vx] + polygons))
+    for X, Y, W in arr.reps:
+        if vx.holds(X, Y, W * arr.s):
+            ok = any(vp.holds(X, Y, W * arr.s) for vp in polygons)
+            w = "" if ok else _point((X, Y, W), arr.s)
+            rep.check(ok, f"face witness {w}", f"guards={guards}")
     return rep
 
 

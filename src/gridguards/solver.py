@@ -8,8 +8,8 @@ computed once, ``in_visibility_polygon`` on its integer triples gives the
 row of candidates that see it, and the row's bits are ORed into the
 candidates' bitmasks as the witness's bit.  No candidate's visibility
 polygon is built.  Reweighting rounds, a prune and a greedy pass choose a
-cover of the witnesses, and ``grid.verify_coverage`` certifies it on its
-own overlay with ``sees``.  If it names a point that the cover leaves
+cover of the witnesses, and ``grid.verify_coverage`` certifies it on the
+guards' own visibility polygons.  If it names a point that the cover leaves
 unseen, that point becomes the next witness, with one visibility polygon
 and one membership call, and the search runs again with a fresh round
 budget.  The chosen cover sees every earlier witness and misses the new

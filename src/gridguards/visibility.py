@@ -12,10 +12,10 @@ at once by the cone of P at the viewpoint, without a shot.  Each boundary
 point is where a wedge's edge meets its bounding ray, so it lies on that
 edge, and on the neighbouring edge too when it is the edge's end vertex; a
 boundary edge is a window chord unless one polygon edge holds both its ends.
-The polygon is kept in the viewpoint's integer frame, as reduced triples;
-its ``boundary`` Points are built only when read, and membership, the
-overlay's window chords and the visible part of a polygon edge are read
-off the triples.
+The polygon is kept in the viewpoint's integer frame, as reduced triples,
+cleared once over the lcm of their denominators when first used, and
+membership, the overlay and the visible part of a polygon edge are read
+off them: the module builds no boundary Point.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .geometry import (
     GeometryError,
+    IntSegment,
     Point,
     Segment,
+    Triple,
     cleared,
     sort_directions_ccw,
 )
@@ -39,8 +41,6 @@ from .polygon import (
     _in_int_cycle,
     _segment_inside,
 )
-
-Triple = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,30 @@ class VisibilityPolygon:
     triples: Tuple[Triple, ...]
     window_edges: Tuple[int, ...]
 
-    def point(self, i: int) -> Point:
-        """Boundary point i as a Point."""
-        hx, hy, hw = self.triples[i]
-        d = self.w * hw
-        return Point(Fraction(self.X * hw + hx, d),
-                     Fraction(self.Y * hw + hy, d))
-
     @cached_property
-    def boundary(self) -> Tuple[Point, ...]:
-        return tuple(map(self.point, range(len(self.triples))))
+    def _cleared(self) -> Tuple[int, List[int], List[int]]:
+        """(q, xs, ys): the boundary as the integer points (xs, ys) / q."""
+        q = lcm(*[hw for _, _, hw in self.triples])
+        return (q, [hx * (q // hw) for hx, _, hw in self.triples],
+                [hy * (q // hw) for _, hy, hw in self.triples])
 
-    def edges(self) -> List[Tuple[Point, Point]]:
-        b = self.boundary
-        return [(b[i], b[(i + 1) % len(b)]) for i in range(len(b))]
+    def holds(self, px: int, py: int, d: int) -> bool:
+        """Whether (px / d, py / d), d > 0, lies in the closed polygon: the
+        test of ``polygon._in_int_cycle``, in the polygon's frame over q d."""
+        q, xs, ys = self._cleared
+        ux, uy = (self.w * px - self.X * d) * q, (self.w * py - self.Y * d) * q
+        inside = False
+        ax, ay = xs[-1] * d, ys[-1] * d
+        for bx, by in zip(xs, ys):
+            bx, by = bx * d, by * d
+            c = (ax - ux) * (by - ay) - (ay - uy) * (bx - ax)
+            if (c == 0 and min(ax, bx) <= ux <= max(ax, bx)
+                    and min(ay, by) <= uy <= max(ay, by)):
+                return True
+            if (ay > uy) != (by > uy) and (c > 0) == (by > ay):
+                inside = not inside
+            ax, ay = bx, by
+        return inside
 
 
 def sees(m: PolygonModel, x: Point, y: Point) -> bool:
@@ -86,41 +96,31 @@ def sees(m: PolygonModel, x: Point, y: Point) -> bool:
 def in_visibility_polygon(vp: VisibilityPolygon,
                           points: Sequence[Point]) -> int:
     """The bitmask of the points in the closed visibility polygon, boundary
-    included: bit i is set iff ``points[i]`` lies in it.
-
-    The triples are cleared once, over the lcm q of their denominators.
-    Each point is brought into the polygon's frame and, with the boundary,
-    over the lcm of q and its own denominator, where the even-odd test runs
-    on integers; the boundary is scaled once per distinct denominator.
-    """
-    tri = vp.triples
-    q = lcm(*[hw for _, _, hw in tri])
-    xs = [hx * (q // hw) for hx, _, hw in tri]
-    ys = [hy * (q // hw) for _, hy, hw in tri]
-    frames = {}     # point denominator d -> (D / d, the boundary over D)
+    included: bit i is set iff ``points[i]`` lies in it (``vp.holds``)."""
     mask = 0
     for i, p in enumerate(points):
         d, (px, py) = cleared(p.x, p.y)
-        if d not in frames:
-            f = lcm(q, d) // q
-            frames[d] = (q * f // d, [x * f for x in xs] if f > 1 else xs,
-                         [y * f for y in ys] if f > 1 else ys)
-        s, bx, by = frames[d]
-        if _in_int_cycle(bx, by, (vp.w * px - vp.X * d) * s,
-                         (vp.w * py - vp.Y * d) * s):
-            mask |= 1 << i
+        mask |= vp.holds(px, py, d) << i
     return mask
 
 
 def overlay_segments(m: PolygonModel, polygons: Sequence[VisibilityPolygon]
-                     ) -> List[Tuple[Point, Point]]:
-    """Polygon edges plus every window chord of every visibility polygon."""
-    segs = list(m.edges())
+                     ) -> Tuple[List[IntSegment], int]:
+    """Polygon edges plus every window chord of every visibility polygon,
+    as (segments, s), their ends over the lcm s of the chord ends' reduced
+    denominators."""
+    ends: List[Triple] = []     # the chord ends' absolute triples
     for vp in polygons:
-        k = len(vp.triples)
-        segs.extend((vp.point(i), vp.point((i + 1) % k))
-                    for i in vp.window_edges)
-    return segs
+        tri = vp.triples + vp.triples[:1]
+        for hx, hy, hw in (t for i in vp.window_edges for t in tri[i:i + 2]):
+            x, y, d = vp.X * hw + hx, vp.Y * hw + hy, vp.w * hw
+            g = gcd(x, y, d)
+            ends.append((x // g, y // g, d // g))
+    s = lcm(*[d for _, _, d in ends])
+    xs, ys = m.scaled(s)
+    pts = iter([(x * (s // d), y * (s // d)) for x, y, d in ends])
+    return (list(zip(zip(xs, ys), zip(xs[1:] + xs[:1], ys[1:] + ys[:1])))
+            + list(zip(pts, pts)), s)
 
 
 # An edge record (i, ax, ay, bx, by, c): edge i runs from vertex i - 1 to
@@ -296,13 +296,12 @@ def visible_subsegments(m: PolygonModel, g: Point, u: Point,
         raise ValueError(f"{u}-{v} is not an edge of the polygon")
     vp = visibility_polygon(m, g)
     w = vp.w
-    ux, uy = int(u.x) * w - vp.X, int(u.y) * w - vp.Y
+    q, xs, ys = vp._cleared
+    ux, uy = (int(u.x) * w - vp.X) * q, (int(u.y) * w - vp.Y) * q
     dx, dy = int(v.x - u.x), int(v.y - u.y)
-    q = lcm(*[hw for _, _, hw in vp.triples])
-    ts: List[Optional[int]] = []
-    for hx, hy, hw in vp.triples:
-        rx, ry = (hx - ux * hw) * (q // hw), (hy - uy * hw) * (q // hw)
-        ts.append(rx * dx + ry * dy if dx * ry == dy * rx else None)
+    # each boundary point's parameter along uv, None off uv's line
+    ts = [(x - ux) * dx + (y - uy) * dy if dx * (y - uy) == dy * (x - ux)
+          else None for x, y in zip(xs, ys)]
     top = q * w * (dx * dx + dy * dy)       # the parameter of v
     runs = [(max(min(s, t), 0), min(max(s, t), top))
             for s, t in zip(ts, ts[1:] + ts[:1])

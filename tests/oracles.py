@@ -16,7 +16,7 @@ from itertools import accumulate, combinations, product
 from math import comb, floor, gcd, lcm
 from typing import List, Tuple
 
-from gridguards.arrangement import build_arrangement
+from gridguards.arrangement import _point, build_arrangement
 from gridguards.badregions import bad_region
 from gridguards.geometry import (
     GeometryError,
@@ -356,13 +356,14 @@ def visible_subsegments_ref(m, g: Point, u: Point, v: Point):
 
 
 def verify_coverage_ref(m, g):
-    """``grid.verify_coverage`` asking the guards in their given order at
-    every witness."""
+    """``grid.verify_coverage``'s verdict by ``sees``: each face witness of
+    the guards' overlay asks the guards in their given order whether one
+    sees it, where the certifier tests membership in their polygons."""
     if not g.guards:
         return Uncovered(witness=m.vertices[0])
     arr = build_arrangement(
-        overlay_segments(m, [visibility_polygon(m, x) for x in g.guards]))
-    for wpt in arr.representatives:
+        *overlay_segments(m, [visibility_polygon(m, x) for x in g.guards]))
+    for wpt in representatives(arr):
         if not any(sees(m, x, wpt) for x in g.guards):
             return Uncovered(witness=wpt)
     return Covered()
@@ -380,7 +381,7 @@ def masks_ref(m, candidates, witnesses):
     ws = [cleared(w.x, w.y) for w in witnesses]
     masks = []
     for c in candidates:
-        b = visibility_polygon(m, c).boundary
+        b = boundary(visibility_polygon(m, c))
         d, cs = cleared(*[v for p in b for v in (p.x, p.y)])
         frames = {}   # witness denominator e -> (D / e, boundary over D)
         mask = 0
@@ -426,8 +427,8 @@ def full_instance(m, candidates) -> CoverInstance:
     that covers these witnesses covers P."""
     cands = tuple(sorted(set(candidates), key=Point.key))
     arr = build_arrangement(
-        overlay_segments(m, [visibility_polygon(m, c) for c in cands]))
-    witnesses = tuple(arr.representatives)
+        *overlay_segments(m, [visibility_polygon(m, c) for c in cands]))
+    witnesses = tuple(representatives(arr))
     return CoverInstance(cands, witnesses, masks_ref(m, cands, witnesses))
 
 
@@ -495,6 +496,26 @@ def _pseudo_angle(v: Point) -> Fraction:
     if v.x < 0:
         return 2 + -v.y / r
     return 3 + v.x / r
+
+
+def boundary(vp):
+    """The visibility polygon's boundary Points, counterclockwise."""
+    return tuple(Point(Fraction(vp.X * hw + hx, vp.w * hw),
+                       Fraction(vp.Y * hw + hy, vp.w * hw))
+                 for hx, hy, hw in vp.triples)
+
+
+def integer_segments(segments):
+    """Point segments as ``build_arrangement`` takes them: (segments, s),
+    every endpoint an integer pair over the one denominator s."""
+    s, cs = cleared(*[c for ab in segments for p in ab for c in (p.x, p.y)])
+    ends = iter(zip(cs[0::2], cs[1::2]))
+    return list(zip(ends, ends)), s
+
+
+def representatives(arr):
+    """The arrangement's face representatives as Points."""
+    return [_point(t, arr.s) for t in arr.reps]
 
 
 def arrangement_ref(segments):

@@ -8,14 +8,40 @@ from hypothesis import strategies as st
 
 from gridguards import grid, lemmas
 from gridguards.arrangement import build_arrangement
-from gridguards.generate import channel, comb
+from gridguards.generate import (
+    blocking_fixture,
+    channel,
+    comb,
+    concurrent_pairs,
+    counterexample_polygon,
+    triple_pairs,
+)
 from gridguards.geometry import Point, pt
 from gridguards.grid import guard_set, verify_coverage
 from gridguards.lemmas import build_counterexample, check_local_visibility
+from gridguards.polygon import load_polygon, triangulate
 from gridguards.solver import SolveConfig, default_candidates, eh_solve
 from gridguards.visibility import overlay_segments, visibility_polygon
 
-from oracles import arrangement_ref, on_segment, polygon_area, winding_inside
+from oracles import (
+    boundary,
+    arrangement_ref,
+    integer_segments,
+    on_segment,
+    polygon_area,
+    representatives,
+    winding_inside,
+)
+
+
+def point_overlay(m, polygons):
+    """``overlay_segments`` as Point segments, read off the polygons'
+    boundary Points."""
+    segs = list(m.edges())
+    for vp in polygons:
+        b = boundary(vp)
+        segs.extend((b[i], b[(i + 1) % len(b)]) for i in vp.window_edges)
+    return segs
 
 
 def square_segments():
@@ -24,22 +50,22 @@ def square_segments():
 
 
 def test_square_single_face():
-    arr = build_arrangement(square_segments())
+    arr = build_arrangement(*integer_segments(square_segments()))
     assert len(arr.face_cycles) == 1
     assert polygon_area(arr.face_cycles[0]) == 16
-    assert len(arr.representatives) == 1
+    assert len(representatives(arr)) == 1
 
 
 def test_square_with_one_diagonal():
     segs = square_segments() + [(pt(0, 0), pt(4, 4))]
-    arr = build_arrangement(segs)
+    arr = build_arrangement(*integer_segments(segs))
     assert len(arr.face_cycles) == 2
     assert sorted(polygon_area(c) for c in arr.face_cycles) == [8, 8]
 
 
 def test_square_with_both_diagonals():
     segs = square_segments() + [(pt(0, 0), pt(4, 4)), (pt(0, 4), pt(4, 0))]
-    arr = build_arrangement(segs)
+    arr = build_arrangement(*integer_segments(segs))
     # diagonals cross at (2, 2): four triangular faces
     assert len(arr.face_cycles) == 4
     assert all(polygon_area(c) == 4 for c in arr.face_cycles)
@@ -49,9 +75,9 @@ def test_square_with_both_diagonals():
 def test_representatives_strictly_inside_their_face():
     segs = square_segments() + [(pt(0, 0), pt(4, 4)), (pt(0, 4), pt(4, 0)),
                                 (pt(2, 0), pt(2, 4))]
-    arr = build_arrangement(segs)
-    assert len(arr.representatives) == len(arr.face_cycles)
-    for cycle, rep in zip(arr.face_cycles, arr.representatives):
+    arr = build_arrangement(*integer_segments(segs))
+    assert len(representatives(arr)) == len(arr.face_cycles)
+    for cycle, rep in zip(arr.face_cycles, representatives(arr)):
         assert winding_inside(cycle, rep)
         # strictly inside: not on any input segment
         for a, b in segs:
@@ -62,13 +88,13 @@ def test_representatives_strictly_inside_their_face():
 def test_faces_partition_square_area():
     segs = square_segments() + [(pt(1, 0), pt(1, 4)), (pt(0, 2), pt(4, 2)),
                                 (pt(0, 0), pt(4, 4))]
-    arr = build_arrangement(segs)
+    arr = build_arrangement(*integer_segments(segs))
     assert sum(polygon_area(c) for c in arr.face_cycles) == 16
 
 
 def test_dangling_segment_does_not_create_face():
     segs = square_segments() + [(pt(2, 2), pt(3, 3))]
-    arr = build_arrangement(segs)
+    arr = build_arrangement(*integer_segments(segs))
     assert len(arr.face_cycles) == 1
     assert sum(polygon_area(c) for c in arr.face_cycles) == 16
 
@@ -84,12 +110,12 @@ def test_random_chords_partition_area(chords):
     for (x0, y0, x1, y1) in chords:
         if (x0, y0) != (x1, y1):
             segs.append((pt(x0, y0), pt(x1, y1)))
-    arr = build_arrangement(segs)
+    arr = build_arrangement(*integer_segments(segs))
     total = sum(polygon_area(c) for c in arr.face_cycles)
     # chords may stick out of the square and bound extra faces, so the
     # total is at least the square; faces never overlap
     assert total >= 16
-    for cycle, rep in zip(arr.face_cycles, arr.representatives):
+    for cycle, rep in zip(arr.face_cycles, representatives(arr)):
         assert winding_inside(cycle, rep)
 
 
@@ -101,13 +127,13 @@ def box(x0, y0, x1, y1):
 
 
 def assert_matches_reference(segs):
-    arr = build_arrangement(segs)
+    arr = build_arrangement(*integer_segments(segs))
     nodes, edges, cycles = arrangement_ref(segs)
     assert arr.nodes == nodes
     assert arr.edges == edges
     assert arr.face_cycles == cycles
-    assert len(arr.representatives) == len(cycles)
-    for f, (cycle, rep) in enumerate(zip(cycles, arr.representatives)):
+    assert len(representatives(arr)) == len(cycles)
+    for f, (cycle, rep) in enumerate(zip(cycles, representatives(arr))):
         assert winding_inside(cycle, rep)
         # a zero-length input segment is a point, not an edge: it is dropped
         assert not any(on_segment(rep, a, b) for a, b in segs if a != b)
@@ -191,14 +217,50 @@ def test_merged_and_skipped_pairs_match_reference(extra):
                          ids=["channel", "comb3"])
 def test_overlay_faces_tile_the_polygon(make):
     m = make()
-    segs = overlay_segments(
-        m, [visibility_polygon(m, c) for c in default_candidates(m)])
-    arr = build_arrangement(segs)
+    polygons = [visibility_polygon(m, c) for c in default_candidates(m)]
+    arr = build_arrangement(*overlay_segments(m, polygons))
+    segs = point_overlay(m, polygons)
     assert sum(polygon_area(c) for c in arr.face_cycles) == polygon_area(
         m.vertices)
-    for rep in arr.representatives:
+    for rep in representatives(arr):
         # a zero-length input segment is a point, not an edge: it is dropped
         assert not any(on_segment(rep, a, b) for a, b in segs if a != b)
+
+
+def centroids(m):
+    """Four triangles' centroids, over the denominator 3."""
+    return [Point((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3)
+            for a, b, c in triangulate(m)[:4]]
+
+
+def l_shape():
+    return load_polygon([(1, 1), (7, 1), (7, 4), (4, 4), (4, 7), (1, 7)])
+
+
+@pytest.mark.parametrize("make, extra", [
+    (lambda: comb(3), centroids), (channel, centroids),
+    (counterexample_polygon, centroids),
+    (lambda: blocking_fixture()[0], centroids), (triple_pairs, centroids),
+    (concurrent_pairs, centroids),
+    # the one window from (11/2, 5/2) runs from (4, 4) to (1, 7): its ends
+    # are 2 (4, 4) / 2 and 2 (1, 7) / 2 before they are reduced, so s is 1
+    (l_shape, lambda m: [pt(Fraction(11, 2), Fraction(5, 2))])],
+    ids=["comb3", "channel", "deshpande", "blocking", "triple-pairs",
+         "concurrent-pairs", "l-shape"])
+def test_integer_overlay_matches_point_path(make, extra):
+    """The overlay's integer segments, read off the polygons' triples,
+    build the arrangement that their boundary Points build, triples,
+    denominator and representatives included, and that of the reference.
+    The viewpoints are the vertices and a few points off the grid."""
+    m = make()
+    polygons = [visibility_polygon(m, v)
+                for v in list(m.vertices) + extra(m)]
+    arr = build_arrangement(*overlay_segments(m, polygons))
+    segs = point_overlay(m, polygons)
+    ref = build_arrangement(*integer_segments(segs))
+    assert (arr.s, arr.triples, arr.edge_nodes, arr.cycles, arr.reps) == (
+        ref.s, ref.triples, ref.edge_nodes, ref.cycles, ref.reps)
+    assert (arr.nodes, arr.edges, arr.face_cycles) == arrangement_ref(segs)
 
 
 # Node order: the arrangement sorts its node triples by floats and re-sorts
@@ -249,12 +311,12 @@ def test_node_order_with_common_denominator_past_float_range():
 
 def test_callers_build_no_node_points(monkeypatch):
     """Certification, a solve's certifier calls and the local visibility
-    check read only representatives, so no arrangement they build turns
-    its nodes, edges or face cycles into Points."""
+    check read only the representatives' triples, so no arrangement they
+    build turns its nodes, edges or face cycles into Points."""
     built = []
 
-    def recording(segments):
-        built.append(build_arrangement(segments))
+    def recording(segments, s):
+        built.append(build_arrangement(segments, s))
         return built[-1]
     for module in (grid, lemmas):
         monkeypatch.setattr(module, "build_arrangement", recording)
@@ -267,7 +329,7 @@ def test_callers_build_no_node_points(monkeypatch):
                            s / (16 * fix.polygon.L), s, grid_exponent=1)
     assert len(built) == 3
     for arr in built:
-        assert arr.representatives
+        assert arr.reps
         assert not {"nodes", "edges", "face_cycles"} & set(vars(arr))
     # reading them builds them, once
     assert built[0].face_cycles is built[0].face_cycles

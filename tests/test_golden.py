@@ -62,6 +62,8 @@ from gridguards.polygon import load_polygon
 from gridguards.solver import default_candidates
 from gridguards.visibility import overlay_segments, visibility_polygon
 
+from oracles import representatives
+
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = {
     "channel": channel,
@@ -232,8 +234,9 @@ def test_coverage_results_match_golden(name):
 def overlay_digest(m, viewpoints):
     """Segment and face counts and the sha256 of the arrangement of the
     viewpoints' visibility overlay."""
-    segs = overlay_segments(m, [visibility_polygon(m, v) for v in viewpoints])
-    arr = build_arrangement(segs)
+    segs, s = overlay_segments(
+        m, [visibility_polygon(m, v) for v in viewpoints])
+    arr = build_arrangement(segs, s)
 
     def xy(p):
         return [str(p.x), str(p.y)]
@@ -241,7 +244,7 @@ def overlay_digest(m, viewpoints):
         [xy(p) for p in arr.nodes],
         [[[str(c) for c in u], [str(c) for c in v]] for u, v in arr.edges],
         [[xy(p) for p in cycle] for cycle in arr.face_cycles],
-        [xy(p) for p in arr.representatives]], separators=(",", ":"))
+        [xy(p) for p in representatives(arr)]], separators=(",", ":"))
     return {"segments": len(segs), "faces": len(arr.face_cycles),
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
 

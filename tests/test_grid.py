@@ -1,5 +1,6 @@
 """Grid rounding, surrounding grid points, guard replacement, coverage."""
 
+import random
 from fractions import Fraction
 from math import floor
 
@@ -11,10 +12,12 @@ from gridguards.generate import (
     blocking_fixture,
     channel,
     comb,
+    concurrent_pairs,
     counterexample_polygon,
     random_polygon,
+    triple_pairs,
 )
-from gridguards.geometry import Point, dist_sq, pt
+from gridguards.geometry import GeometryError, Point, dist_sq, pt
 from gridguards.grid import (
     CASE_BOUNDARY,
     CASE_CORNER,
@@ -31,7 +34,7 @@ from gridguards.grid import (
 )
 from gridguards.polygon import PointOutsidePolygon, load_polygon, triangulate
 from gridguards.solver import default_candidates
-from gridguards.visibility import sees
+from gridguards.visibility import VisibilityPolygon, sees
 
 from oracles import round_to_grid_ref, surrounding_grid_ref, verify_coverage_ref
 
@@ -267,11 +270,23 @@ def test_verify_coverage_square_one_guard():
     assert isinstance(verify_coverage(m, guard_set([pt(3, 7)])), Covered)
 
 
+def assert_matches_sees_reference(m, gs):
+    """``verify_coverage`` against the oracle that asks ``sees`` at every
+    witness, verdict and witness both; an uncovered witness is seen by no
+    guard."""
+    result = verify_coverage(m, gs)
+    assert result == verify_coverage_ref(m, gs)
+    if isinstance(result, Uncovered):
+        assert not any(sees(m, x, result.witness) for x in gs.guards)
+    return result
+
+
 @given(st.integers(5, 8), st.integers(0, 10 ** 6), st.data())
 @settings(max_examples=25, deadline=None)
 def test_move_to_front_matches_fixed_order(n, seed, data):
-    """Asking the last seeing guard first names the same witness as asking
-    the guards in their given order, on covered and uncovered sets."""
+    """Asking the last holding polygon first names the same witness as
+    asking ``sees`` of the guards in their given order, on covered and
+    uncovered sets."""
     m = random_polygon(n, 8, seed=seed)
     pool = default_candidates(m)
     if data.draw(st.booleans()):
@@ -282,8 +297,53 @@ def test_move_to_front_matches_fixed_order(n, seed, data):
     else:
         guards = data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                     max_size=4))
-    gs = guard_set(guards)
-    assert verify_coverage(m, gs) == verify_coverage_ref(m, gs)
+    assert_matches_sees_reference(m, guard_set(guards))
+
+
+# points on deshpande's line y = 6 through both apexes of its pinhole, which
+# see each other along a sightline of zero width
+PINHOLE_LINE = [pt(5, 6), pt(17, 6)]
+CERTIFIER_FIXTURES = {
+    "comb3": (lambda: comb(3), []),
+    "channel": (channel, []),
+    "deshpande": (counterexample_polygon, PINHOLE_LINE),
+    "blocking": (lambda: blocking_fixture()[0], []),
+    "triple-pairs": (triple_pairs, []),
+    "concurrent-pairs": (concurrent_pairs, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIER_FIXTURES))
+def test_membership_certifier_matches_sees_on_fixtures(name):
+    """Seeded candidate subsets of one to three guards, the pinhole line's
+    points among them on deshpande, and every vertex with three more."""
+    make, extra = CERTIFIER_FIXTURES[name]
+    m = make()
+    pool = default_candidates(m) + extra
+    rng = random.Random(name)
+    for k in (1, 2, 3):
+        assert_matches_sees_reference(m, guard_set(rng.sample(pool, k)))
+    if extra:
+        assert_matches_sees_reference(m, guard_set(extra))
+    covered = guard_set(list(m.vertices) + rng.sample(pool, 3))
+    assert isinstance(assert_matches_sees_reference(m, covered), Covered)
+
+
+def test_uncovered_witness_seen_by_a_guard_raises(monkeypatch):
+    """A witness that no polygon holds but some guard sees is a
+    contradiction: membership rejecting the one guard's polygon makes the
+    square's covering guard set raise rather than name a seen witness."""
+    m = square()
+    guard = pt(3, 7)
+    holds = VisibilityPolygon.holds
+
+    def rejecting(vp, px, py, d):
+        at_guard = (Fraction(vp.X, vp.w), Fraction(vp.Y, vp.w)) == (
+            guard.x, guard.y)
+        return not at_guard and holds(vp, px, py, d)
+    monkeypatch.setattr(VisibilityPolygon, "holds", rejecting)
+    with pytest.raises(GeometryError):
+        verify_coverage(m, guard_set([guard]))
 
 
 offsets = st.fractions(min_value=Fraction(1, 97), max_value=Fraction(96, 97),

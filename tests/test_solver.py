@@ -43,6 +43,7 @@ from oracles import (
     full_instance,
     greedy_cover,
     masks_ref,
+    representatives,
 )
 
 
@@ -53,8 +54,8 @@ def square():
 def overlay_witnesses(m, views):
     """One point per face of the views' visibility overlay: the witnesses
     verify_coverage asks about when the views are the guards."""
-    return build_arrangement(overlay_segments(
-        m, [visibility_polygon(m, c) for c in views])).representatives
+    return representatives(build_arrangement(*overlay_segments(
+        m, [visibility_polygon(m, c) for c in views])))
 
 
 def test_default_candidates_square():
@@ -415,7 +416,8 @@ def test_eh_solve_call_counts(monkeypatch):
     """One solve computes one visibility polygon per witness and none per
     candidate; each certifier call computes its guards' polygons and
     builds one arrangement; each witness takes one batched membership
-    call over the candidates, and no call to sees()."""
+    call over the candidates.  The solver calls sees() nowhere, and the
+    certifier only to confirm an uncovered witness, once per guard."""
     from gridguards import grid, solver, visibility
 
     # a solve whose first cover misses a point, so the certifier runs twice
@@ -423,33 +425,36 @@ def test_eh_solve_call_counts(monkeypatch):
     calls = Counter()
     certified = []
 
-    def count(module, name):
+    def count(module, name, key=None):
         inner = getattr(module, name)
 
         def counting(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
 
     count(solver, "visibility_polygon")
     count(grid, "visibility_polygon")
     count(grid, "build_arrangement")  # verify_coverage's binding
-    # verify_coverage calls grid's binding of sees, which stays uncounted
+    count(grid, "sees", "grid.sees")  # verify_coverage's binding
     count(solver, "sees")
     count(visibility, "sees")
     count(solver, "in_visibility_polygon")
     inner = solver.verify_coverage
 
     def recording(m, g):
-        certified.append(len(g))
-        return inner(m, g)
+        before = calls["grid.sees"]
+        verdict = inner(m, g)
+        certified.append((len(g), type(verdict).__name__,
+                          calls["grid.sees"] - before))
+        return verdict
     monkeypatch.setattr(solver, "verify_coverage", recording)
     result = eh_solve(m, SolveConfig(rng_seed=0))
     assert len(result.guards) == 2
-    assert certified == [2, 2]
+    assert certified == [(2, "Uncovered", 2), (2, "Covered", 0)]
     assert result.witness_count == len(m.vertices) + 1 == 9
-    assert calls["visibility_polygon"] == (result.witness_count
-                                          + sum(certified)) == 13
+    assert calls["visibility_polygon"] == (
+        result.witness_count + sum(n for n, _, _ in certified)) == 13
     assert calls["build_arrangement"] == len(certified)
     assert calls["sees"] == 0
     assert calls["in_visibility_polygon"] == result.witness_count
