@@ -97,7 +97,8 @@ def in_bad_region(region: BadRegion, x: Point) -> bool:
     """Exact open membership of x (inside P) in either wedge: x lies
     strictly inside both half-planes of one."""
     d, (X, Y) = cleared(x.x, x.y)
-    if not _in_int_cycle(*region.model.scaled(d), X, Y):
+    m = region.model
+    if not _in_int_cycle(m.xs, m.ys, X, Y, d):
         raise PointOutsidePolygon(f"{x} outside polygon")
     return any(a * X + b * Y + c * d > 0 and e * X + f * Y + g * d > 0
                for (a, b, c), (e, f, g) in region.halfplanes)

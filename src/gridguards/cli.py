@@ -116,11 +116,11 @@ def _local_visibility(m, args) -> LemmaReport:
         a3 = fix.approach_points[2]
         fl = fix.polygon.L
         s = Fraction(1, 20 * fl)
-        return check_local_visibility(fix.polygon, a3, s / (16 * fl), s,
+        return check_local_visibility(fix.polygon, a3, s / (16 * fl),
                                       grid_exponent=1)
     L = m.L
     s = Fraction(1, L ** 3)
-    return check_local_visibility(m, m.vertices[0], s / (16 * L), s)
+    return check_local_visibility(m, m.vertices[0], s / (16 * L))
 
 
 # --check name -> check; `all` runs them in this order
@@ -139,6 +139,9 @@ _LEMMA_CHECKS = {
 def cmd_verify_lemmas(args) -> int:
     if args.samples < 0:
         raise ValueError("--samples must be at least 0")
+    if args.at and args.check not in ("all", "local-visibility"):
+        raise ValueError("--at applies only to --check local-visibility "
+                         "or all")
     if args.fixture:
         m = _FIXTURES[args.fixture]()
     elif args.input:

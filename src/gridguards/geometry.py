@@ -13,7 +13,9 @@ a cross product of homogeneous triples.  The polygon's own vertices
 never pass through ``orient``: ``polygon.load_polygon`` stores them as
 integers once and validates the polygon on them; its triangulation,
 extension lines and general-position check work on those integers, and
-its predicates scale them by their query point's denominator.  The other
+its one even-odd membership loop, ``polygon._in_int_cycle``, scales a
+cycle by the query point's denominator as it reads it, for P and for
+every visibility polygon alike.  The other
 hot code works in integer frames of its own: the two overlay
 constructions, ``visibility.visibility_polygon`` and
 ``arrangement.build_arrangement``, keep constructed points as reduced

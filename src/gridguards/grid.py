@@ -146,7 +146,7 @@ def _nearest_index(D: int, scaled: Tuple[Sequence[int], Sequence[int]],
                            for i, j in cells):
             if best is not None and cand >= best:
                 break
-            if _in_int_cycle(xs, ys, cand[1], cand[2]):
+            if _in_int_cycle(xs, ys, cand[1], cand[2], 1):
                 best = cand
                 break
         # every grid point outside rings 0..ring is at least (ring + 1) w
@@ -174,7 +174,7 @@ def surrounding_grid(spec: GridSpec, m: PolygonModel, x: Point,
         raise ValueError("alpha must be in (0, L^-2]")
     d, (X, Y, Q) = cleared(x.x, x.y, alpha / 4)
     xs, ys = m.scaled(d)
-    if not _in_int_cycle(xs, ys, X, Y):
+    if not _in_int_cycle(xs, ys, X, Y, 1):
         raise PointOutsidePolygon(f"{x} outside polygon")
     # isoceles stand-in for the inscribed triangle, apex up and base
     # horizontal, around x and with corners within alpha = 4 Q / d of x
@@ -188,7 +188,7 @@ def surrounding_grid(spec: GridSpec, m: PolygonModel, x: Point,
     enclosed = [v for v, px, py in zip(m.vertices, xs, ys)
                 if in_triangle(px, py)]
     defining = [(px, py, d) for px, py in corners
-                if _in_int_cycle(xs, ys, px, py)]
+                if _in_int_cycle(xs, ys, px, py, 1)]
     # each edge against each triangle side: a shared point makes the case
     # at least Boundary, and a unique one is a defining point.  Parallel
     # pairs need no test: if an edge overlaps a side, either a triangle

@@ -444,7 +444,6 @@ def check_cone_property(m: PolygonModel, samples: int = 100,
 
 
 def check_local_visibility(m: PolygonModel, x: Point, alpha: Scalar,
-                           s: Scalar,
                            grid_exponent: Optional[int] = None) -> LemmaReport:
     """Exact face-level check of Vis(x) against the grid neighborhood.
 

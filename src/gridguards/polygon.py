@@ -8,8 +8,11 @@ work on the same integers: reflex vertices, opposite pairs and the ear
 clipping of ``triangulate`` turn by ``_turn``, the extension lines are
 canonical integer triples (A, B, C), and ``line_meets`` gives their
 meeting points as reduced homogeneous triples, for the general-position
-check here and for the distance bounds.  The predicates scale the
-integers by their query's denominator.  The derived constant L = 20 * M,
+check here and for the distance bounds.  Membership has one even-odd
+loop, ``_in_int_cycle``, which tests a point (px / d, py / d) against an
+integer cycle and scales the cycle by d as it reads it; it serves P, with
+the query's own denominator, and every visibility polygon
+(``VisibilityPolygon.holds``).  The derived constant L = 20 * M,
 where M is the largest coordinate, drives every distance bound
 downstream.
 """
@@ -159,20 +162,22 @@ def load_polygon(vertex_list: Sequence) -> PolygonModel:
 def point_in_polygon(m: PolygonModel, p: Point) -> bool:
     """Closed-polygon membership: boundary points count as inside."""
     d, (px, py) = cleared(p.x, p.y)
-    return _in_int_cycle(*m.scaled(d), px, py)
+    return _in_int_cycle(m.xs, m.ys, px, py, d)
 
 
-def _in_int_cycle(xs: Sequence[int], ys: Sequence[int], px: int,
-                 py: int) -> bool:
-    """Membership of (px, py) in the closed simple polygon with these
-    integer vertices; boundary points count as inside.
+def _in_int_cycle(xs: Sequence[int], ys: Sequence[int], px: int, py: int,
+                  d: int) -> bool:
+    """Membership of (px / d, py / d), d > 0, in the closed simple polygon
+    with these integer vertices; boundary points count as inside.
 
-    Exact even-odd ray casting with the half-open vertex rule: no epsilon,
-    no perturbation of inputs.
+    Exact even-odd ray casting with the half-open vertex rule, on the
+    vertices scaled by d as the loop reads them: no epsilon, no
+    perturbation of inputs.
     """
     inside = False
-    ax, ay = xs[-1], ys[-1]
+    ax, ay = xs[-1] * d, ys[-1] * d
     for bx, by in zip(xs, ys):
+        bx, by = bx * d, by * d
         # c = (a - p) x (b - a): zero iff p is on the line of edge ab
         c = (ax - px) * (by - ay) - (ay - py) * (bx - ax)
         if (c == 0 and min(ax, bx) <= px <= max(ax, bx)
@@ -202,12 +207,12 @@ def _segment_inside(m: PolygonModel, a: Point, b: Point) -> bool:
     t an integer ratio; between consecutive such t the segment is either
     inside or outside, so it stays in P iff every gap's midpoint does.
     With all t over one common denominator q, each midpoint is an integer
-    point once the cycle is scaled by 2 q.
+    point over 2 q.
     """
     d, (ox, oy, bx, by) = cleared(a.x, a.y, b.x, b.y)
     xs, ys = m.scaled(d)
     for p, px, py in ((a, ox, oy), (b, bx, by)):
-        if not _in_int_cycle(xs, ys, px, py):
+        if not _in_int_cycle(xs, ys, px, py, 1):
             raise PointOutsidePolygon(f"{p} outside polygon")
     dx, dy = bx - ox, by - oy
     if not (dx or dy):
@@ -231,9 +236,8 @@ def _segment_inside(m: PolygonModel, a: Point, b: Point) -> bool:
     q = lcm(*[t // gcd(n, t) for n, t in ts])
     ns = sorted({n * q // t for n, t in ts})
     w = 2 * q
-    wxs, wys = [x * w for x in xs], [y * w for y in ys]
-    return all(_in_int_cycle(wxs, wys, w * ox + (n0 + n1) * dx,
-                             w * oy + (n0 + n1) * dy)
+    return all(_in_int_cycle(xs, ys, w * ox + (n0 + n1) * dx,
+                             w * oy + (n0 + n1) * dy, w)
                for n0, n1 in zip(ns, ns[1:]))
 
 
@@ -334,7 +338,7 @@ def check_general_position(m: PolygonModel) -> GeneralPositionReport:
         # a vertex is an integer point: W = 1
         if len(idxs) < 3 or (w == 1 and (x, y) in vertex_set):
             continue
-        if _in_int_cycle(*m.scaled(w), x, y):
+        if _in_int_cycle(xs, ys, x, y, w):
             report.concurrent_extension_triples.append(
                 (Point(Fraction(x, w), Fraction(y, w)), tuple(sorted(idxs))))
     return report

@@ -3,16 +3,17 @@
 Set cover runs on a small witness set that the certifier grows.  The
 witnesses start at the polygon's vertices.  Closed visibility is
 symmetric, so a candidate sees a witness exactly when it lies in the
-witness's visibility polygon: each witness's visibility polygon is
-computed once, ``in_visibility_polygon`` on its integer triples gives the
-row of candidates that see it, and the row's bits are ORed into the
-candidates' bitmasks as the witness's bit.  No candidate's visibility
+witness's visibility polygon.  The candidates are cleared to integers
+over one denominator once per solve; each witness's visibility polygon is
+computed once, ``VisibilityPolygon.holds`` on each cleared candidate
+gives the row of candidates that see it, and the row's bits are ORed into
+the candidates' bitmasks as the witness's bit.  No candidate's visibility
 polygon is built.  Reweighting rounds, a prune and a greedy pass choose a
 cover of the witnesses, and ``grid.verify_coverage`` certifies it on the
 guards' own visibility polygons.  If it names a point that the cover leaves
 unseen, that point becomes the next witness, with one visibility polygon
-and one membership call, and the search runs again with a fresh round
-budget.  The chosen cover sees every earlier witness and misses the new
+and one membership test per candidate, and the search runs again with a
+fresh round budget.  The chosen cover sees every earlier witness and misses the new
 one, so no cover goes to the certifier twice, and the loop ends at a
 cover of P or when one search runs out of rounds.
 """
@@ -27,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
-from .geometry import Point
+from .geometry import Point, cleared
 from .grid import (
     Covered,
     GuardSet,
@@ -38,7 +39,6 @@ from .grid import (
 )
 from .polygon import PolygonModel, _in_int_cycle
 from .visibility import (
-    in_visibility_polygon,
     sees,  # noqa: F401  kept bound: perfbench's --selfcheck wraps solver.sees
     visibility_polygon,
 )
@@ -102,7 +102,7 @@ def default_candidates(m: PolygonModel) -> List[Point]:
     half = Fraction(1, 2)
     for i in range(min(m.xs), max(m.xs) + 1):
         for j in range(min(m.ys), max(m.ys) + 1):
-            if _in_int_cycle(x2, y2, 2 * i + 1, 2 * j + 1):
+            if _in_int_cycle(x2, y2, 2 * i + 1, 2 * j + 1, 1):
                 out.append(Point(i + half, j + half))
     return sorted(set(out), key=Point.key)
 
@@ -125,22 +125,23 @@ def _prune(chosen: List[int], masks: Sequence[int], full: int) -> List[int]:
     return kept
 
 
-def _add_witness(m: PolygonModel, w: Point, candidates: Sequence[Point],
+def _add_witness(m: PolygonModel, w: Point,
+                 points: Sequence[Tuple[int, int]], d: int,
                  masks: List[int], bit: int) -> None:
-    """Set ``bit`` in the mask of every candidate that sees w.
+    """Set ``bit`` in the mask of every candidate (x / d, y / d), given as
+    its ``points`` (x, y), that sees w.
 
     Closed visibility is symmetric, so these are the candidates in w's
-    closed visibility polygon: one polygon and one membership call per
-    witness.  Raises InfeasibleWitness if no candidate sees w.
+    closed visibility polygon: one polygon per witness, and one membership
+    test per candidate.  Raises InfeasibleWitness if no candidate sees w.
     """
-    row = in_visibility_polygon(visibility_polygon(m, w), candidates)
+    vp = visibility_polygon(m, w)
+    row = [i for i, (x, y) in enumerate(points) if vp.holds(x, y, d)]
     if not row:
         raise InfeasibleWitness(f"witness {w} seen by no candidate")
     flag = 1 << bit
-    while row:
-        low = row & -row
-        masks[low.bit_length() - 1] |= flag
-        row ^= low
+    for i in row:
+        masks[i] |= flag
 
 
 def eh_solve(m: PolygonModel, cfg: SolveConfig) -> SolveResult:
@@ -160,9 +161,11 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig) -> SolveResult:
         candidates = default_candidates(m)
     else:
         candidates = sorted(m.vertices, key=Point.key)
+    d, cs = cleared(*[c for p in candidates for c in (p.x, p.y)])
+    points = list(zip(cs[0::2], cs[1::2]))
     masks = [0] * len(candidates)
     for bit, v in enumerate(m.vertices):
-        _add_witness(m, v, candidates, masks, bit)
+        _add_witness(m, v, points, d, masks, bit)
     witness_count = len(m.vertices)
     rng = random.Random(cfg.rng_seed)
     rounds = 0
@@ -175,7 +178,7 @@ def eh_solve(m: PolygonModel, cfg: SolveConfig) -> SolveResult:
         if isinstance(verdict, Covered):
             return SolveResult(guards=guards, witness_count=witness_count,
                                rounds=rounds)
-        _add_witness(m, verdict.witness, candidates, masks, witness_count)
+        _add_witness(m, verdict.witness, points, d, masks, witness_count)
         witness_count += 1
 
 

@@ -15,7 +15,9 @@ boundary edge is a window chord unless one polygon edge holds both its ends.
 The polygon is kept in the viewpoint's integer frame, as reduced triples,
 cleared once over the lcm of their denominators when first used, and
 membership, the overlay and the visible part of a polygon edge are read
-off them: the module builds no boundary Point.
+off them: the module builds no boundary Point.  Membership (``holds``)
+moves the query point into that frame and runs P's own even-odd loop,
+``polygon._in_int_cycle``, on the cleared boundary.
 """
 
 from __future__ import annotations
@@ -67,22 +69,12 @@ class VisibilityPolygon:
                 [hy * (q // hw) for _, hy, hw in self.triples])
 
     def holds(self, px: int, py: int, d: int) -> bool:
-        """Whether (px / d, py / d), d > 0, lies in the closed polygon: the
-        test of ``polygon._in_int_cycle``, in the polygon's frame over q d."""
+        """Whether (px / d, py / d), d > 0, lies in the closed polygon:
+        ``polygon._in_int_cycle`` on the cleared boundary, with the point
+        in the polygon's frame over q d."""
         q, xs, ys = self._cleared
-        ux, uy = (self.w * px - self.X * d) * q, (self.w * py - self.Y * d) * q
-        inside = False
-        ax, ay = xs[-1] * d, ys[-1] * d
-        for bx, by in zip(xs, ys):
-            bx, by = bx * d, by * d
-            c = (ax - ux) * (by - ay) - (ay - uy) * (bx - ax)
-            if (c == 0 and min(ax, bx) <= ux <= max(ax, bx)
-                    and min(ay, by) <= uy <= max(ay, by)):
-                return True
-            if (ay > uy) != (by > uy) and (c > 0) == (by > ay):
-                inside = not inside
-            ax, ay = bx, by
-        return inside
+        return _in_int_cycle(xs, ys, (self.w * px - self.X * d) * q,
+                             (self.w * py - self.Y * d) * q, d)
 
 
 def sees(m: PolygonModel, x: Point, y: Point) -> bool:
@@ -91,17 +83,6 @@ def sees(m: PolygonModel, x: Point, y: Point) -> bool:
     Raises PointOutsidePolygon when x, or else y, lies outside it.
     """
     return _segment_inside(m, x, y)
-
-
-def in_visibility_polygon(vp: VisibilityPolygon,
-                          points: Sequence[Point]) -> int:
-    """The bitmask of the points in the closed visibility polygon, boundary
-    included: bit i is set iff ``points[i]`` lies in it (``vp.holds``)."""
-    mask = 0
-    for i, p in enumerate(points):
-        d, (px, py) = cleared(p.x, p.y)
-        mask |= vp.holds(px, py, d) << i
-    return mask
 
 
 def overlay_segments(m: PolygonModel, polygons: Sequence[VisibilityPolygon]
@@ -191,7 +172,7 @@ def visibility_polygon(m: PolygonModel, x: Point) -> VisibilityPolygon:
     # x and the vertices scaled to integers; rel[i] = w * (vertex i - x)
     w, (X, Y) = cleared(x.x, x.y)
     xs, ys = m.scaled(w)
-    if not _in_int_cycle(xs, ys, X, Y):
+    if not _in_int_cycle(xs, ys, X, Y, 1):
         raise PointOutsidePolygon(f"{x} outside polygon")
     rel = [(vx - X, vy - Y) for vx, vy in zip(xs, ys)]
     n = len(rel)

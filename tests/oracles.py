@@ -369,11 +369,21 @@ def verify_coverage_ref(m, g):
     return Covered()
 
 
+def in_visibility_polygon(vp, points) -> int:
+    """The bitmask of the points in the closed visibility polygon, boundary
+    included: bit i is set iff ``vp.holds`` admits ``points[i]``."""
+    mask = 0
+    for i, p in enumerate(points):
+        d, (px, py) = cleared(p.x, p.y)
+        mask |= vp.holds(px, py, d) << i
+    return mask
+
+
 def masks_ref(m, candidates, witnesses):
     """Per candidate, the bitmask of the witnesses in its closed visibility
     polygon, by one membership test per candidate and witness against its
-    boundary Points: what ``visibility.in_visibility_polygon`` decides on
-    the polygon's triples.
+    boundary Points: what ``VisibilityPolygon.holds`` decides on the
+    polygon's triples.
 
     Each boundary is cleared to integers once, and scaled once more for
     each distinct witness denominator, so that every test is an integer
@@ -391,7 +401,7 @@ def masks_ref(m, candidates, witnesses):
                 frames[e] = (D // e, [x * (D // d) for x in cs[0::2]],
                              [y * (D // d) for y in cs[1::2]])
             k, xs, ys = frames[e]
-            if _in_int_cycle(xs, ys, wx * k, wy * k):
+            if _in_int_cycle(xs, ys, wx * k, wy * k, 1):
                 mask |= 1 << i
         masks.append(mask)
     return tuple(masks)

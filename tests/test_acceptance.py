@@ -160,7 +160,7 @@ def test_criterion_3_counterexample_regression():
             assert not sees(m, a, fix.pinhole_target)
         a3 = fix.approach_points[2]
         s = Fraction(1, 20 * m.L)
-        rep = check_local_visibility(m, a3, s / (16 * m.L), s,
+        rep = check_local_visibility(m, a3, s / (16 * m.L),
                                      grid_exponent=1)
         assert rep.status == "Violated"
 
@@ -183,7 +183,7 @@ def test_criterion_4_local_visibility_outside_bad_regions():
             for x in islice(_interior_points(triangulate(m), rng), 120):
                 if any(in_bad_region(r, x) for r in regions):
                     continue
-                rep = check_local_visibility(m, x, alpha, s,
+                rep = check_local_visibility(m, x, alpha,
                                              grid_exponent=11)
                 assert rep.status == "Verified", (x, rep.violations[:1])
                 accepted += 1

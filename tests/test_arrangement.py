@@ -326,7 +326,7 @@ def test_callers_build_no_node_points(monkeypatch):
     fix = build_counterexample(3)
     s = Fraction(1, 20 * fix.polygon.L)
     check_local_visibility(fix.polygon, fix.approach_points[2],
-                           s / (16 * fix.polygon.L), s, grid_exponent=1)
+                           s / (16 * fix.polygon.L), grid_exponent=1)
     assert len(built) == 3
     for arr in built:
         assert arr.reps

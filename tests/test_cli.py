@@ -212,12 +212,16 @@ def test_generate_rejects_more_vertices_than_lattice_points(capsys):
      "--samples must be at least 0"),
     (["solve", "{poly}", "--max-rounds", "0"],
      "--max-rounds must be at least 1"),
+    (["verify-lemmas", "--fixture", "channel", "--check", "distances",
+      "--at", "bad-region"], "--at applies only to"),
 ], ids=["solve-o", "verify-lemmas-o", "analyze-o", "generate-o",
-        "solve-svg", "analyze-svg", "samples-negative", "max-rounds-zero"])
+        "solve-svg", "analyze-svg", "samples-negative", "max-rounds-zero",
+        "at-without-local-visibility"])
 def test_errors_exit_2_with_one_line(tmp_path, poly_file, capsys, argv,
                                      message):
-    """An output path in a missing directory and an out-of-range option
-    each exit 2 from main, with one error line and no traceback."""
+    """An output path in a missing directory, an out-of-range option and
+    an option the chosen check does not read each exit 2 from main, with
+    one error line and no traceback."""
     missing = str(tmp_path / "missing" / "out")
     argv = [a.format(poly=poly_file, missing=missing) for a in argv]
     assert main(argv) == EXIT_INPUT

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every
 public function or class of the package is used outside the tests, every
-parameter with a default is passed somewhere, and every class member is
-read somewhere.
+parameter with a default is passed somewhere, every class member is
+read somewhere, and every parameter is read by its function.
 
 A standard-library ``ast`` scan stands in for a linter: each name bound by
 an import must appear as a ``Name`` node somewhere in the module (the base
@@ -33,6 +33,12 @@ check computed results), and a method or property with no reference in
 the package or in ``perfbench/``.  Both scans match attributes by name
 alone, so a member that shares its name with another class's member
 passes as long as that one is read.
+
+A fifth scan finds the parameters nothing reads: a parameter of any
+function, method or nested function of the package, ``*args`` and
+``**kwargs`` included, whose name the body never loads.  A read in a
+nested function counts for the enclosing one.  Dunder methods are exempt,
+since their signatures are fixed by the protocol they implement.
 """
 
 import ast
@@ -311,3 +317,53 @@ def test_scan_finds_an_unread_member():
     tests = ['assert r.checked == r.only_tested()\nr.unread = 1\n']
     assert unread_members(package, bench, tests) == [
         "Result.only_tested", "Result.unread"]
+
+
+def unread_parameters(package):
+    """Qualified names of the parameters of the package's functions,
+    methods and nested functions, dunder methods aside, that their body
+    never reads."""
+    out = []
+
+    def visit(node, prefix):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.ClassDef):
+                visit(sub, f"{prefix}{sub.name}.")
+            elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = sub.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p]
+                read = {n.id for stmt in sub.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                if not (sub.name.startswith("__")
+                        and sub.name.endswith("__")):
+                    out.extend(f"{prefix}{sub.name}.{p.arg}"
+                               for p in params if p.arg not in read)
+                visit(sub, f"{prefix}{sub.name}.")
+            else:
+                visit(sub, prefix)
+    for src in package:
+        visit(ast.parse(src), "")
+    return sorted(out)
+
+
+def test_every_parameter_is_read():
+    package = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert unread_parameters(package) == []
+
+
+def test_scan_finds_an_unread_parameter():
+    package = ['def f(a, unread, *args, kw, **kwargs):\n'
+               '    def inner(x, y):\n'
+               '        return a + x\n'
+               '    unread = 1\n'
+               '    return inner(kw)\n\n'
+               'class C:\n'
+               '    def __init__(self, proto):\n'
+               '        pass\n\n'
+               '    def m(self, used, ignored=0):\n'
+               '        return used\n']
+    assert unread_parameters(package) == [
+        "C.m.ignored", "C.m.self", "f.args", "f.inner.y", "f.kwargs",
+        "f.unread"]

@@ -1,6 +1,6 @@
 """Differential tests of the integer kernel against Fraction references.
 
-The predicates geometry.orient, visibility.in_visibility_polygon and
+The predicates geometry.orient, VisibilityPolygon.holds and
 visibility.sees (polygon._segment_inside) decide on
 denominator-cleared integers.  Each is checked here against the same
 formula computed directly in Fraction arithmetic (tests/oracles.py), on
@@ -23,7 +23,7 @@ from gridguards.generate import (
     counterexample_polygon,
     random_polygon,
 )
-from gridguards.geometry import Point, orient, pt
+from gridguards.geometry import Point, cleared, orient, pt
 from gridguards.lemmas import build_counterexample
 from gridguards.polygon import (
     PointOutsidePolygon,
@@ -31,11 +31,7 @@ from gridguards.polygon import (
     segment_in_polygon,
 )
 from gridguards.solver import default_candidates
-from gridguards.visibility import (
-    in_visibility_polygon,
-    sees,
-    visibility_polygon,
-)
+from gridguards.visibility import sees, visibility_polygon
 
 from oracles import (
     boundary,
@@ -126,10 +122,10 @@ box = st.fractions(min_value=0, max_value=9, max_denominator=12)
 @given(st.integers(4, 7), st.integers(0, 10 ** 6), st.data())
 @settings(max_examples=30, deadline=None)
 def test_point_in_cycle_matches_winding(n, seed, data):
-    """``in_visibility_polygon``, decided on the polygon's triples, and the
-    Fraction even-odd reference ``point_in_cycle`` on its boundary Points
-    both match the winding number, from cell centres and from points
-    inside edges, whose boundaries mix denominators."""
+    """``VisibilityPolygon.holds``, decided on the polygon's triples, and
+    the Fraction even-odd reference ``point_in_cycle`` on its boundary
+    Points both match the winding number, from cell centres and from
+    points inside edges, whose boundaries mix denominators."""
     m = random_polygon(n, 8, seed=seed)
     a, b = m.edges()[data.draw(st.integers(0, m.n - 1))]
     x = data.draw(st.sampled_from(default_candidates(m) + [
@@ -143,11 +139,11 @@ def test_point_in_cycle_matches_winding(n, seed, data):
     probes += [Point(data.draw(box), data.draw(box)) for _ in range(8)]
     # at the height of a vertex, where the half-open rule decides
     probes += [Point(data.draw(box), v.y) for v in cycle]
-    mask = in_visibility_polygon(vp, probes)
-    for i, p in enumerate(probes):
+    for p in probes:
         inside = winding_inside(cycle, p)
+        d, (px, py) = cleared(p.x, p.y)
         assert point_in_cycle(cycle, p) == inside, p
-        assert (mask >> i & 1) == inside, p
+        assert vp.holds(px, py, d) == inside, p
 
 
 # ---------------------------------------------------------------------------

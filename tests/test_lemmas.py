@@ -195,7 +195,7 @@ def test_local_visibility_holds_away_from_bad_region():
     s = Fraction(1, L ** 3)
     alpha = s / (16 * L)
     x = pt(2, 2)  # far from the spike pair's supporting line
-    rep = check_local_visibility(m, x, alpha, s)
+    rep = check_local_visibility(m, x, alpha)
     assert rep.status == "Verified"
     assert rep.violations == []
 
@@ -256,7 +256,7 @@ def test_local_visibility_violated_at_bad_region():
     L = m.L
     a3 = fix.approach_points[2]
     s = Fraction(1, 20 * L)
-    rep = check_local_visibility(m, a3, s / (16 * L), s, grid_exponent=1)
+    rep = check_local_visibility(m, a3, s / (16 * L), grid_exponent=1)
     assert rep.status == "Violated"
     # every violation witness is genuinely seen by a3 but by no guard
     spec = GridSpec(E=1, L=L)

@@ -107,13 +107,31 @@ def test_load_polygon_rejections():
 coords = st.integers(min_value=1, max_value=40)
 inner = st.fractions(min_value=Fraction(1), max_value=Fraction(40),
                      max_denominator=8)
+unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
-@given(st.builds(Point, inner, inner))
-@settings(max_examples=60)
-def test_point_in_polygon_matches_winding_oracle(p):
-    m = channel()
-    assert point_in_polygon(m, p) == winding_inside(list(m.vertices), p)
+@given(st.one_of(st.none(), st.tuples(st.integers(3, 10),
+                                      st.integers(0, 10 ** 6))),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_point_in_polygon_matches_winding_oracle(shape, data):
+    """Membership in P, decided by ``_in_int_cycle`` over the query's own
+    denominator, agrees with the winding number on the channel and on
+    random polygons: at free points; on edges and just off them, with
+    denominators above 1; and at the height of a vertex, where the
+    half-open rule decides."""
+    m = channel() if shape is None else random_polygon(shape[0], 40,
+                                                       seed=shape[1])
+    verts = list(m.vertices)
+    a, b = data.draw(st.sampled_from(m.edges()))
+    on_edge = a + (b - a).scaled(data.draw(unit))
+    off = Point(Fraction(0), Fraction(1, data.draw(st.integers(2, 97))))
+    v = data.draw(st.sampled_from(verts))
+    probes = [Point(data.draw(inner), data.draw(inner)), on_edge,
+              on_edge + off, on_edge - off, Point(data.draw(inner), v.y),
+              Point(v.x + off.y, v.y), Point(v.x - off.y, v.y)]
+    for p in probes:
+        assert point_in_polygon(m, p) == winding_inside(verts, p), p
 
 
 def test_point_in_polygon_boundary_and_outside():

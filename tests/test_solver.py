@@ -17,7 +17,7 @@ from gridguards.generate import (
     counterexample_polygon,
     random_polygon,
 )
-from gridguards.geometry import Point, pt
+from gridguards.geometry import Point, cleared, pt
 from gridguards.grid import Covered, verify_coverage
 from gridguards.polygon import load_polygon, point_in_polygon
 from gridguards.solver import (
@@ -31,7 +31,6 @@ from gridguards.solver import (
     eh_solve,
 )
 from gridguards.visibility import (
-    in_visibility_polygon,
     overlay_segments,
     sees,
     visibility_polygon,
@@ -42,6 +41,7 @@ from oracles import (
     brute_force_optimum,
     full_instance,
     greedy_cover,
+    in_visibility_polygon,
     masks_ref,
     representatives,
 )
@@ -347,12 +347,14 @@ def test_masks_match_reference_on_fixtures(fixture):
 
 
 def witness_side_masks(m, candidates, witnesses):
-    """The candidates' masks as eh_solve builds them: each witness's row
-    of seers, from the witness's own visibility polygon, ORed in as that
-    witness's bit."""
+    """The candidates' masks as eh_solve builds them: the candidates
+    cleared over one denominator, then each witness's row of seers, from
+    the witness's own visibility polygon, ORed in as that witness's bit."""
+    d, cs = cleared(*[c for p in candidates for c in (p.x, p.y)])
+    points = list(zip(cs[0::2], cs[1::2]))
     masks = [0] * len(candidates)
     for bit, w in enumerate(witnesses):
-        _add_witness(m, w, candidates, masks, bit)
+        _add_witness(m, w, points, d, masks, bit)
     return masks
 
 
@@ -413,11 +415,11 @@ def test_eh_solve_large_fixtures(fixture, witnesses, k):
 
 
 def test_eh_solve_call_counts(monkeypatch):
-    """One solve computes one visibility polygon per witness and none per
-    candidate; each certifier call computes its guards' polygons and
-    builds one arrangement; each witness takes one batched membership
-    call over the candidates.  The solver calls sees() nowhere, and the
-    certifier only to confirm an uncovered witness, once per guard."""
+    """One solve clears its candidates once and computes one visibility
+    polygon per witness and none per candidate; each certifier call
+    computes its guards' polygons and builds one arrangement.  The solver
+    calls sees() nowhere, and the certifier only to confirm an uncovered
+    witness, once per guard."""
     from gridguards import grid, solver, visibility
 
     # a solve whose first cover misses a point, so the certifier runs twice
@@ -439,7 +441,7 @@ def test_eh_solve_call_counts(monkeypatch):
     count(grid, "sees", "grid.sees")  # verify_coverage's binding
     count(solver, "sees")
     count(visibility, "sees")
-    count(solver, "in_visibility_polygon")
+    count(solver, "cleared", "solver.cleared")
     inner = solver.verify_coverage
 
     def recording(m, g):
@@ -457,4 +459,4 @@ def test_eh_solve_call_counts(monkeypatch):
         result.witness_count + sum(n for n, _, _ in certified)) == 13
     assert calls["build_arrangement"] == len(certified)
     assert calls["sees"] == 0
-    assert calls["in_visibility_polygon"] == result.witness_count
+    assert calls["solver.cleared"] == 1

@@ -24,7 +24,6 @@ from gridguards.polygon import (
 )
 from gridguards.solver import default_candidates
 from gridguards.visibility import (
-    in_visibility_polygon,
     sees,
     visibility_polygon,
     visible_subsegments,
@@ -34,6 +33,7 @@ from oracles import (
     boundary,
     cross,
     dot,
+    in_visibility_polygon,
     naive_sees,
     polygon_area,
     visibility_area_oracle,
