@@ -57,6 +57,7 @@ from .polygon import (
 from .solver import (
     STRATEGY_FULL,
     STRATEGY_VERTICES,
+    CellBudgetExceeded,
     RoundLimitExceeded,
     SolveConfig,
     eh_solve,
@@ -260,7 +261,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RoundLimitExceeded, GenerationBudgetExceeded) as e:
+    except (RoundLimitExceeded, CellBudgetExceeded,
+            GenerationBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ParseError, IoError, PolygonError, ValueError) as e:

@@ -2,8 +2,8 @@
 
 Every check enumerates or samples concrete configurations, filters them by
 the exact hypotheses of the corresponding bound, and verifies the stated
-conclusion with rational arithmetic.  Configurations failing the hypotheses
-are counted as skipped, never as verified, so vacuous passes are visible.
+conclusion in exact arithmetic, or counts it when integrality alone implies
+it.  Configurations failing the hypotheses are skipped, never verified.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .geometry import (
     pt,
 )
 from .polygon import (
+    Line,
     OppositeReflexPair,
     PointOutsidePolygon,
     PolygonModel,
@@ -81,6 +82,67 @@ class LemmaReport:
         }
 
 
+def _separate_meets(rep: LemmaReport, lines: Sequence[Line], L: int) -> None:
+    """Items 3 and 4 of the distance lemma on the meeting points (X, Y, W)
+    of the integer lines (a, b, c).  A point off a line has |aX + bY - cW|
+    >= 1, and distinct points differ by a nonzero integer vector over
+    W1 W2.  So a point with W^2 (a^2 + b^2) <= L^10 for every line passes
+    item 3, and if every W^4 <= L^8, every pair passes item 4: those pairs
+    are counted, and only the rest are tested."""
+    meets = line_meets(lines)
+    pts = list(meets)
+
+    # item 3: intersection point to extension not through it >= L^-5
+    L10 = L ** 10
+    normed = [(a, b, c, a * a + b * b) for a, b, c in lines]
+    top = max(nn for *_, nn in normed)
+    for (x, y, w), through in meets.items():
+        w2 = w * w
+        if w2 * top <= L10:
+            rep.instances_checked += len(lines) - len(through)
+            continue
+        for a, b, c, nn in normed:
+            r = a * x + b * y - c * w
+            if r == 0:
+                continue
+            rep.instances_checked += 1
+            if r * r * L10 < w2 * nn:
+                rep.violations.append(
+                    (f"item3 point({x},{y},{w}) line({a},{b},{c})", str(r)))
+
+    # item 4: distinct intersection points >= L^-4
+    L8 = L ** 8
+    pair_count = len(pts) * (len(pts) - 1) // 2
+    if max((w for *_, w in pts), default=0) ** 4 <= L8:
+        rep.instances_checked += pair_count
+        return
+    # points are bucketed in cells of width 1/k, and points in cells that
+    # do not touch are more than 1/k >= L^-4 apart, so only touching cells
+    # are compared
+    k = min(1000, L ** 4)
+    buckets: Dict[Tuple[int, int], List[int]] = {}
+    for idx, (x, y, w) in enumerate(pts):
+        buckets.setdefault((k * x // w, k * y // w), []).append(idx)
+    near_checked = 0
+    for (cx, cy), members in buckets.items():
+        cand = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                cand.extend(buckets.get((cx + dx, cy + dy), []))
+        for i in members:
+            x1, y1, w1 = pts[i]
+            for j in cand:
+                if j <= i:
+                    continue
+                x2, y2, w2 = pts[j]
+                ex = x1 * w2 - x2 * w1
+                ey = y1 * w2 - y2 * w1
+                ok = (ex * ex + ey * ey) * L8 >= (w1 * w2) ** 2
+                rep.check(ok, f"item4 points {i},{j}", f"({ex},{ey})")
+                near_checked += 1
+    rep.instances_checked += pair_count - near_checked
+
+
 def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
     """Exhaustive exact verification of the separation bounds.
 
@@ -91,9 +153,8 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
     >= 8 L^-2; (7) constructive: two lines within d of a point a meet within
     d L^2 of a, on 10 sampled line pairs.
 
-    Items 3 and 4 run on the meeting points' integer homogeneous
-    coordinates: item 3 tests every point against every line, and item 4
-    compares the points in touching cells of width 1/1000.
+    Items 3 and 4 count the pairs that integrality decides, which on a
+    valid polygon (L = 20 M) are all of them, and test the rest.
     """
     rep = LemmaReport(lemma_id="distances")
     L = m.L
@@ -141,49 +202,7 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
                 rep.check(abs(det) * L2 >= 8 * abs(dd),
                           f"item6 lines {i},{j}", f"det={det} dot={dd}")
 
-    pts = list(line_meets(lines))
-
-    # item 3: intersection point to extension not through it >= L^-5
-    L10 = L ** 10
-    normed = [(a, b, c, a * a + b * b) for a, b, c in lines]
-    for x, y, w in pts:
-        w2 = w * w
-        for a, b, c, nn in normed:
-            r = a * x + b * y - c * w
-            if r == 0:
-                continue
-            rep.instances_checked += 1
-            if r * r * L10 < w2 * nn:
-                rep.violations.append(
-                    (f"item3 point({x},{y},{w}) line({a},{b},{c})", str(r)))
-
-    # item 4: distinct intersection points >= L^-4; points are bucketed in
-    # cells of width 1/1000, and points in cells that do not touch are
-    # more than 1/1000 >= L^-4 apart (L >= 20), so only touching cells
-    # are compared
-    L8 = L ** 8
-    buckets: Dict[Tuple[int, int], List[int]] = {}
-    for idx, (x, y, w) in enumerate(pts):
-        buckets.setdefault((1000 * x // w, 1000 * y // w), []).append(idx)
-    pair_count = len(pts) * (len(pts) - 1) // 2
-    near_checked = 0
-    for (cx, cy), members in buckets.items():
-        cand = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cand.extend(buckets.get((cx + dx, cy + dy), []))
-        for i in members:
-            x1, y1, w1 = pts[i]
-            for j in cand:
-                if j <= i:
-                    continue
-                x2, y2, w2 = pts[j]
-                ex = x1 * w2 - x2 * w1
-                ey = y1 * w2 - y2 * w1
-                ok = (ex * ex + ey * ey) * L8 >= (w1 * w2) ** 2
-                rep.check(ok, f"item4 points {i},{j}", f"({ex},{ey})")
-                near_checked += 1
-    rep.instances_checked += pair_count - near_checked
+    _separate_meets(rep, lines, L)
 
     # item 7: constructive intersection bound on sampled (a, l1, l2)
     rng = random.Random(seed)
@@ -524,39 +543,6 @@ def build_counterexample(i_max: int) -> CounterexampleFixture:
     return CounterexampleFixture(
         polygon=m, pinhole_target=t, approach_points=tuple(approach),
         wall_intervals=tuple(intervals))
-
-
-def missed_interval(fix: CounterexampleFixture,
-                    candidates: Sequence[Point]
-                    ) -> Optional[Tuple[int, Point]]:
-    """First approach point whose wall interval the candidates fail to cover.
-
-    Returns (1-based index, uncovered witness on the wall) or None.  Only
-    candidates inside the polygon contribute coverage.
-    """
-    m = fix.polygon
-    wall_a, wall_b = pt(1, 1), pt(1, 11)
-    covered: List[Tuple[Scalar, Scalar]] = []
-    for c in candidates:
-        if not point_in_polygon(m, c):
-            continue
-        for sg in visible_subsegments(m, c, wall_a, wall_b):
-            lo, hi = sorted((sg.a.y, sg.b.y))
-            covered.append((lo, hi))
-    covered.sort()
-    for idx, (lo, hi) in enumerate(fix.wall_intervals, start=1):
-        # walk the open interval (lo.y, hi.y) through the covered closed runs
-        cursor = lo.y
-        for clo, chi in covered:
-            if chi <= cursor or clo > hi.y:
-                continue
-            if clo > cursor:
-                break
-            cursor = max(cursor, chi)
-        if cursor < hi.y:
-            witness = Point(Fraction(1), (cursor + hi.y) / 2)
-            return idx, witness
-    return None
 
 
 def check_grid_outside_bad(m: PolygonModel, samples: int = 100,

@@ -62,8 +62,8 @@ def _read_json(text: str) -> List[Tuple[Fraction, Fraction]]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno)
-    if not isinstance(doc, dict) or "vertices" not in doc:
-        raise ParseError("missing 'vertices' key", 1)
+    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), list):
+        raise ParseError("expected a 'vertices' list", 1)
     verts = []
     for entry in doc["vertices"]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:

@@ -53,10 +53,16 @@ class RoundLimitExceeded(Exception):
     found."""
 
 
+class CellBudgetExceeded(Exception):
+    """The bounding box has more unit cells than ``CELL_BUDGET``."""
+
+
 STRATEGY_FULL = "FullCellSample"
 STRATEGY_VERTICES = "Vertices"
 
 WEIGHT_DOUBLING_CAP = 10 ** 6
+# the unit cells default_candidates may walk; triple_pairs() has 83 809
+CELL_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,12 @@ def default_candidates(m: PolygonModel) -> List[Point]:
     """Unit-cell center grid points inside P plus all polygon vertices.
 
     Cell centers are on the grid for every exponent since L = 20M is even.
+    Raises CellBudgetExceeded, before the walk, past ``CELL_BUDGET`` cells.
     """
+    cells = (max(m.xs) - min(m.xs) + 1) * (max(m.ys) - min(m.ys) + 1)
+    if cells > CELL_BUDGET:
+        raise CellBudgetExceeded(f"the candidate grid has {cells} unit "
+                                 f"cells, over the budget of {CELL_BUDGET}")
     out = list(m.vertices)
     # the polygon doubled, so the centre of cell (i, j) is (2i + 1, 2j + 1)
     x2, y2 = m.scaled(2)

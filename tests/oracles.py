@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, combinations, product
 from math import comb, floor, gcd, lcm
-from typing import List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from gridguards.arrangement import _point, build_arrangement
 from gridguards.badregions import bad_region
@@ -42,13 +42,19 @@ from gridguards.grid import (
 from gridguards.polygon import (
     PointOutsidePolygon,
     _in_int_cycle,
+    line_meets,
     opposite_reflex_pairs,
     point_in_polygon,
     segment_in_polygon,
     triangulate,
 )
 from gridguards.solver import SolveResult, _greedy
-from gridguards.visibility import overlay_segments, sees, visibility_polygon
+from gridguards.visibility import (
+    overlay_segments,
+    sees,
+    visibility_polygon,
+    visible_subsegments,
+)
 
 # the tag of the exact search's guards
 PROV_SOLVER_EXACT = "SolverExact"
@@ -948,3 +954,81 @@ def rays_intersect_ref(o1: Point, d1: Point, o2: Point, d2: Point) -> bool:
     t = cross(diff, d2) / denom
     u = cross(diff, d1) / denom
     return t >= 0 and u >= 0
+
+
+def separate_meets_ref(rep, lines, L: int) -> None:
+    """Items 3 and 4 of ``lemmas.check_distance_lemma`` pair by pair, as
+    the library once decided them: every meeting point against every line
+    not through it, and the points in touching cells against each other.
+    Cells have width 1/min(1000, L^4), so points in cells that do not touch
+    are more than L^-4 apart."""
+    pts = list(line_meets(lines))
+    L10 = L ** 10
+    normed = [(a, b, c, a * a + b * b) for a, b, c in lines]
+    for x, y, w in pts:
+        w2 = w * w
+        for a, b, c, nn in normed:
+            r = a * x + b * y - c * w
+            if r == 0:
+                continue
+            rep.instances_checked += 1
+            if r * r * L10 < w2 * nn:
+                rep.violations.append(
+                    (f"item3 point({x},{y},{w}) line({a},{b},{c})", str(r)))
+    L8 = L ** 8
+    k = min(1000, L ** 4)
+    buckets: Dict[Tuple[int, int], List[int]] = {}
+    for idx, (x, y, w) in enumerate(pts):
+        buckets.setdefault((k * x // w, k * y // w), []).append(idx)
+    pair_count = len(pts) * (len(pts) - 1) // 2
+    near_checked = 0
+    for (cx, cy), members in buckets.items():
+        cand = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                cand.extend(buckets.get((cx + dx, cy + dy), []))
+        for i in members:
+            x1, y1, w1 = pts[i]
+            for j in cand:
+                if j <= i:
+                    continue
+                x2, y2, w2 = pts[j]
+                ex = x1 * w2 - x2 * w1
+                ey = y1 * w2 - y2 * w1
+                ok = (ex * ex + ey * ey) * L8 >= (w1 * w2) ** 2
+                rep.check(ok, f"item4 points {i},{j}", f"({ex},{ey})")
+                near_checked += 1
+    rep.instances_checked += pair_count - near_checked
+
+
+def missed_interval(fix, candidates: Sequence[Point]
+                    ) -> Optional[Tuple[int, Point]]:
+    """First approach point of the pinhole fixture ``fix`` whose wall
+    interval the candidates fail to cover.
+
+    Returns (1-based index, uncovered witness on the wall) or None.  Only
+    candidates inside the polygon contribute coverage.
+    """
+    m = fix.polygon
+    wall_a, wall_b = pt(1, 1), pt(1, 11)
+    covered: List[Tuple[Fraction, Fraction]] = []
+    for c in candidates:
+        if not point_in_polygon(m, c):
+            continue
+        for sg in visible_subsegments(m, c, wall_a, wall_b):
+            lo, hi = sorted((sg.a.y, sg.b.y))
+            covered.append((lo, hi))
+    covered.sort()
+    for idx, (lo, hi) in enumerate(fix.wall_intervals, start=1):
+        # walk the open interval (lo.y, hi.y) through the covered closed runs
+        cursor = lo.y
+        for clo, chi in covered:
+            if chi <= cursor or clo > hi.y:
+                continue
+            if clo > cursor:
+                break
+            cursor = max(cursor, chi)
+        if cursor < hi.y:
+            witness = Point(Fraction(1), (cursor + hi.y) / 2)
+            return idx, witness
+    return None

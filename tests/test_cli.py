@@ -1,11 +1,18 @@
 """Command-line interface: exit codes, determinism, output artifacts."""
 
+import io
 import json
 import re
 import shlex
+import signal
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
 from gridguards.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -13,6 +20,9 @@ from gridguards.cli import (
     EXIT_VIOLATION,
     main,
 )
+from gridguards.generate import channel, comb, counterexample_polygon
+from gridguards.persistence import FORMAT_JSON, FORMAT_TEXT, write_polygon
+from gridguards.solver import CELL_BUDGET
 
 
 @pytest.fixture()
@@ -261,3 +271,127 @@ def test_readme_command_line_runs_as_written(tmp_path, monkeypatch):
     codes = [main(argv[1:]) for argv in commands]
     assert codes == [EXIT_OK] * 6 + [EXIT_VIOLATION]
     assert (tmp_path / "bad.svg").read_text().count("fill:#cc3311") == 2
+
+
+class Deadline(BaseException):
+    """A command ran past its deadline; a BaseException, so that no
+    ``except Exception`` on the way out can swallow it."""
+
+
+def run_with_deadline(argv, seconds):
+    """main(argv) with stdout and stderr captured, or Deadline once the
+    given seconds of wall time have passed."""
+    def expire(signum, frame):
+        raise Deadline(f"{argv} ran past {seconds} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+# comb 2 with the vertex (4, 6) moved to (10^20 - 1, 6): a valid polygon
+# whose bounding box holds about 6 * 10^20 unit cells
+HUGE_COMB = ("1 1\n4 1\n99999999999999999999 6\n3 6\n3 2\n2 2\n2 6\n"
+             "1 6\n")
+
+
+def test_solve_over_cell_budget_exits_3_at_once(tmp_path):
+    """The default candidates would walk every unit cell of the bounding
+    box; past the cell budget, solve exits 3 before the walk, naming the
+    count, and the vertex strategy still solves the same polygon."""
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_COMB)
+    code, err = run_with_deadline(["solve", str(path)], 1)
+    assert code == EXIT_BUDGET
+    cells = (10 ** 20 - 1) * 6
+    assert cells > CELL_BUDGET
+    assert err.splitlines() == [
+        f"error: the candidate grid has {cells} unit cells, over the "
+        f"budget of {CELL_BUDGET}"]
+    code, _ = run_with_deadline(
+        ["solve", str(path), "--strategy", "Vertices"], 5)
+    assert code == EXIT_OK
+
+
+def polygon_text(m, fmt):
+    buf = io.StringIO()
+    write_polygon(m, buf, fmt)
+    text = buf.getvalue()
+    if fmt == FORMAT_JSON:
+        # one vertex a line, so that line mutations reach inside the JSON
+        text = text.replace("],", "],\n")
+    return text.splitlines()
+
+
+FUZZ_SOURCES = [
+    polygon_text(comb(2), FORMAT_TEXT),
+    polygon_text(comb(3), FORMAT_TEXT),
+    polygon_text(channel(), FORMAT_TEXT),
+    polygon_text(counterexample_polygon(), FORMAT_TEXT),
+    polygon_text(comb(2), FORMAT_JSON),
+]
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["0", "-0", "1/2", "-7/3", "3/0", "0.5", "x", "nan",
+                     "inf", "#", "", "[1, 2]", "null", "true", '"4"',
+                     '{"vertices": 5}', '{"vertices": null}',
+                     '{"vertices": [[1, 1], [2, 1], [1, 2]]}']),
+    st.integers(-9, -1).map(str),
+    st.integers(10 ** 19, 10 ** 20 - 1).map(str),
+    st.integers(-10 ** 20 + 1, -10 ** 19).map(str),
+)
+
+
+@st.composite
+def mutated_polygon(draw):
+    """A fixture file with lines swapped, dropped or duplicated, and with
+    tokens or whole lines replaced by injected ones."""
+    lines = list(draw(st.sampled_from(FUZZ_SOURCES)))
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["swap", "drop", "dup", "token", "line"]))
+        if op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "token" and lines[i].split():
+            tokens = lines[i].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+        else:
+            lines[i] = draw(FUZZ_TOKENS)
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_polygon())
+@example(HUGE_COMB)
+@example('{"vertices": 5}\n')
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_fixture_files_exit_cleanly(text):
+    """solve, analyze and the distance check on a mutated fixture file each
+    return 0, 2, 3 or 4 from main within a few seconds, without an
+    exception; every nonzero code but 4 comes with one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "poly.txt"
+        path.write_text(text)
+        for argv in (["solve", str(path)], ["analyze", str(path)],
+                     ["verify-lemmas", str(path), "--check", "distances"]):
+            code, err = run_with_deadline(argv, 3)
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET,
+                            EXIT_VIOLATION), (argv, text)
+            assert "Traceback" not in err
+            if code in (EXIT_INPUT, EXIT_BUDGET):
+                assert len(err.splitlines()) == 1
+                assert err.startswith("error: ")

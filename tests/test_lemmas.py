@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +19,7 @@ from gridguards.generate import (
     random_polygon,
     triple_pairs,
 )
+from gridguards import lemmas
 from gridguards.geometry import Point, dist_sq, orient, pt
 from gridguards.lemmas import (
     LemmaReport,
@@ -31,7 +33,6 @@ from gridguards.lemmas import (
     check_grid_outside_bad,
     check_limited_blocking,
     check_local_visibility,
-    missed_interval,
 )
 from gridguards.grid import GridSpec, surrounding_grid
 from gridguards.polygon import (
@@ -47,7 +48,9 @@ from oracles import (
     blocking_meet_ref,
     in_cone_ref,
     interior_points_ref,
+    missed_interval,
     rays_intersect_ref,
+    separate_meets_ref,
 )
 
 
@@ -94,6 +97,62 @@ def test_distance_lemma_item3_reports_each_close_pair():
     rep = check_distance_lemma(m)
     assert expected > 0
     assert sum(v[0].startswith("item3") for v in rep.violations) == expected
+
+
+def distance_report_ref(m):
+    """``check_distance_lemma(m)`` with items 3 and 4 decided pair by pair
+    by the reference loops."""
+    with patch.object(lemmas, "_separate_meets", separate_meets_ref):
+        return check_distance_lemma(m).to_dict()
+
+
+DISTANCE_FIXTURES = {
+    "channel": channel,
+    "deshpande": counterexample_polygon,
+    "blocking": lambda: blocking_fixture()[0],
+    "comb3": lambda: comb(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_FIXTURES))
+def test_distance_lemma_matches_reference_on_fixtures(name):
+    m = DISTANCE_FIXTURES[name]()
+    doc = check_distance_lemma(m).to_dict()
+    assert doc["status"] == "Verified"
+    assert doc == distance_report_ref(m)
+
+
+@given(st.integers(3, 12), st.integers(8, 30), st.integers(0, 10 ** 6))
+@settings(max_examples=15, deadline=None)
+def test_distance_lemma_matches_reference_on_random_polygons(n, M, seed):
+    m = random_polygon(n, M, seed=seed)
+    assert check_distance_lemma(m).to_dict() == distance_report_ref(m)
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_FIXTURES))
+def test_distance_lemma_matches_reference_at_forced_L(name):
+    """With L forced below 20 M, the integrality bounds hold for some
+    meeting points or none, and the points over them are tested pair by
+    pair: violations and counts match the reference, and item 4's
+    violations are exactly the pairs closer than L^-4, counted over all
+    pairs."""
+    m = DISTANCE_FIXTURES[name]()
+    # each pair's squared distance, as a numerator over a denominator
+    gaps = [((x1 * w2 - x2 * w1) ** 2 + (y1 * w2 - y2 * w1) ** 2,
+             (w1 * w2) ** 2)
+            for (x1, y1, w1), (x2, y2, w2)
+            in combinations(line_meets(extensions(m)), 2)]
+    for k in (1, 2, 3, 20):
+        mk = replace(m, L=k)
+        doc = check_distance_lemma(mk).to_dict()
+        assert doc == distance_report_ref(mk)
+        close = sum(num * k ** 8 < den for num, den in gaps)
+        assert close == sum(v[0].startswith("item4")
+                            for v in doc["violations"])
+        if k == 1:
+            # every point tested, and both items report violations
+            assert doc["status"] == "Violated" and close > 0
+            assert any(v[0].startswith("item3") for v in doc["violations"])
 
 
 def test_distance_lemma_item1_floor():

@@ -70,6 +70,14 @@ def test_json_parse_errors():
         read_polygon(io.StringIO("{broken"))
 
 
+@pytest.mark.parametrize("vertices", ["5", "null", "true", '"1 1"'])
+def test_json_vertices_must_be_a_list(vertices):
+    """A 'vertices' value that is not a list is a parse error, not a
+    TypeError from iterating it."""
+    with pytest.raises(ParseError, match="expected a 'vertices' list"):
+        read_polygon(io.StringIO(f'{{"vertices": {vertices}}}'))
+
+
 def test_json_accepts_string_rationals():
     doc = {"vertices": [["3/2", 1], [9, 1], [9, 9], [1, 9]]}
     m = read_polygon(io.StringIO(json.dumps(doc)))
