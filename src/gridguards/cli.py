@@ -36,6 +36,7 @@ from .lemmas import (
     check_local_visibility,
 )
 from .badregions import bad_region, check_no_triple_intersection
+from .grid import NoGridPointNearby
 from .persistence import (
     FORMAT_JSON,
     FORMAT_TEXT,
@@ -261,7 +262,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RoundLimitExceeded, CellBudgetExceeded,
+    except (RoundLimitExceeded, CellBudgetExceeded, NoGridPointNearby,
             GenerationBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

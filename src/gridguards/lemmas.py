@@ -3,7 +3,9 @@
 Every check enumerates or samples concrete configurations, filters them by
 the exact hypotheses of the corresponding bound, and verifies the stated
 conclusion in exact arithmetic, or counts it when integrality alone implies
-it.  Configurations failing the hypotheses are skipped, never verified.
+it: items 3 and 4 of the distance lemma are only counted, and refuse an L
+too small for that.  Configurations failing the hypotheses are skipped,
+never verified.
 """
 
 from __future__ import annotations
@@ -84,63 +86,24 @@ class LemmaReport:
 
 def _separate_meets(rep: LemmaReport, lines: Sequence[Line], L: int) -> None:
     """Items 3 and 4 of the distance lemma on the meeting points (X, Y, W)
-    of the integer lines (a, b, c).  A point off a line has |aX + bY - cW|
-    >= 1, and distinct points differ by a nonzero integer vector over
-    W1 W2.  So a point with W^2 (a^2 + b^2) <= L^10 for every line passes
-    item 3, and if every W^4 <= L^8, every pair passes item 4: those pairs
-    are counted, and only the rest are tested."""
+    of the integer lines (a, b, c), counted by integrality alone.  A point
+    off a line has |aX + bY - cW| >= 1, so with W^2 (a^2 + b^2) <= L^10 it
+    lies at least L^-5 from the line; distinct points differ by a nonzero
+    integer vector over W1 W2, so with W^4 <= L^8 they lie at least L^-4
+    apart.  On a polygon from ``load_polygon`` |a|, |b| < M, W <= 2 M^2
+    and L = 20 M, so both bounds hold for every point; an L too small for
+    them (one forced on a model) raises ValueError.  The pair-by-pair test
+    is ``tests/oracles.py::separate_meets_ref``."""
     meets = line_meets(lines)
-    pts = list(meets)
-
-    # item 3: intersection point to extension not through it >= L^-5
-    L10 = L ** 10
-    normed = [(a, b, c, a * a + b * b) for a, b, c in lines]
-    top = max(nn for *_, nn in normed)
-    for (x, y, w), through in meets.items():
-        w2 = w * w
-        if w2 * top <= L10:
-            rep.instances_checked += len(lines) - len(through)
-            continue
-        for a, b, c, nn in normed:
-            r = a * x + b * y - c * w
-            if r == 0:
-                continue
-            rep.instances_checked += 1
-            if r * r * L10 < w2 * nn:
-                rep.violations.append(
-                    (f"item3 point({x},{y},{w}) line({a},{b},{c})", str(r)))
-
-    # item 4: distinct intersection points >= L^-4
-    L8 = L ** 8
-    pair_count = len(pts) * (len(pts) - 1) // 2
-    if max((w for *_, w in pts), default=0) ** 4 <= L8:
-        rep.instances_checked += pair_count
-        return
-    # points are bucketed in cells of width 1/k, and points in cells that
-    # do not touch are more than 1/k >= L^-4 apart, so only touching cells
-    # are compared
-    k = min(1000, L ** 4)
-    buckets: Dict[Tuple[int, int], List[int]] = {}
-    for idx, (x, y, w) in enumerate(pts):
-        buckets.setdefault((k * x // w, k * y // w), []).append(idx)
-    near_checked = 0
-    for (cx, cy), members in buckets.items():
-        cand = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cand.extend(buckets.get((cx + dx, cy + dy), []))
-        for i in members:
-            x1, y1, w1 = pts[i]
-            for j in cand:
-                if j <= i:
-                    continue
-                x2, y2, w2 = pts[j]
-                ex = x1 * w2 - x2 * w1
-                ey = y1 * w2 - y2 * w1
-                ok = (ex * ex + ey * ey) * L8 >= (w1 * w2) ** 2
-                rep.check(ok, f"item4 points {i},{j}", f"({ex},{ey})")
-                near_checked += 1
-    rep.instances_checked += pair_count - near_checked
+    top_w = max((w for *_, w in meets), default=0)
+    top_nn = max(a * a + b * b for a, b, _ in lines)
+    if top_w ** 2 * top_nn > L ** 10 or top_w ** 4 > L ** 8:
+        raise ValueError(f"L = {L} is too small for the integrality bounds "
+                         f"of items 3 and 4 of the distance lemma")
+    # item 3: every line not through a point; item 4: every pair of points
+    rep.instances_checked += sum(len(lines) - len(through)
+                                 for through in meets.values())
+    rep.instances_checked += len(meets) * (len(meets) - 1) // 2
 
 
 def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
@@ -153,8 +116,9 @@ def check_distance_lemma(m: PolygonModel, seed: int = 0) -> LemmaReport:
     >= 8 L^-2; (7) constructive: two lines within d of a point a meet within
     d L^2 of a, on 10 sampled line pairs.
 
-    Items 3 and 4 count the pairs that integrality decides, which on a
-    valid polygon (L = 20 M) are all of them, and test the rest.
+    Items 3 and 4 are counted, not tested: on a valid polygon (L = 20 M)
+    integrality decides every pair, and an L forced too small for that
+    raises ValueError.
     """
     rep = LemmaReport(lemma_id="distances")
     L = m.L

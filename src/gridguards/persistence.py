@@ -1,7 +1,8 @@
 """Polygon file formats and SVG scene rendering.
 
 Two polygon formats: plain text with one "x y" pair per line ('#' starts a
-comment, rationals written "p/q") and JSON {"vertices": [[x, y], ...]}.
+comment) and JSON {"vertices": [[x, y], ...]}.  A coordinate is an integer,
+a rational "p/q" or a decimal "1.25", never an exponent such as "1e3".
 Both round-trip exactly.  SVG output serializes exact coordinates at fixed
 decimal precision and embeds the exact rationals in a comment for audit;
 the bytes are deterministic for identical scenes.
@@ -35,6 +36,9 @@ class IoError(Exception):
 
 
 def _parse_scalar(token: str, line: int) -> Fraction:
+    # Fraction would expand an exponent such as 1e1000000000 in full
+    if "e" in token or "E" in token:
+        raise ParseError(f"bad coordinate {token!r}: no exponents", line)
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):

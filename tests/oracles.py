@@ -957,11 +957,13 @@ def rays_intersect_ref(o1: Point, d1: Point, o2: Point, d2: Point) -> bool:
 
 
 def separate_meets_ref(rep, lines, L: int) -> None:
-    """Items 3 and 4 of ``lemmas.check_distance_lemma`` pair by pair, as
-    the library once decided them: every meeting point against every line
-    not through it, and the points in touching cells against each other.
+    """Items 3 and 4 of ``lemmas.check_distance_lemma`` pair by pair, the
+    only such implementation: every meeting point against every line not
+    through it, and the points in touching cells against each other.
     Cells have width 1/min(1000, L^4), so points in cells that do not touch
-    are more than L^-4 apart."""
+    are more than L^-4 apart.  The library only counts the pairs, and
+    refuses an L too small for its integrality bounds; this reference
+    also runs at such an L and reports each close pair."""
     pts = list(line_meets(lines))
     L10 = L ** 10
     normed = [(a, b, c, a * a + b * b) for a, b, c in lines]

@@ -320,6 +320,24 @@ def test_solve_over_cell_budget_exits_3_at_once(tmp_path):
     assert code == EXIT_OK
 
 
+# a valid triangle whose nearest in-polygon grid point, at the width the
+# local-visibility check asks for, lies past the grid search's ring budget
+THIN_TRIANGLE = "1 1\n544 2\n543 2\n"
+
+
+@pytest.mark.parametrize("check", ["all", "local-visibility"])
+def test_verify_lemmas_past_grid_search_budget_exits_3(tmp_path, check):
+    """The grid search gives up past its ring budget; verify-lemmas then
+    exits 3 with one error line, not a traceback."""
+    path = tmp_path / "thin.txt"
+    path.write_text(THIN_TRIANGLE)
+    code, err = run_with_deadline(
+        ["verify-lemmas", str(path), "--check", check], 5)
+    assert code == EXIT_BUDGET
+    [line] = err.splitlines()
+    assert line.startswith("error: no in-polygon grid point within ")
+
+
 def polygon_text(m, fmt):
     buf = io.StringIO()
     write_polygon(m, buf, fmt)
@@ -345,6 +363,7 @@ FUZZ_TOKENS = st.one_of(
     st.integers(-9, -1).map(str),
     st.integers(10 ** 19, 10 ** 20 - 1).map(str),
     st.integers(-10 ** 20 + 1, -10 ** 19).map(str),
+    st.sampled_from(["1e9", "1e1000000000"]),
 )
 
 
@@ -374,20 +393,30 @@ def mutated_polygon(draw):
     return "\n".join(lines) + "\n"
 
 
+# comb 2 with one x coordinate written with an exponent that Fraction
+# would take seconds to expand
+EXPONENT_COMB = ("1 1\n4 1\n1e10000000 6\n3 6\n3 2\n2 2\n2 6\n1 6\n")
+
+
 @given(mutated_polygon())
 @example(HUGE_COMB)
 @example('{"vertices": 5}\n')
+@example(THIN_TRIANGLE)
+@example(EXPONENT_COMB)
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_mutated_fixture_files_exit_cleanly(text):
-    """solve, analyze and the distance check on a mutated fixture file each
-    return 0, 2, 3 or 4 from main within a few seconds, without an
-    exception; every nonzero code but 4 comes with one error line."""
+    """solve, analyze, the distance check and the local-visibility check
+    on a mutated fixture file each return 0, 2, 3 or 4 from main within a
+    few seconds, without an exception; every nonzero code but 4 comes with
+    one error line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "poly.txt"
         path.write_text(text)
         for argv in (["solve", str(path)], ["analyze", str(path)],
-                     ["verify-lemmas", str(path), "--check", "distances"]):
+                     ["verify-lemmas", str(path), "--check", "distances"],
+                     ["verify-lemmas", str(path), "--check",
+                      "local-visibility"]):
             code, err = run_with_deadline(argv, 3)
             assert code in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET,
                             EXIT_VIOLATION), (argv, text)

@@ -38,6 +38,7 @@ from gridguards.grid import GridSpec, surrounding_grid
 from gridguards.polygon import (
     extensions,
     line_meets,
+    load_polygon,
     opposite_reflex_pairs,
     reflex_vertices,
     triangulate,
@@ -83,10 +84,18 @@ def test_distance_lemma_random_polygon():
     assert rep.status == "Verified"
 
 
+def distance_report_ref(m):
+    """``check_distance_lemma(m)`` with items 3 and 4 decided pair by pair
+    by the reference loops."""
+    with patch.object(lemmas, "_separate_meets", separate_meets_ref):
+        return check_distance_lemma(m).to_dict()
+
+
 def test_distance_lemma_item3_reports_each_close_pair():
     """With L forced to 1, item 3 asks each meeting point to be at least 1
-    from every line not through it; the item-3 violations are exactly the
-    pairs closer than that, counted here on Fractions."""
+    from every line not through it; the reference's item-3 violations are
+    exactly the pairs closer than that, counted here on Fractions, and the
+    library refuses an L too small for its integrality bounds."""
     m = replace(channel(), L=1)
     lines = extensions(m)
     expected = 0
@@ -94,16 +103,11 @@ def test_distance_lemma_item3_reports_each_close_pair():
         for a, b, c in lines:
             r = a * Fraction(x, w) + b * Fraction(y, w) - c
             expected += r != 0 and r * r < a * a + b * b
-    rep = check_distance_lemma(m)
+    doc = distance_report_ref(m)
     assert expected > 0
-    assert sum(v[0].startswith("item3") for v in rep.violations) == expected
-
-
-def distance_report_ref(m):
-    """``check_distance_lemma(m)`` with items 3 and 4 decided pair by pair
-    by the reference loops."""
-    with patch.object(lemmas, "_separate_meets", separate_meets_ref):
-        return check_distance_lemma(m).to_dict()
+    assert sum(v[0].startswith("item3") for v in doc["violations"]) == expected
+    with pytest.raises(ValueError, match="L = 1 is too small"):
+        check_distance_lemma(m)
 
 
 DISTANCE_FIXTURES = {
@@ -131,11 +135,10 @@ def test_distance_lemma_matches_reference_on_random_polygons(n, M, seed):
 
 @pytest.mark.parametrize("name", sorted(DISTANCE_FIXTURES))
 def test_distance_lemma_matches_reference_at_forced_L(name):
-    """With L forced below 20 M, the integrality bounds hold for some
-    meeting points or none, and the points over them are tested pair by
-    pair: violations and counts match the reference, and item 4's
-    violations are exactly the pairs closer than L^-4, counted over all
-    pairs."""
+    """With L forced below 20 M, the reference tests every pair, and its
+    item-4 violations are exactly the pairs closer than L^-4, counted over
+    all pairs.  The library equals the reference at L = 20, where the
+    integrality bounds still hold, and refuses L = 1, 2 and 3."""
     m = DISTANCE_FIXTURES[name]()
     # each pair's squared distance, as a numerator over a denominator
     gaps = [((x1 * w2 - x2 * w1) ** 2 + (y1 * w2 - y2 * w1) ** 2,
@@ -144,8 +147,7 @@ def test_distance_lemma_matches_reference_at_forced_L(name):
             in combinations(line_meets(extensions(m)), 2)]
     for k in (1, 2, 3, 20):
         mk = replace(m, L=k)
-        doc = check_distance_lemma(mk).to_dict()
-        assert doc == distance_report_ref(mk)
+        doc = distance_report_ref(mk)
         close = sum(num * k ** 8 < den for num, den in gaps)
         assert close == sum(v[0].startswith("item4")
                             for v in doc["violations"])
@@ -153,6 +155,22 @@ def test_distance_lemma_matches_reference_at_forced_L(name):
             # every point tested, and both items report violations
             assert doc["status"] == "Violated" and close > 0
             assert any(v[0].startswith("item3") for v in doc["violations"])
+        if k == 20:
+            assert check_distance_lemma(mk).to_dict() == doc
+        else:
+            with pytest.raises(ValueError, match=f"L = {k} is too small"):
+                check_distance_lemma(mk)
+
+
+def test_distance_lemma_counts_a_valid_polygon_with_a_huge_coordinate():
+    """Comb 2 with the vertex (4, 6) moved to (10^20 - 1, 6) is valid, so
+    the integrality bounds hold for it: it is counted, not refused, and
+    equals the reference."""
+    m = load_polygon([(1, 1), (4, 1), (10 ** 20 - 1, 6), (3, 6), (3, 2),
+                      (2, 2), (2, 6), (1, 6)])
+    doc = check_distance_lemma(m).to_dict()
+    assert doc["status"] == "Verified"
+    assert doc == distance_report_ref(m)
 
 
 def test_distance_lemma_item1_floor():

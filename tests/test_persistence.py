@@ -46,6 +46,8 @@ def test_text_parses_comments_and_rationals():
     # rationals are cleared by rescaling, so 3/2 becomes 3 at scale 2
     assert m.vertices[0] == pt(3, 2)
     assert m.n == 4
+    # decimals are exact rationals too
+    assert read_polygon(io.StringIO("1.5 1\n9 1\n9 9\n1 9\n")) == m
 
 
 def test_text_parse_error_reports_line():
@@ -82,6 +84,19 @@ def test_json_accepts_string_rationals():
     doc = {"vertices": [["3/2", 1], [9, 1], [9, 9], [1, 9]]}
     m = read_polygon(io.StringIO(json.dumps(doc)))
     assert m.vertices[0] == pt(3, 2)
+
+
+@pytest.mark.parametrize("token", ["1e3", "2.5E-1", "1e1000000000"])
+def test_exponent_coordinates_refused(token):
+    """Fraction would expand an exponent in full, so 1e1000000000 would
+    build a 10^9-digit integer; a token with one is refused before that,
+    in a text file and as a JSON string alike."""
+    with pytest.raises(ParseError, match="no exponents") as exc:
+        read_polygon(io.StringIO(f"1 1\n9 1\n{token} 9\n1 9\n"))
+    assert exc.value.line == 3
+    doc = {"vertices": [[1, 1], [9, 1], [token, 9], [1, 9]]}
+    with pytest.raises(ParseError, match="no exponents"):
+        read_polygon(io.StringIO(json.dumps(doc)))
 
 
 def test_autodetects_format():
